@@ -11,6 +11,10 @@ bandwidth problem solvable to global optimality by bisection:
   bisecting the shared multiplier nu, with an inner bisection per user on
   y'(W)/alpha = -nu over (0, W_th].
 
+Every root here (W_th, nu, each W_k and the curvature witness) is bracketed
+by ``fading._grow`` and bisected by ``fading._bisect``, as is the gain
+threshold; each call site keeps its own relative tolerance.
+
 Given the optimal bandwidths, the best antenna count balances the 1/(n-1)
 transmit-power scaling against per-antenna circuit power in closed form, and
 per-user power caps follow from the dropping threshold.
@@ -21,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fading import solve_gain_threshold
+from .fading import _bisect, _grow, mean_tx_power, solve_gain_threshold
 from .model import (Allocation, PowerInfeasibleError, QosBudget,
                     QosInfeasibleError, SystemConfig, UserProfile,
                     validate_config)
@@ -63,31 +67,37 @@ def _exponent(w: float, f: YFunction) -> float:
     return f.l / w + f.v / math.sqrt(w)
 
 
-def y_value(w: float, f: YFunction) -> float:
-    """y(W) = W * (exp(l/W + v/sqrt(W)) - 1)."""
+def _checked_exponent(w: float, f: YFunction) -> float:
+    """l/W + v/sqrt(W) for W > 0, with overflow reported as infeasible QoS."""
     if w <= 0:
         raise ValueError("bandwidth must be positive")
     e = _exponent(w, f)
     if e > MAX_EXPONENT:
         raise QosInfeasibleError(
             f"required-SNR exponent {e:.1f} overflows at W={w:.6g} Hz")
-    return w * math.expm1(e)
+    return e
+
+
+def _curvature(w: float, f: YFunction) -> float:
+    """The curvature polynomial x(W) of sign_structure_witness; sign(y'')."""
+    sw = math.sqrt(w)
+    return -f.v * w * sw + f.v * f.v * w + 4.0 * f.l * f.v * sw + 4.0 * f.l * f.l
+
+
+def _neg_curvature(w: float, f: YFunction) -> float:
+    return -_curvature(w, f)
+
+
+def y_value(w: float, f: YFunction) -> float:
+    """y(W) = W * (exp(l/W + v/sqrt(W)) - 1)."""
+    return w * math.expm1(_checked_exponent(w, f))
 
 
 def y_derivatives(w: float, f: YFunction) -> tuple[float, float]:
     """First and second derivatives of y at W."""
-    if w <= 0:
-        raise ValueError("bandwidth must be positive")
-    e = _exponent(w, f)
-    if e > MAX_EXPONENT:
-        raise QosInfeasibleError(
-            f"required-SNR exponent {e:.1f} overflows at W={w:.6g} Hz")
-    sw = math.sqrt(w)
-    exp_e = math.exp(e)
-    y1 = (1.0 - f.l / w - f.v / (2.0 * sw)) * exp_e - 1.0
-    x = -f.v * w * sw + f.v * f.v * w + 4.0 * f.l * f.v * sw + 4.0 * f.l * f.l
-    y2 = x * exp_e / (4.0 * w ** 3)
-    return y1, y2
+    e = _checked_exponent(w, f)
+    y2 = _curvature(w, f) * math.exp(e) / (4.0 * w ** 3)
+    return _y_prime_clamped(w, f), y2
 
 
 def _y_prime_clamped(w: float, f: YFunction) -> float:
@@ -104,37 +114,31 @@ def _y_prime_clamped(w: float, f: YFunction) -> float:
     return (1.0 - f.l / w - f.v / (2.0 * sw)) * math.exp(e) - 1.0
 
 
+def _neg_y_prime(w: float, f: YFunction) -> float:
+    return -_y_prime_clamped(w, f)
+
+
+def _neg_total(nu: float, split) -> float:
+    """-sum_k W_k(nu): the bandwidth total falls with nu, its negation rises."""
+    return -sum(split(nu))
+
+
 def find_bandwidth_minimizer(f: YFunction) -> float:
     """Unique minimizer W_th of y, by sign bisection on y'.
 
     Starts the bracket at W = l, where y' < 0 is guaranteed, and doubles
-    until y' > 0.  With v = 0 the kernel decreases monotonically towards its
+    while y' < 0.  With v = 0 the kernel decreases monotonically towards its
     asymptote and has no finite minimizer; +inf is returned as a sentinel.
     """
-    if f.l <= 0:
+    if not f.l > 0:
         raise ValueError("l must be positive")
-    if f.v < 0:
+    if not f.v >= 0:
         raise ValueError("v must be non-negative")
     if f.v == 0.0:
         return math.inf
-    lo = f.l
-    hi = lo
-    for _ in range(4000):
-        if _y_prime_clamped(hi, f) > 0:
-            break
-        lo = hi
-        hi *= 2.0
-    else:
-        raise RuntimeError("no sign change found for y'")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _y_prime_clamped(mid, f) < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-11 * hi:
-            break
-    return 0.5 * (lo + hi)
+    # y'(l) < 0, so hi >= 2 l and y' is still negative at hi / 2.
+    hi = _grow(_y_prime_clamped, f, 0.0, f.l, 2.0)
+    return _bisect(_y_prime_clamped, f, 0.0, 0.5 * hi, hi, 1e-11)
 
 
 def sign_structure_witness(f: YFunction) -> tuple[float, float]:
@@ -145,28 +149,12 @@ def sign_structure_witness(f: YFunction) -> tuple[float, float]:
     """
     if f.v <= 0:
         raise ValueError("witness undefined for v = 0 (y is globally convex)")
-
-    def x_of(w: float) -> float:
-        sw = math.sqrt(w)
-        return (-f.v * w * sw + f.v * f.v * w + 4.0 * f.l * f.v * sw
-                + 4.0 * f.l * f.l)
-
     # In t = sqrt(W), x' = 0 reduces to 3 t^2 - 2 v t - 4 l = 0.
     t_star = (f.v + math.sqrt(f.v * f.v + 12.0 * f.l)) / 3.0
     w1 = t_star * t_star
-    lo = w1
-    hi = w1
-    while x_of(hi) > 0:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if x_of(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    return w1, 0.5 * (lo + hi)
+    # x falls past w1, so the bisection runs on -x.
+    hi = _grow(_neg_curvature, f, 0.0, w1, 2.0)
+    return w1, _bisect(_neg_curvature, f, 0.0, w1, hi, 1e-12)
 
 
 def _root_of_y_prime(target: float, f: YFunction, w_th: float) -> float:
@@ -177,21 +165,9 @@ def _root_of_y_prime(target: float, f: YFunction, w_th: float) -> float:
     hi = w_th
     if math.isinf(hi):
         # v = 0: y' rises towards 0-, so a finite right bracket always exists.
-        hi = f.l
-        while _y_prime_clamped(hi, f) <= target:
-            hi *= 2.0
-    lo = hi * 0.5
-    while _y_prime_clamped(lo, f) > target:
-        lo *= 0.5
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _y_prime_clamped(mid, f) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * hi:
-            break
-    return 0.5 * (lo + hi)
+        hi = _grow(_y_prime_clamped, f, target, f.l, 2.0)
+    lo = _grow(_neg_y_prime, f, -target, hi * 0.5, 0.5)
+    return _bisect(_y_prime_clamped, f, target, lo, hi, 1e-13)
 
 
 def allocate_bandwidth(users: list[YFunction], w_max: float) -> BandwidthSolution:
@@ -227,18 +203,8 @@ def allocate_bandwidth(users: list[YFunction], w_max: float) -> BandwidthSolutio
     seed = max((-_y_prime_clamped(w_small, f) / f.alpha for f in users),
                default=1.0)
     nu_hi = seed if math.isfinite(seed) and seed > 0 else 1.0
-    while sum(split(nu_hi)) > w_max:
-        nu_hi *= 2.0
-    nu_lo = 0.0
-    for _ in range(200):
-        nu = 0.5 * (nu_lo + nu_hi)
-        if sum(split(nu)) > w_max:
-            nu_lo = nu
-        else:
-            nu_hi = nu
-        if nu_hi - nu_lo <= 1e-14 * nu_hi:
-            break
-    nu = 0.5 * (nu_lo + nu_hi)
+    nu_hi = _grow(_neg_total, split, -w_max, nu_hi, 2.0)
+    nu = _bisect(_neg_total, split, -w_max, 0.0, nu_hi, 1e-14)
     ws = split(nu)
     obj = sum(y_value(w, f) / f.alpha for w, f in zip(ws, users))
     stat = max(abs(y_derivatives(w, f)[0] / f.alpha + nu) / nu
@@ -278,7 +244,7 @@ def power_thresholds(sol: BandwidthSolution, n: int, cfg: SystemConfig,
     g_th = solve_gain_threshold(n, eps).g_th
     caps = []
     for w, f in zip(sol.bandwidths, users):
-        gamma = required_snr(w, SnrRequirementCoeffs(l=f.l, v=f.v))
+        gamma = required_snr(w, f)
         caps.append(cfg.noise_psd * w * gamma / (f.alpha * g_th))
     return g_th, caps
 
@@ -345,9 +311,8 @@ def solve_allocation(cfg: SystemConfig, users: list[UserProfile],
                 f"fixed antenna count {n} needs {sum(caps):.3g} W of "
                 f"power caps, budget is {cfg.max_bs_power:.3g} W")
 
-    gammas = [required_snr(w, SnrRequirementCoeffs(l=f.l, v=f.v))
-              for w, f in zip(sol.bandwidths, yfuncs)]
-    mean_powers = [cfg.noise_psd * w * g * (1.0 - qos.eps_h) / (f.alpha * (n - 1))
+    gammas = [required_snr(w, f) for w, f in zip(sol.bandwidths, yfuncs)]
+    mean_powers = [mean_tx_power(w, g, f.alpha, n, qos.eps_h, cfg)
                    for w, g, f in zip(sol.bandwidths, gammas, yfuncs)]
     total = (sum(mean_powers) / cfg.amplifier_efficiency
              + cfg.circuit_power_per_antenna * n + cfg.fixed_circuit_power)

@@ -19,9 +19,10 @@ from .allocator import (allocate_bandwidth, build_y_functions,
                         find_bandwidth_minimizer, mean_total_power,
                         power_thresholds, solve_allocation, YFunction)
 from .config_io import load_config
-from .model import (ConfigError, PowerInfeasibleError, QosInfeasibleError,
-                    SystemConfig, UserProfile, validate_config)
-from .rate import LN2, inv_gaussian_q
+from .model import (ConfigError, PowerInfeasibleError, QosBudget,
+                    QosInfeasibleError, SystemConfig, UserProfile,
+                    validate_config)
+from .rate import _coeffs_at_rate
 from .simulator import SimPolicy, run_simulation
 
 PLACEMENT_NEAR_M = 50.0
@@ -61,10 +62,8 @@ def bandwidth_minimizer_for_rate(cfg: SystemConfig, eps_c: float,
                                  service_rate: float = 1.0) -> float:
     """Minimizer of the bandwidth-SNR kernel at a fixed nominal service rate
     (packets/frame), independent of any user's channel gain."""
-    l = service_rate * cfg.packet_bits * LN2 / cfg.dl_fraction
-    v = (inv_gaussian_q(eps_c) / math.sqrt(cfg.dl_fraction)
-         if eps_c < 0.5 else 0.0)
-    return find_bandwidth_minimizer(YFunction(l=l, v=v, alpha=1.0))
+    coeffs = _coeffs_at_rate(service_rate, eps_c, cfg)
+    return find_bandwidth_minimizer(YFunction.from_coeffs(coeffs, 1.0))
 
 
 def table_wth_rows(cfg: SystemConfig, eps_list: list[float],
@@ -148,8 +147,8 @@ def drop_table_rows(cfg: SystemConfig, eps_h_list: list[float],
     rows = []
     for eps_h in eps_h_list:
         alloc = solve_allocation(cfg, [user], eps_h=eps_h)
-        qos = validate_config(cfg, [user], eps_h=eps_h)
-        policy = SimPolicy.from_allocation(alloc, cfg, [user], qos)
+        policy = SimPolicy.from_allocation(alloc, cfg, [user],
+                                           QosBudget(**alloc.extras["qos"]))
         report = run_simulation(policy, cfg, [user], frames=frames,
                                 seed=seed, streams=streams, workers=workers)
         rows.append({
@@ -202,6 +201,11 @@ class ExperimentSpec:
             raise ConfigError("nt_values must be non-empty")
         if self.frames < 1:
             raise ConfigError("frames must be at least 1")
+        if self.streams < 1:
+            raise ConfigError("streams must be at least 1")
+        for name in ("service_rate", "distance"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite")
         if min(self.k_values, default=1) < 1:
             raise ConfigError("user counts must be at least 1")
 
@@ -223,8 +227,8 @@ def run_experiment(spec: ExperimentSpec) -> dict:
 
     if spec.kind == "simulate":
         alloc = solve_allocation(cfg, users, eps_h=spec.eps_h)
-        qos = validate_config(cfg, users, eps_h=spec.eps_h)
-        policy = SimPolicy.from_allocation(alloc, cfg, users, qos)
+        policy = SimPolicy.from_allocation(alloc, cfg, users,
+                                           QosBudget(**alloc.extras["qos"]))
         report = run_simulation(policy, cfg, users, frames=spec.frames,
                                 seed=spec.seed, streams=spec.streams,
                                 workers=spec.workers,

@@ -6,6 +6,9 @@ gain falls below a threshold g_th chosen so that a closed-form upper bound
 F on the dropping probability equals the dropping budget.  The same
 threshold yields the average transmit power of the channel-inversion policy
 in closed form.
+
+Every monotone root in the package, here and in the allocator, is bracketed
+by ``_grow`` and found by ``_bisect``, both defined below.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
 from scipy.special import gammainc
 
 from .model import SystemConfig
@@ -67,6 +69,9 @@ def drop_prob_B(g_th: float, gamma: float, n: int) -> float:
         raise ValueError("gamma must be positive")
     if n < 2:
         raise ValueError("antenna count must be at least 2")
+    # Imported here: scipy.integrate would dominate the package import time.
+    from scipy.integrate import quad
+
     log_den = math.log1p(gamma)
 
     def integrand(g: float) -> float:
@@ -74,6 +79,37 @@ def drop_prob_B(g_th: float, gamma: float, n: int) -> float:
 
     val, _ = quad(integrand, 0.0, g_th, epsabs=1e-13, epsrel=1e-11, limit=200)
     return max(0.0, float(val))
+
+
+def _grow(fn, arg, target: float, x: float, factor: float) -> float:
+    """Multiply x by ``factor`` while fn(x, arg) < target and return it, a
+    bracket end for ``_bisect``; RuntimeError if 4000 steps never cross."""
+    for _ in range(4000):
+        if not fn(x, arg) < target:
+            return x
+        x *= factor
+    raise RuntimeError("bracket search found no sign change")
+
+
+def _bisect(fn, arg, target: float, lo: float, hi: float,
+            rtol: float) -> float:
+    """Midpoint of the bracket [lo, hi] after bisecting on fn(x, arg) < target.
+
+    fn(., arg) must increase over the bracket: pass a decreasing function
+    negated, with its target negated, which keeps each comparison exact.
+    Stops once hi - lo <= rtol * hi, or after 200 halvings.  ``arg`` is
+    positional rather than closed over: the per-user split makes millions
+    of these calls, and a closure's extra call layer shows in a sweep.
+    """
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if fn(mid, arg) < target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= rtol * hi:
+            break
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -96,23 +132,9 @@ def solve_gain_threshold(n: int, eps_target: float) -> GainThreshold:
         raise ValueError("antenna count must be at least 2")
     if not (0.0 < eps_target < 1.0):
         raise ValueError("eps_target must lie strictly in (0, 1)")
-    lo, hi = 0.0, 1e-9
-    while drop_bound_F(hi, n) < eps_target:
-        hi *= 2.0
-        if hi > 1e12:  # unreachable for eps_target < 1
-            raise RuntimeError("dropping-bound bracket failed")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if drop_bound_F(mid, n) < eps_target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * hi:
-            break
-    return GainThreshold(g_th=0.5 * (lo + hi), antennas=n,
-                         eps_target=eps_target)
+    hi = _grow(drop_bound_F, n, eps_target, 1e-9, 2.0)
+    g_th = _bisect(drop_bound_F, n, eps_target, 0.0, hi, 1e-14)
+    return GainThreshold(g_th=g_th, antennas=n, eps_target=eps_target)
 
 
 def mean_tx_power(bandwidth: float, gamma: float, alpha: float, n: int,

@@ -175,31 +175,33 @@ def validate_config(cfg: SystemConfig, users: list[UserProfile],
     Raises:
         ConfigError: with one entry per violated invariant.
     """
+    # Each check fails on NaN and math.inf bounds the open ones above.
     v: list[str] = []
-    if cfg.frame_duration <= 0:
-        v.append("frame_duration must be positive")
+    if not (0 < cfg.frame_duration < math.inf):
+        v.append("frame_duration must be positive and finite")
     if not (0 < cfg.dl_fraction < cfg.frame_duration):
         v.append("dl_fraction must be in (0, frame_duration)")
-    if cfg.backhaul_delay < 0:
-        v.append("backhaul_delay must be non-negative")
-    if cfg.e2e_delay < 2 * cfg.frame_duration + cfg.backhaul_delay:
-        v.append("e2e_delay leaves a non-positive queueing budget")
+    if not (0 <= cfg.backhaul_delay < math.inf):
+        v.append("backhaul_delay must be non-negative and finite")
+    if not (2 * cfg.frame_duration + cfg.backhaul_delay
+            <= cfg.e2e_delay < math.inf):
+        v.append("e2e_delay must be finite and leave a queueing budget")
     for name in ("noise_psd", "total_bandwidth", "max_bs_power",
                  "circuit_power_per_antenna", "fixed_circuit_power"):
-        if getattr(cfg, name) <= 0:
-            v.append(f"{name} must be positive")
+        if not (0 < getattr(cfg, name) < math.inf):
+            v.append(f"{name} must be positive and finite")
     if not (0 < cfg.amplifier_efficiency <= 1):
         v.append("amplifier_efficiency must be in (0, 1]")
-    if cfg.packet_bits <= 0:
-        v.append("packet_bits must be positive")
+    if not (0 < cfg.packet_bits < math.inf):
+        v.append("packet_bits must be positive and finite")
     if not (0 < cfg.loss_budget < 1):
         v.append("loss_budget must be in (0, 1)")
 
     if not users:
         v.append("at least one user is required")
     for i, usr in enumerate(users):
-        if usr.arrival_rate <= 0:
-            v.append(f"user {i}: arrival_rate must be positive")
+        if not (0 < usr.arrival_rate < math.inf):
+            v.append(f"user {i}: arrival_rate must be positive and finite")
         try:
             g = usr.gain
             if not (0 < g < 1):
@@ -221,13 +223,13 @@ def validate_config(cfg: SystemConfig, users: list[UserProfile],
     if not overridden and eps_c + eps_q + eps_h > cfg.loss_budget * (1 + 1e-12):
         v.append("eps_c + eps_q + eps_h exceeds loss_budget")
 
+    dq = 0
     if cfg.frame_duration > 0:
-        dq = math.floor((cfg.e2e_delay - 2 * cfg.frame_duration)
-                        / cfg.frame_duration + 1e-9)
+        slots = (cfg.e2e_delay - 2 * cfg.frame_duration) / cfg.frame_duration
+        if math.isfinite(slots):
+            dq = math.floor(slots + 1e-9)
         if dq < 1:
             v.append("queueing delay budget is below one frame")
-    else:
-        dq = 0
 
     if v:
         raise ConfigError(v)

@@ -140,7 +140,13 @@ def snr_coeffs(eps_c: float, eps_q: float, lam: float, cfg: SystemConfig,
     if lam <= 0:
         raise ValueError("arrival rate must be positive")
     eb = effective_bandwidth(lam, eps_q, qos.queue_delay_frames)
-    l = eb.value * cfg.packet_bits * LN2 / cfg.dl_fraction
+    return _coeffs_at_rate(eb.value, eps_c, cfg)
+
+
+def _coeffs_at_rate(service_rate: float, eps_c: float,
+                    cfg: SystemConfig) -> SnrRequirementCoeffs:
+    """Required-SNR coefficients at a constant rate in packets/frame."""
+    l = service_rate * cfg.packet_bits * LN2 / cfg.dl_fraction
     v = inv_gaussian_q(eps_c) / math.sqrt(cfg.dl_fraction) if eps_c < 0.5 else 0.0
     return SnrRequirementCoeffs(l=l, v=v)
 
@@ -149,7 +155,8 @@ def required_snr(bandwidth: float, coeffs: SnrRequirementCoeffs) -> float:
     """Minimal SNR meeting both QoS components at bandwidth W.
 
     Conservative form with the dispersion pinned at 1:
-    gamma = exp(l/W + v/sqrt(W)) - 1.
+    gamma = exp(l/W + v/sqrt(W)) - 1.  Only ``coeffs.l`` and ``coeffs.v``
+    are read, so the allocator passes its per-user kernels directly.
     """
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")

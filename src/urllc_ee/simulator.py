@@ -213,12 +213,9 @@ def step_queue(state: QueueState, g: float, policy: SimPolicy,
 
 def _walk_chunk(state: QueueState, g: np.ndarray, a: np.ndarray,
                 up: UserPolicy, dq: int, base_frame: int,
-                cfg: SystemConfig, walk_all: bool = False) -> None:
+                cfg: SystemConfig) -> None:
     n = len(g)
-    if walk_all:
-        idx = np.arange(n)
-    else:
-        idx = np.flatnonzero((g < up.gain_threshold) | (a > 0))
+    idx = np.flatnonzero((g < up.gain_threshold) | (a > 0))
     ei = 0
     m = len(idx)
     pos = -1

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from urllc_ee import (QosInfeasibleError, PowerInfeasibleError, SystemConfig,
-                      UserProfile, YFunction, allocate_bandwidth,
-                      build_y_functions, find_bandwidth_minimizer,
-                      mean_tx_power, optimal_antennas, power_thresholds,
+from urllc_ee import (DEFAULT_CONFIG_TEXT, QosInfeasibleError,
+                      PowerInfeasibleError, SystemConfig, UserProfile,
+                      YFunction, allocate_bandwidth, build_y_functions,
+                      find_bandwidth_minimizer, mean_tx_power,
+                      optimal_antennas, parse_config_text, power_thresholds,
                       sign_structure_witness, solve_allocation,
-                      validate_config, y_derivatives, y_value)
+                      solve_gain_threshold, validate_config, y_derivatives,
+                      y_value)
 from urllc_ee.allocator import CASE_LIMITED, CASE_SUFFICIENT, mean_total_power
 
 from conftest import WTH_REFERENCE_MHZ, unit_rate_yfunction
@@ -399,3 +401,34 @@ class TestSolveAllocation:
             single_user.arrival_rate / cfg.frame_duration
         assert alloc.energy_efficiency == pytest.approx(
             bits_per_s / alloc.mean_total_power, rel=1e-12)
+
+
+class TestRecordedOutputs:
+    """Exact outputs recorded before the root solves were folded onto the
+    shared bracket and bisection helpers; any change to an iterate shows."""
+
+    def test_bandwidth_minimizers(self):
+        want = {1e-8: 7348641.704286353, 1e-7: 7424040.505865056,
+                1e-6: 7534587.671981925, 1e-5: 7699456.631487256}
+        assert sorted(want) == sorted(WTH_REFERENCE_MHZ)
+        for eps, w_th in want.items():
+            assert find_bandwidth_minimizer(unit_rate_yfunction(eps)) == w_th
+
+    def test_gain_thresholds(self):
+        want = [2.0000001333333514e-07, 0.0007747467070135735,
+                0.01342463875181979, 0.05944177249040199,
+                0.15165255626774268, 0.292564981459918, 0.4796816909746343]
+        assert [solve_gain_threshold(n, 1e-7).g_th
+                for n in range(2, 9)] == want
+
+    def test_busy_cell_allocation(self):
+        cfg, users = parse_config_text(DEFAULT_CONFIG_TEXT.replace(
+            "user_distances_m = 250",
+            "user_distances_m = 100, 150, 200, 250\n"
+            "user_arrival_rates_pps = 20000, 20000, 5000, 20000"))
+        alloc = solve_allocation(cfg, users)
+        assert alloc.case_tag == CASE_LIMITED
+        assert alloc.bandwidths == [3041352.699748772, 4742034.817864614,
+                                    3161618.071705646, 9054994.410681127]
+        assert alloc.kkt_multiplier == 1971227153944.3794
+        assert alloc.gain_thresholds == [0.05944177249040199] * 4

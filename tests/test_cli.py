@@ -250,6 +250,50 @@ class TestExperimentSpec:
         with pytest.raises(ConfigError):
             ExperimentSpec(kind="sweep_antennas", config_path=config_file,
                            k_values=(5,), nt_values=()).validate()
+        for bad in ({"kind": "simulate", "streams": 0},
+                    {"kind": "table_wth", "service_rate": 0.0},
+                    {"kind": "table_wth", "service_rate": float("nan")},
+                    {"kind": "table_drop", "distance": -5.0},
+                    {"kind": "table_drop", "distance": float("inf")}):
+            with pytest.raises(ConfigError):
+                ExperimentSpec(config_path=config_file, eps_list=(1e-5,),
+                               **bad).validate()
+
+    @pytest.mark.parametrize("args", [
+        ["table-wth", "--service-rate", "0"],
+        ["table-wth", "--service-rate", "nan"],
+        ["simulate", "--streams", "0"],
+        ["table-drop", "--distance", "-5"],
+        ["solve"],
+    ], ids=["rate-zero", "rate-nan", "streams-zero", "distance-negative",
+            "noise-nan"])
+    def test_bad_inputs_exit_3(self, runner, tmp_path, args):
+        # the solve case reads a config whose noise density is NaN
+        path = tmp_path / "cell.cfg"
+        path.write_text(DEFAULT_CONFIG_TEXT if len(args) > 1 else
+                        DEFAULT_CONFIG_TEXT.replace("noise_psd_dbm_hz = -173",
+                                                    "noise_psd_dbm_hz = nan"))
+        args = args + ["--config", os.fspath(path)]
+        if args[0].startswith("table"):
+            args += ["--out", os.fspath(tmp_path / "t.csv")]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 3, res.output
+        assert "config error" in res.output
+
+    def test_cli_import_leaves_out_quadrature(self):
+        # scipy.integrate serves only the drop_prob_B oracle, and importing
+        # it would make up most of every CLI start
+        import subprocess
+        import sys
+
+        import urllc_ee
+        src = os.path.dirname(os.path.dirname(urllc_ee.__file__))
+        code = ("import sys, urllc_ee.cli; "
+                "print('scipy.integrate' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_programmatic_solve(self, config_file):
         from urllc_ee import ExperimentSpec, run_experiment

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from urllc_ee import (SystemConfig, drop_bound_F, drop_prob_B, gain_cdf,
                       gain_pdf, mean_tx_power, solve_gain_threshold)
+from urllc_ee.fading import _bisect, _grow
 
 UPPER_BOUND_GRID_N = (2, 4, 8, 16, 32)
 UPPER_BOUND_GRID_GAMMA = (0.1, 1.0, 10.0, 100.0)
@@ -146,6 +147,32 @@ class TestGainThreshold:
             solve_gain_threshold(1, 1e-7)
         with pytest.raises(ValueError):
             solve_gain_threshold(2, 0.0)
+
+
+class TestRootHelpers:
+    def test_stop_rules(self):
+        calls = []
+
+        def shifted(x, root):
+            calls.append(x)
+            return x - root
+
+        # relative stop: from [0, 1], the width 2**-22 is the first one
+        # within 1e-6 of the right end hi ~ 0.3
+        x = _bisect(shifted, 0.3, 0.0, 0.0, 1.0, 1e-6)
+        assert len(calls) == 22
+        assert abs(x - 0.3) <= 1e-6 * 0.3
+        # rtol = 0 never stops on width (adjacent floats keep a gap), so the
+        # 200-halving cap ends the loop
+        calls.clear()
+        _bisect(shifted, 0.3, 0.0, 0.0, 1.0, 0.0)
+        assert len(calls) == 200
+
+    def test_bracket_growth(self):
+        assert _grow(lambda x, k: x * k, 3.0, 100.0, 1.0, 2.0) == 64.0
+        assert _grow(lambda x, k: -x, None, -1e-3, 1.0, 0.5) == 2.0 ** -10
+        with pytest.raises(RuntimeError):
+            _grow(lambda x, k: -1.0, None, 0.0, 1.0, 2.0)
 
 
 class TestMeanTxPower:

@@ -82,12 +82,15 @@ class TestValidateConfig:
         assert any("user" in s for s in err.value.violations)
 
     def test_violations_name_fields(self, single_user):
-        cfg = SystemConfig(total_bandwidth=-1.0, amplifier_efficiency=1.5)
-        with pytest.raises(ConfigError) as err:
-            validate_config(cfg, [single_user])
-        joined = " ".join(err.value.violations)
-        assert "total_bandwidth" in joined
-        assert "amplifier_efficiency" in joined
+        for bad in ({"total_bandwidth": -1.0, "amplifier_efficiency": 1.5},
+                    {"noise_psd": math.nan}, {"max_bs_power": math.nan},
+                    {"circuit_power_per_antenna": math.inf},
+                    {"total_bandwidth": math.inf}):
+            with pytest.raises(ConfigError) as err:
+                validate_config(SystemConfig(**bad), [single_user])
+            joined = " ".join(err.value.violations)
+            for name in bad:
+                assert name in joined
 
     def test_component_override(self, cfg, single_user):
         qos = validate_config(cfg, [single_user], eps_h=1e-4)
