@@ -271,13 +271,22 @@ def solve_allocation(cfg: SystemConfig, users: list[UserProfile],
                      eps_c: float | None = None, eps_q: float | None = None,
                      eps_h: float | None = None,
                      n_antennas: int | None = None,
-                     antenna_cap: int = 512) -> Allocation:
+                     antenna_cap: int = 512, *,
+                     split: BandwidthSolution | None = None) -> Allocation:
     """End-to-end solve: bandwidths, antenna count, power caps, mean power.
 
     With ``n_antennas`` set the antenna count is held fixed (no feasibility
     loop); otherwise the count starts at its closed-form optimum and is
     incremented until the summed power caps fit the BS budget.  Deterministic:
     identical inputs give identical outputs bit for bit.
+
+    The bandwidth split does not depend on the antenna count, so callers
+    solving one user set at several counts may compute it once and pass it
+    as ``split``; the solve then skips ``allocate_bandwidth`` and is
+    otherwise unchanged.  The split must be
+    ``allocate_bandwidth(build_y_functions(cfg, qos, users),
+    cfg.total_bandwidth)`` for the same ``cfg``, ``users`` and eps values,
+    with ``qos`` from ``validate_config``; nothing checks that it is.
 
     Raises:
         ConfigError: on invalid inputs.
@@ -287,7 +296,8 @@ def solve_allocation(cfg: SystemConfig, users: list[UserProfile],
     """
     qos = validate_config(cfg, users, eps_c=eps_c, eps_q=eps_q, eps_h=eps_h)
     yfuncs = build_y_functions(cfg, qos, users)
-    sol = allocate_bandwidth(yfuncs, cfg.total_bandwidth)
+    sol = (allocate_bandwidth(yfuncs, cfg.total_bandwidth) if split is None
+           else split)
     weighted_y = sol.objective
 
     if n_antennas is None:

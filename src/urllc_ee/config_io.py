@@ -17,6 +17,7 @@ _SCALAR_KEYS = {
     "loss_budget", "nodes_per_user", "node_packet_rate_hz",
 }
 _LIST_KEYS = {"user_distances_m", "user_gains", "user_arrival_rates_pps"}
+_INT_KEYS = {"packet_bits", "nodes_per_user"}
 
 DEFAULT_CONFIG_TEXT = """\
 # Cell and QoS parameters (SI units; dB keys are converted at ingestion)
@@ -44,6 +45,7 @@ def parse_config_text(text: str) -> tuple[SystemConfig, list[UserProfile]]:
     """Parse config text into a SystemConfig and its user list."""
     scalars: dict[str, float] = {}
     lists: dict[str, list[float]] = {}
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -53,11 +55,18 @@ def parse_config_text(text: str) -> tuple[SystemConfig, list[UserProfile]]:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} already set on "
+                              f"line {seen[key]}")
+        seen[key] = lineno
         if key in _SCALAR_KEYS:
             try:
                 scalars[key] = float(val)
             except ValueError:
                 raise ConfigError(f"line {lineno}: bad number {val!r}") from None
+            if key in _INT_KEYS and not scalars[key].is_integer():
+                raise ConfigError(
+                    f"line {lineno}: {key} must be an integer, got {val!r}")
         elif key in _LIST_KEYS:
             try:
                 lists[key] = [float(x) for x in val.split(",") if x.strip()]

@@ -73,6 +73,16 @@ def table_wth_rows(cfg: SystemConfig, eps_list: list[float],
             for eps in eps_list]
 
 
+def _bandwidth_split(cfg: SystemConfig, users: list[UserProfile],
+                     eps_c: float | None = None, eps_q: float | None = None,
+                     eps_h: float | None = None):
+    """(qos, yfuncs, split): the antenna-independent prologue of a solve,
+    run once for a user set that is then solved at several antenna counts."""
+    qos = validate_config(cfg, users, eps_c=eps_c, eps_q=eps_q, eps_h=eps_h)
+    yfuncs = build_y_functions(cfg, qos, users)
+    return qos, yfuncs, allocate_bandwidth(yfuncs, cfg.total_bandwidth)
+
+
 def antenna_sweep_rows(cfg: SystemConfig, users: list[UserProfile],
                        nt_values: list[int],
                        eps_c: float | None = None,
@@ -84,9 +94,7 @@ def antenna_sweep_rows(cfg: SystemConfig, users: list[UserProfile],
     feasibility means the per-user power caps fit the BS budget; the locus
     is (n_t*, power*) over the feasible rows.
     """
-    qos = validate_config(cfg, users, eps_c=eps_c, eps_q=eps_q, eps_h=eps_h)
-    yfuncs = build_y_functions(cfg, qos, users)
-    sol = allocate_bandwidth(yfuncs, cfg.total_bandwidth)
+    qos, yfuncs, sol = _bandwidth_split(cfg, users, eps_c, eps_q, eps_h)
     rows = []
     best = None
     for nt in nt_values:
@@ -106,7 +114,8 @@ def user_sweep_rows(cfg: SystemConfig, k_values: list[int],
     """Joint-optimal EE and fixed-antenna EE per user count.
 
     Returns rows ``(k, ee_joint, {nt: ee or None})`` where None marks a
-    fixed-antenna point whose power caps do not fit the BS budget.
+    fixed-antenna point whose power caps do not fit the BS budget.  Each
+    user set's bandwidth split is solved once and shared by its solves.
     """
     rows = []
     for k in k_values:
@@ -114,14 +123,19 @@ def user_sweep_rows(cfg: SystemConfig, k_values: list[int],
                             nodes_per_user=nodes_per_user,
                             node_packet_rate_hz=node_packet_rate_hz)
         try:
-            joint = solve_allocation(cfg, users)
+            split = _bandwidth_split(cfg, users)[2]
+        except QosInfeasibleError:
+            split = None  # each solve below raises it again
+        try:
+            joint = solve_allocation(cfg, users, split=split)
             ee_joint = joint.energy_efficiency
         except (QosInfeasibleError, PowerInfeasibleError):
             ee_joint = None
         fixed = {}
         for nt in fixed_nts:
             try:
-                alloc = solve_allocation(cfg, users, n_antennas=nt)
+                alloc = solve_allocation(cfg, users, n_antennas=nt,
+                                         split=split)
                 fixed[nt] = alloc.energy_efficiency
             except (QosInfeasibleError, PowerInfeasibleError):
                 fixed[nt] = None
@@ -208,6 +222,8 @@ class ExperimentSpec:
                 raise ConfigError(f"{name} must be positive and finite")
         if min(self.k_values, default=1) < 1:
             raise ConfigError("user counts must be at least 1")
+        if min((*self.fixed_nts, *self.nt_values), default=2) < 2:
+            raise ConfigError("antenna counts must be at least 2")
 
 
 def run_experiment(spec: ExperimentSpec) -> dict:

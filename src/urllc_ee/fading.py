@@ -13,6 +13,7 @@ by ``_grow`` and found by ``_bisect``, both defined below.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -132,6 +133,13 @@ def solve_gain_threshold(n: int, eps_target: float) -> GainThreshold:
         raise ValueError("antenna count must be at least 2")
     if not (0.0 < eps_target < 1.0):
         raise ValueError("eps_target must lie strictly in (0, 1)")
+    return _gain_threshold(n, eps_target)
+
+
+# A sweep asks for the same few (n, eps) pairs hundreds of times.  The
+# public solver stays a plain function that validates and then calls this.
+@functools.lru_cache(maxsize=1024, typed=True)
+def _gain_threshold(n: int, eps_target: float) -> GainThreshold:
     hi = _grow(drop_bound_F, n, eps_target, 1e-9, 2.0)
     g_th = _bisect(drop_bound_F, n, eps_target, 0.0, hi, 1e-14)
     return GainThreshold(g_th=g_th, antennas=n, eps_target=eps_target)

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -11,7 +12,9 @@ from urllc_ee import (DEFAULT_CONFIG_TEXT, QosInfeasibleError,
                       sign_structure_witness, solve_allocation,
                       solve_gain_threshold, validate_config, y_derivatives,
                       y_value)
+from urllc_ee import allocator, experiments, fading
 from urllc_ee.allocator import CASE_LIMITED, CASE_SUFFICIENT, mean_total_power
+from urllc_ee.experiments import place_users, user_sweep_rows
 
 from conftest import WTH_REFERENCE_MHZ, unit_rate_yfunction
 
@@ -432,3 +435,69 @@ class TestRecordedOutputs:
                                     3161618.071705646, 9054994.410681127]
         assert alloc.kkt_multiplier == 1971227153944.3794
         assert alloc.gain_thresholds == [0.05944177249040199] * 4
+
+
+class TestSplitReuse:
+    """The EE-vs-K sweep solves each user set's bandwidth split once and
+    passes it to the joint and every fixed-antenna solve of that set."""
+
+    K_VALUES = list(range(1, 13))
+    FIXED_NTS = [2, 8, 64]
+
+    def test_rows_equal_plain_solves(self, cfg):
+        def ee(users, **kw):
+            try:
+                return solve_allocation(cfg, users, **kw).energy_efficiency
+            except (QosInfeasibleError, PowerInfeasibleError):
+                return None
+
+        rows = user_sweep_rows(cfg, self.K_VALUES, self.FIXED_NTS)
+        want = []
+        for k in self.K_VALUES:
+            users = place_users(k, cfg)
+            want.append((k, ee(users), {nt: ee(users, n_antennas=nt)
+                                        for nt in self.FIXED_NTS}))
+        assert rows == want
+        # the grid has power-infeasible fixed points (two antennas)
+        assert any(fixed[2] is None for _, _, fixed in rows)
+        cases = {solve_allocation(cfg, place_users(k, cfg)).case_tag
+                 for k in self.K_VALUES}
+        assert cases == {CASE_SUFFICIENT, CASE_LIMITED}
+
+    def test_one_split_per_user_set(self, cfg, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return allocate_bandwidth(*args)
+
+        # solve_allocation skips its own split when handed one
+        monkeypatch.setattr(experiments, "allocate_bandwidth", counted)
+        monkeypatch.setattr(allocator, "allocate_bandwidth", counted)
+        user_sweep_rows(cfg, self.K_VALUES, self.FIXED_NTS)
+        assert calls == self.K_VALUES
+
+    def test_qos_infeasible_cell_gives_no_points(self):
+        cfg = SystemConfig(total_bandwidth=100.0)
+        rows = user_sweep_rows(cfg, [1, 2, 5], self.FIXED_NTS)
+        assert rows == [(k, None, dict.fromkeys(self.FIXED_NTS))
+                        for k in (1, 2, 5)]
+
+    def test_solve_with_split_is_bit_identical(self, cfg):
+        users = place_users(9, cfg, scheme="uniform", seed=7)
+        qos = validate_config(cfg, users)
+        split = allocate_bandwidth(build_y_functions(cfg, qos, users),
+                                   cfg.total_bandwidth)
+        for kw in ({}, {"n_antennas": 16}, {"n_antennas": 64}):
+            assert (solve_allocation(cfg, users, split=split, **kw).to_json()
+                    == solve_allocation(cfg, users, **kw).to_json())
+
+    def test_gain_threshold_memo(self):
+        first = [solve_gain_threshold(n, 1e-7) for n in (2, 8, 64)]
+        again = [solve_gain_threshold(n, 1e-7) for n in (2, 8, 64)]
+        assert [t.g_th for t in again] == [t.g_th for t in first]
+        assert solve_gain_threshold(8, 1e-5).g_th != first[1].g_th
+        # a tracer that wraps plain functions still sees every call
+        assert inspect.isfunction(fading.solve_gain_threshold)
+        with pytest.raises(ValueError):
+            solve_gain_threshold(8, float("nan"))

@@ -254,7 +254,11 @@ class TestExperimentSpec:
                     {"kind": "table_wth", "service_rate": 0.0},
                     {"kind": "table_wth", "service_rate": float("nan")},
                     {"kind": "table_drop", "distance": -5.0},
-                    {"kind": "table_drop", "distance": float("inf")}):
+                    {"kind": "table_drop", "distance": float("inf")},
+                    {"kind": "sweep_users", "k_values": (3,),
+                     "fixed_nts": (8, 1)},
+                    {"kind": "sweep_antennas", "k_values": (3,),
+                     "nt_values": (1, 2, 3)}):
             with pytest.raises(ConfigError):
                 ExperimentSpec(config_path=config_file, eps_list=(1e-5,),
                                **bad).validate()
@@ -265,8 +269,10 @@ class TestExperimentSpec:
         ["simulate", "--streams", "0"],
         ["table-drop", "--distance", "-5"],
         ["solve"],
+        ["sweep-users", "--k-max", "2", "--fixed-nt", "1"],
+        ["sweep-antennas", "--k-values", "2", "--nt-min", "1"],
     ], ids=["rate-zero", "rate-nan", "streams-zero", "distance-negative",
-            "noise-nan"])
+            "noise-nan", "fixed-nt-one", "nt-min-one"])
     def test_bad_inputs_exit_3(self, runner, tmp_path, args):
         # the solve case reads a config whose noise density is NaN
         path = tmp_path / "cell.cfg"
@@ -274,7 +280,7 @@ class TestExperimentSpec:
                         DEFAULT_CONFIG_TEXT.replace("noise_psd_dbm_hz = -173",
                                                     "noise_psd_dbm_hz = nan"))
         args = args + ["--config", os.fspath(path)]
-        if args[0].startswith("table"):
+        if args[0].startswith(("table", "sweep")):
             args += ["--out", os.fspath(tmp_path / "t.csv")]
         res = runner.invoke(main, args)
         assert res.exit_code == 3, res.output

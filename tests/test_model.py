@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from urllc_ee import (ConfigError, SystemConfig, UserProfile, path_loss_gain,
-                      parse_config_text, validate_config)
+from urllc_ee import (DEFAULT_CONFIG_TEXT, ConfigError, SystemConfig,
+                      UserProfile, path_loss_gain, parse_config_text,
+                      validate_config)
 from urllc_ee.model import (db_to_linear, dbm_to_watts, frames_to_seconds,
                             linear_to_db, seconds_to_frames, watts_to_dbm)
 
@@ -159,6 +160,25 @@ class TestConfigFile:
     def test_bad_number_names_line(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config_text("frame_duration = fast\n")
+
+    def test_duplicate_key_names_both_lines(self):
+        text = DEFAULT_CONFIG_TEXT.replace(
+            "total_bandwidth = 20e6", "total_bandwidth = 20e6\n"
+            "total_bandwidth = 5e6")
+        with pytest.raises(ConfigError, match="line 8.*line 7"):
+            parse_config_text(text)
+
+    def test_fractional_nodes_per_user_rejected(self):
+        text = DEFAULT_CONFIG_TEXT.replace("nodes_per_user = 20",
+                                           "nodes_per_user = 2.7")
+        with pytest.raises(ConfigError, match="nodes_per_user"):
+            parse_config_text(text)
+
+    def test_fractional_packet_bits_rejected(self):
+        text = DEFAULT_CONFIG_TEXT.replace("packet_bits = 160",
+                                           "packet_bits = 160.9")
+        with pytest.raises(ConfigError, match="packet_bits"):
+            parse_config_text(text)
 
     def test_missing_users_rejected(self):
         with pytest.raises(ConfigError, match="user"):
