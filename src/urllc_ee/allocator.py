@@ -26,9 +26,9 @@ import math
 from dataclasses import dataclass
 
 from .fading import _bisect, _grow, mean_tx_power, solve_gain_threshold
-from .model import (Allocation, PowerInfeasibleError, QosBudget,
-                    QosInfeasibleError, SystemConfig, UserProfile,
-                    validate_config)
+from .model import (Allocation, ConfigError, PowerInfeasibleError,
+                    QosBudget, QosInfeasibleError, SystemConfig,
+                    UserProfile, validate_config)
 from .rate import SnrRequirementCoeffs, required_snr, snr_coeffs
 
 # expm1/exp overflow near 709.8; stop a margin early and report infeasible.
@@ -328,6 +328,9 @@ def solve_allocation(cfg: SystemConfig, users: list[UserProfile],
              + cfg.circuit_power_per_antenna * n + cfg.fixed_circuit_power)
     delivered = (1.0 - cfg.loss_budget) * cfg.packet_bits * sum(
         u.arrival_rate for u in users) * cfg.frames_per_second()
+    if not (math.isfinite(total) and math.isfinite(delivered)):
+        raise ConfigError(f"mean total power ({total:.3g} W) or delivered "
+                          f"bit rate ({delivered:.3g} bit/s) overflows")
     return Allocation(
         bandwidths=list(sol.bandwidths),
         snr_targets=gammas,

@@ -18,6 +18,11 @@ _SCALAR_KEYS = {
 }
 _LIST_KEYS = {"user_distances_m", "user_gains", "user_arrival_rates_pps"}
 _INT_KEYS = {"packet_bits", "nodes_per_user"}
+# keys that give one quantity in two forms; a file may set only one of each
+_SAME_QUANTITY = {"noise_psd": "noise_psd_dbm_hz",
+                  "max_bs_power": "max_bs_power_dbm",
+                  "user_gains": "user_distances_m"}
+_SAME_QUANTITY.update({v: k for k, v in _SAME_QUANTITY.items()})
 
 DEFAULT_CONFIG_TEXT = """\
 # Cell and QoS parameters (SI units; dB keys are converted at ingestion)
@@ -58,6 +63,10 @@ def parse_config_text(text: str) -> tuple[SystemConfig, list[UserProfile]]:
         if key in seen:
             raise ConfigError(f"line {lineno}: key {key!r} already set on "
                               f"line {seen[key]}")
+        other = _SAME_QUANTITY.get(key)
+        if other in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} sets the same "
+                              f"quantity as {other!r} on line {seen[other]}")
         seen[key] = lineno
         if key in _SCALAR_KEYS:
             try:
@@ -77,21 +86,22 @@ def parse_config_text(text: str) -> tuple[SystemConfig, list[UserProfile]]:
 
     kwargs: dict[str, float] = {}
     for name in ("frame_duration", "dl_fraction", "e2e_delay",
-                 "backhaul_delay", "total_bandwidth",
-                 "circuit_power_per_antenna", "fixed_circuit_power",
-                 "amplifier_efficiency", "loss_budget"):
+                 "backhaul_delay", "noise_psd", "total_bandwidth",
+                 "max_bs_power", "circuit_power_per_antenna",
+                 "fixed_circuit_power", "amplifier_efficiency",
+                 "loss_budget"):
         if name in scalars:
             kwargs[name] = scalars[name]
     if "packet_bits" in scalars:
         kwargs["packet_bits"] = int(scalars["packet_bits"])
-    if "noise_psd_dbm_hz" in scalars:
-        kwargs["noise_psd"] = dbm_to_watts(scalars["noise_psd_dbm_hz"])
-    elif "noise_psd" in scalars:
-        kwargs["noise_psd"] = scalars["noise_psd"]
-    if "max_bs_power_dbm" in scalars:
-        kwargs["max_bs_power"] = dbm_to_watts(scalars["max_bs_power_dbm"])
-    elif "max_bs_power" in scalars:
-        kwargs["max_bs_power"] = scalars["max_bs_power"]
+    for name in ("noise_psd", "max_bs_power"):
+        key = _SAME_QUANTITY[name]  # the dBm form
+        if key in scalars:
+            try:
+                kwargs[name] = dbm_to_watts(scalars[key])
+            except OverflowError:
+                raise ConfigError(f"line {seen[key]}: {key} is too large "
+                                  "to express in watts") from None
     cfg = SystemConfig(**kwargs)
 
     distances = lists.get("user_distances_m")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import QosBudget, SystemConfig
+from .model import ConfigError, QosBudget, SystemConfig
 from .traffic import effective_bandwidth
 
 LN2 = math.log(2.0)
@@ -140,6 +140,9 @@ def snr_coeffs(eps_c: float, eps_q: float, lam: float, cfg: SystemConfig,
     if lam <= 0:
         raise ValueError("arrival rate must be positive")
     eb = effective_bandwidth(lam, eps_q, qos.queue_delay_frames)
+    if not eb.value > 0.0:
+        raise ConfigError(f"arrival rate {lam:.3g} packets/frame is too "
+                          "small: its effective bandwidth underflows to 0")
     return _coeffs_at_rate(eb.value, eps_c, cfg)
 
 

@@ -14,7 +14,15 @@ independent of execution order or parallelism degree.
 The hot path skips frames that provably do nothing: a frame with an empty
 queue, no arrivals and no deep fade leaves every counter unchanged, so only
 event frames (and busy spells after them) run through the Python queue
-update; channel draws and power statistics stay vectorized.
+update; channel draws and power statistics stay vectorized.  The walk over
+the visited frames keeps the queue state in local variables and runs a
+frame without a deep fade inline, with the float operations of the
+frame-by-frame reference ``_advance`` in the same order, so its tallies are
+bit-identical; deep fades (about one frame in a million) go through
+``_advance`` itself.  Pending packets are kept as one entry per arrival
+frame, since packets of one frame share their queueing delay.  A
+cumulative-sum (Lindley) form of the queue would round in a different order
+and so cannot reproduce these bytes.
 """
 
 from __future__ import annotations
@@ -32,6 +40,9 @@ from .rate import achievable_rate
 from .traffic import effective_bandwidth
 
 _CHUNK = 1 << 20
+# The walk turns a window's arrival frames into Python lists; walking a
+# chunk window by window bounds that memory on busy queues.
+_WINDOW = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -86,7 +97,13 @@ class SimPolicy:
 
 @dataclass
 class QueueState:
-    """Mutable per-user queue state and tallies for one stream."""
+    """Mutable per-user queue state and tallies for one stream.
+
+    Packets are numbered from 0 in arrival order since the queue was last
+    empty; ``inflow`` is the number the next arrival gets.  ``pending``
+    holds one ``[arrival_frame, next_index, end_index]`` entry per frame
+    with arrivals, in FIFO order, for the packets that have not departed.
+    """
 
     queue: float = 0.0
     arrivals: int = 0
@@ -99,7 +116,7 @@ class QueueState:
     busy_frames: int = 0
     departed: int = 0
     delay_violations: int = 0
-    inflow: float = 0.0
+    inflow: int = 0
     outflow: float = 0.0
     pending: deque = field(default_factory=deque)
 
@@ -174,27 +191,35 @@ def _advance(state: QueueState, g: float, a: int, up: UserPolicy,
     # Queueing delay is the WAITING time until a packet's transmission
     # starts (its own transmission frame is budgeted separately), so a
     # packet leaves the tally once the cumulative outflow covers the work
-    # queued ahead of it.
+    # queued ahead of it.  Packets of one arrival frame share their delay,
+    # so each is tested on its own number but tallied with its frame.
     state.outflow += served + d
-    if a:
-        for _ in range(a):
-            state.pending.append((frame, state.inflow))
-            state.inflow += 1.0
     pend = state.pending
-    while pend and state.outflow > pend[0][1] - 1e-9:
-        arr, _ = pend.popleft()
-        state.departed += 1
+    if a:
+        pend.append([frame, state.inflow, state.inflow + a])
+        state.inflow += a
+    while pend:
+        entry = pend[0]
+        arr, start, end = entry
+        nxt = start
+        while nxt < end and state.outflow > nxt - 1e-9:
+            nxt += 1
+        state.departed += nxt - start
         if frame - arr > dq:
-            state.delay_violations += 1
+            state.delay_violations += nxt - start
+        if nxt < end:
+            entry[1] = nxt
+            break
+        pend.popleft()
     if state.queue == 0.0:
         # queue emptied: flush stragglers and reset the flow baselines so
         # the float counters never accumulate drift
         while pend:
-            arr, _ = pend.popleft()
-            state.departed += 1
+            arr, start, end = pend.popleft()
+            state.departed += end - start
             if frame - arr > dq:
-                state.delay_violations += 1
-        state.inflow = 0.0
+                state.delay_violations += end - start
+        state.inflow = 0
         state.outflow = 0.0
     return served, d
 
@@ -214,28 +239,119 @@ def step_queue(state: QueueState, g: float, policy: SimPolicy,
 def _walk_chunk(state: QueueState, g: np.ndarray, a: np.ndarray,
                 up: UserPolicy, dq: int, base_frame: int,
                 cfg: SystemConfig) -> None:
+    """``_advance`` over every frame of a chunk, skipping the frames that
+    leave the state untouched (empty queue, no arrival, no deep fade).
+
+    The state lives in local variables for the whole chunk.  A visited
+    frame that is not a deep fade runs inline with the float operations
+    of ``_advance`` in the same order, so the tallies stay bit-identical
+    to the frame-by-frame oracle; the rare deep fades hand the state to
+    ``_advance`` itself.
+    """
     n = len(g)
-    idx = np.flatnonzero((g < up.gain_threshold) | (a > 0))
-    ei = 0
-    m = len(idx)
-    pos = -1
+    arr_frames = np.flatnonzero(a)
+    counts = a[arr_frames].tolist()
+    arr_frames = arr_frames.tolist()
+    deep_frames = np.flatnonzero(g < up.gain_threshold).tolist()
+    arr_frames.append(n)  # sentinels: the next event is past the chunk
+    deep_frames.append(n)
+
+    eb = up.service_rate_nominal
+    pend = state.pending
+    q = state.queue
+    arrivals = state.arrivals
+    served_sum = state.served
+    served_c = state._served_c
+    busy = state.busy_frames
+    departed = state.departed
+    violations = state.delay_violations
+    inflow = state.inflow
+    outflow = state.outflow
+    # a packet of arrival frame t departing at chunk frame f is late when
+    # f - t > late, i.e. when base_frame + f - t > dq
+    late = dq - base_frame
+    ai = di = 0
+    next_arr = arr_frames[0]
+    next_deep = deep_frames[0]
+    f = -1
     while True:
-        if state.queue > 0.0:
-            nxt = pos + 1
-            if nxt >= n:
+        if q > 0.0:
+            f += 1
+            if f >= n:
                 break
-            while ei < m and idx[ei] <= nxt:
-                ei += 1
+            busy += 1
         else:
-            while ei < m and idx[ei] <= pos:
-                ei += 1
-            if ei >= m:
+            f = next_arr if next_arr < next_deep else next_deep
+            if f >= n:
                 break
-            nxt = int(idx[ei])
-            ei += 1
-        _advance(state, float(g[nxt]), int(a[nxt]), up, dq,
-                 base_frame + nxt, cfg)
-        pos = nxt
+        if f == next_arr:
+            k = counts[ai]
+            ai += 1
+            next_arr = arr_frames[ai]
+        else:
+            k = 0
+        if f == next_deep:
+            di += 1
+            next_deep = deep_frames[di]
+            if q > 0.0:
+                busy -= 1  # _advance counts the busy frame itself
+            state.queue, state.arrivals, state.busy_frames = q, arrivals, busy
+            state.served, state._served_c = served_sum, served_c
+            state.departed, state.delay_violations = departed, violations
+            state.inflow, state.outflow = inflow, outflow
+            _advance(state, float(g[f]), k, up, dq, base_frame + f, cfg)
+            q, arrivals, busy = state.queue, state.arrivals, state.busy_frames
+            served_sum, served_c = state.served, state._served_c
+            departed, violations = state.departed, state.delay_violations
+            inflow, outflow = state.inflow, state.outflow
+            continue
+
+        # _advance with d = 0.0: its "- d" and "+ d" are exact no-ops on
+        # these non-negative values, and avail - served >= 0 exactly
+        avail = q + k
+        served = eb if eb < avail else avail
+        if served > 0.0:
+            y = served - served_c
+            t = served_sum + y
+            served_c = (t - served_sum) - y
+            served_sum = t
+        q = avail - served
+        outflow += served
+        if k:
+            arrivals += k
+            pend.append([base_frame + f, inflow, inflow + k])
+            inflow += k
+        if q == 0.0:
+            # every pending packet departs; _advance releases the covered
+            # ones first, which tallies the same
+            for t_arr, start, end in pend:
+                departed += end - start
+                if f - t_arr > late:
+                    violations += end - start
+            pend.clear()
+            inflow = 0
+            outflow = 0.0
+            continue
+        while pend:
+            entry = pend[0]
+            start = nxt = entry[1]
+            end = entry[2]
+            while nxt < end and outflow > nxt - 1e-9:
+                nxt += 1
+            if nxt == start:
+                break
+            departed += nxt - start
+            if f - entry[0] > late:
+                violations += nxt - start
+            if nxt < end:
+                entry[1] = nxt
+                break
+            pend.popleft()
+
+    state.queue, state.arrivals, state.busy_frames = q, arrivals, busy
+    state.served, state._served_c = served_sum, served_c
+    state.departed, state.delay_violations = departed, violations
+    state.inflow, state.outflow = inflow, outflow
 
 
 def _run_stream(policy: SimPolicy, cfg: SystemConfig, frames: int,
@@ -269,7 +385,9 @@ def _run_stream(policy: SimPolicy, cfg: SystemConfig, frames: int,
                                        float(p[i]), int(a[i]), srv, drp,
                                        state.queue))
             else:
-                _walk_chunk(state, g, a, up, dq, done, cfg)
+                for w in range(0, n, _WINDOW):
+                    _walk_chunk(state, g[w:w + _WINDOW], a[w:w + _WINDOW],
+                                up, dq, done + w, cfg)
             done += n
         out.append({
             "arrivals": state.arrivals,

@@ -1,10 +1,11 @@
 import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from urllc_ee import (DEFAULT_CONFIG_TEXT, QosInfeasibleError,
+from urllc_ee import (DEFAULT_CONFIG_TEXT, ConfigError, QosInfeasibleError,
                       PowerInfeasibleError, SystemConfig, UserProfile,
                       YFunction, allocate_bandwidth, build_y_functions,
                       find_bandwidth_minimizer, mean_tx_power,
@@ -315,6 +316,16 @@ class TestSolveAllocation:
         assert alloc.antennas == 4
         assert alloc.mean_total_power == pytest.approx(0.28913055499, rel=1e-9)
         assert alloc.energy_efficiency == pytest.approx(110676.6125, rel=1e-9)
+
+    def test_overflowing_totals_are_config_errors(self, cfg, single_user):
+        # finite inputs whose products overflow end in a config error, not
+        # in an inf mean power or a traceback
+        with pytest.raises(ConfigError, match="mean total power"):
+            solve_allocation(replace(cfg, circuit_power_per_antenna=1e308),
+                             [single_user])
+        tiny = UserProfile(arrival_rate=2e-313, distance=250.0)
+        with pytest.raises(ConfigError, match="effective bandwidth"):
+            solve_allocation(cfg, [tiny])
 
     def test_power_cap_loop_engaged(self, cfg, single_user):
         # the unconstrained antenna optimum needs more than the 10 W budget

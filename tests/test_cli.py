@@ -38,6 +38,13 @@ class TestSolve:
         assert res.exit_code == 3
         assert "line 1" in res.output
 
+    def test_both_forms_of_one_quantity_exit_3(self, runner, tmp_path):
+        path = tmp_path / "both.cfg"
+        path.write_text(DEFAULT_CONFIG_TEXT + "max_bs_power = 1\n")
+        res = runner.invoke(main, ["solve", "--config", os.fspath(path)])
+        assert res.exit_code == 3, res.output
+        assert "'max_bs_power_dbm' on line 8" in res.output
+
     def test_missing_config_exit_3(self, runner, tmp_path):
         res = runner.invoke(main, ["solve", "--config",
                                    os.fspath(tmp_path / "nope.cfg")])

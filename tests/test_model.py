@@ -168,6 +168,27 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="line 8.*line 7"):
             parse_config_text(text)
 
+    @pytest.mark.parametrize("first, second", [
+        ("noise_psd_dbm_hz = -173", "noise_psd = 1e-15"),
+        ("max_bs_power_dbm = 40", "max_bs_power = 1"),
+        ("user_distances_m = 250", "user_gains = 1e-12"),
+    ], ids=["noise", "power", "users"])
+    def test_both_forms_of_one_quantity_name_both_lines(self, first, second):
+        # either form alone parses; both together used to keep one silently
+        line = DEFAULT_CONFIG_TEXT.splitlines().index(first) + 1
+        text = DEFAULT_CONFIG_TEXT.replace(first, f"{first}\n{second}")
+        key, other = second.split(" =")[0], first.split(" =")[0]
+        with pytest.raises(ConfigError, match=(
+                rf"line {line + 1}: key '{key}' .* '{other}' on line {line}$")):
+            parse_config_text(text)
+        parse_config_text(DEFAULT_CONFIG_TEXT.replace(first, second))
+
+    def test_dbm_overflow_names_line(self):
+        text = DEFAULT_CONFIG_TEXT.replace("max_bs_power_dbm = 40",
+                                           "max_bs_power_dbm = 3083")
+        with pytest.raises(ConfigError, match="line 8: max_bs_power_dbm"):
+            parse_config_text(text)
+
     def test_fractional_nodes_per_user_rejected(self):
         text = DEFAULT_CONFIG_TEXT.replace("nodes_per_user = 20",
                                            "nodes_per_user = 2.7")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 
@@ -7,7 +8,9 @@ from scipy import stats
 
 from urllc_ee import (SimPolicy, gain_cdf, run_simulation, solve_allocation,
                       step_queue, validate_config)
-from urllc_ee.simulator import (QueueState, UserPolicy, _advance,
+from urllc_ee import simulator
+from urllc_ee.config_io import DEFAULT_CONFIG_TEXT, parse_config_text
+from urllc_ee.simulator import (QueueState, UserPolicy, _advance, _run_stream,
                                 _walk_chunk, draw_channel_gain)
 
 
@@ -125,6 +128,23 @@ def assert_states_equal(fast, slow):
     assert fast.departed == slow.departed
     assert fast.delay_violations == slow.delay_violations
     assert fast.queue == slow.queue
+    assert fast.inflow == slow.inflow
+    assert fast.outflow == slow.outflow
+    assert list(fast.pending) == list(slow.pending)
+
+
+def frame_by_frame(state, g, a, up, dq, base_frame, cfg):
+    """The oracle: every frame of a chunk through ``_advance``."""
+    for i in range(len(g)):
+        _advance(state, float(g[i]), int(a[i]), up, dq, base_frame + i, cfg)
+
+
+# saturated regime: ~half the frames are deep fades with a starved power
+# cap, multi-packet arrivals, persistent backlog
+DENSE_USER = UserPolicy(bandwidth=3e6, snr_target=1.0, gain_threshold=3.0,
+                        power_cap=1e-18, service_rate_nominal=0.9,
+                        alpha=3e-13, arrival_rate=0.8, eps_c=1e-7,
+                        inversion_coeff=1e-7)
 
 
 class TestFastPathEquivalence:
@@ -140,30 +160,133 @@ class TestFastPathEquivalence:
         fast = QueueState()
         _walk_chunk(fast, g, a, up, policy.queue_delay_frames, 0, cfg)
         slow = QueueState()
-        for i in range(len(g)):
-            _advance(slow, float(g[i]), int(a[i]), up,
-                     policy.queue_delay_frames, i, cfg)
+        frame_by_frame(slow, g, a, up, policy.queue_delay_frames, 0, cfg)
         assert_states_equal(fast, slow)
 
     def test_walk_matches_under_dense_events(self, cfg):
-        # saturated regime: ~half the frames are deep fades with a starved
-        # power cap, multi-packet arrivals, persistent backlog; the walk
-        # must never skip wrongly
-        up = UserPolicy(bandwidth=3e6, snr_target=1.0, gain_threshold=3.0,
-                        power_cap=1e-18, service_rate_nominal=0.9,
-                        alpha=3e-13, arrival_rate=0.8, eps_c=1e-7,
-                        inversion_coeff=1e-7)
+        # the walk must never skip wrongly when both branches are busy
+        up = DENSE_USER
         rng = np.random.default_rng(23)
         g = rng.standard_gamma(3, size=50_000)
         a = rng.poisson(up.arrival_rate, size=50_000)
         fast = QueueState()
         _walk_chunk(fast, g, a, up, 8, 0, cfg)
         slow = QueueState()
-        for i in range(len(g)):
-            _advance(slow, float(g[i]), int(a[i]), up, 8, i, cfg)
+        frame_by_frame(slow, g, a, up, 8, 0, cfg)
         assert slow.drop_events > 1000  # both branches heavily exercised
         assert slow.delay_violations > 0
         assert_states_equal(fast, slow)
+
+    def test_deep_fades_inside_busy_spells(self, cfg):
+        # a rare deep fade (~1 frame in 300) with a starved cap lands in
+        # long busy spells fed by multi-packet arrivals, so the walk hands
+        # a backlogged state with several pending arrival frames to
+        # ``_advance`` and takes it back
+        up = UserPolicy(bandwidth=3e6, snr_target=1.0, gain_threshold=0.35,
+                        power_cap=1e-18, service_rate_nominal=2.2,
+                        alpha=3e-13, arrival_rate=2.0, eps_c=1e-7,
+                        inversion_coeff=1e-7)
+        rng = np.random.default_rng(29)
+        g = rng.standard_gamma(3, size=100_000)
+        a = rng.poisson(up.arrival_rate, size=100_000)
+        fast = QueueState()
+        _walk_chunk(fast, g, a, up, 3, 0, cfg)
+        slow = QueueState()
+        frame_by_frame(slow, g, a, up, 3, 0, cfg)
+        deep = g < up.gain_threshold
+        assert 100 < slow.deep_fades == int(deep.sum())
+        assert slow.drop_events > 100
+        assert slow.delay_violations > 1000
+        assert_states_equal(fast, slow)
+
+    @pytest.mark.parametrize("up", [
+        pytest.param(DENSE_USER, id="dense"),
+        pytest.param(UserPolicy(bandwidth=3e6, snr_target=1.0,
+                                gain_threshold=0.35, power_cap=1e-18,
+                                service_rate_nominal=2.05, alpha=3e-13,
+                                arrival_rate=2.0, eps_c=1e-7,
+                                inversion_coeff=1e-7), id="busy"),
+    ])
+    def test_state_carries_across_chunks(self, cfg, monkeypatch, up):
+        # with a small chunk and a smaller walk window the queue, the flow
+        # counters and the pending arrival frames cross many chunk and
+        # window boundaries; the stream must equal one frame-by-frame pass
+        # over the same draws
+        chunk, frames, seed, stream = 4096, 40_000, 31, 2
+        policy = SimPolicy(users=(up,), antennas=3, queue_delay_frames=4,
+                           cfg=cfg)
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=seed, spawn_key=(stream, 0))))
+        slow = QueueState()
+        boundaries_pending = 0
+        done = 0
+        while done < frames:
+            n = min(chunk, frames - done)
+            g = rng.standard_gamma(policy.antennas, size=n)
+            a = rng.poisson(up.arrival_rate, size=n)
+            frame_by_frame(slow, g, a, up, policy.queue_delay_frames, done,
+                           cfg)
+            boundaries_pending += bool(slow.pending)
+            done += n
+        assert boundaries_pending >= 5
+
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
+        monkeypatch.setattr(simulator, "_WINDOW", 1500)
+        (fast,) = _run_stream(policy, cfg, frames, seed, stream)
+        del fast["power_sum"]  # summed per chunk, outside the walk
+        assert fast == {
+            "arrivals": slow.arrivals, "served": slow.served,
+            "dropped": slow.dropped, "drop_events": slow.drop_events,
+            "deep_fades": slow.deep_fades, "busy_frames": slow.busy_frames,
+            "departed": slow.departed,
+            "delay_violations": slow.delay_violations,
+            "final_queue": slow.queue,
+        }
+        assert slow.drop_events > 0 and slow.delay_violations > 0
+
+
+def _digest(report):
+    return hashlib.sha256(report.to_json().encode()).hexdigest()
+
+
+class TestRecordedOutputs:
+    """SHA-256 of ``run_simulation(...).to_json()``, recorded before the
+    busy-frame walk moved onto local variables and the pending queue onto
+    one entry per arrival frame; any change to a tally or a rounding
+    shows."""
+
+    def test_busy_cell(self):
+        cfg, users = parse_config_text(DEFAULT_CONFIG_TEXT.replace(
+            "user_distances_m = 250",
+            "user_distances_m = 100, 150, 200, 250\n"
+            "user_arrival_rates_pps = 20000, 20000, 5000, 20000"))
+        alloc = solve_allocation(cfg, users)
+        qos = validate_config(cfg, users)
+        policy = SimPolicy.from_allocation(alloc, cfg, users, qos)
+        rep = run_simulation(policy, cfg, users, frames=20_000, seed=1,
+                             streams=2)
+        assert (rep.busy_frames, rep.departed_count) == (29321, 130590)
+        assert _digest(rep) == ("a8159f4274af589f5272e7e850353d52"
+                                "8f7f9c04cac850b0b03bb978bb48e287")
+
+    def test_relaxed_single_user_with_drops(self, cfg, single_user):
+        policy, _ = relaxed_policy(cfg, single_user, eps_h=5e-2)
+        rep = run_simulation(policy, cfg, [single_user], frames=200_000,
+                             seed=3, streams=2)
+        assert (rep.deep_fade_count, rep.drop_events) == (5546, 191)
+        assert _digest(rep) == ("361301080f3a9b8c4f3c88a2b02d59cc"
+                                "73535018fd2d8e3617ca302255242637")
+
+    def test_scaled_point_with_delay_violations(self, cfg, single_user):
+        kw = {"eps_c": 1e-2, "eps_q": 1e-2, "eps_h": 1e-2}
+        alloc = solve_allocation(cfg, [single_user], **kw)
+        qos = validate_config(cfg, [single_user], **kw)
+        policy = SimPolicy.from_allocation(alloc, cfg, [single_user], qos)
+        rep = run_simulation(policy, cfg, [single_user], frames=200_000,
+                             seed=13, streams=2)
+        assert (rep.delay_violation_count, rep.drop_events) == (14, 5)
+        assert _digest(rep) == ("763aac26f590a18533045309ea2e2558"
+                                "78bd05d55b38ea012cd6245274bb64dd")
 
 
 class TestRunSimulation:
