@@ -13,16 +13,30 @@ bandwidth problem solvable to global optimality by bisection:
 
 Every root here (W_th, nu, each W_k and the curvature witness) is bracketed
 by ``fading._grow`` and bisected by ``fading._bisect``, as is the gain
-threshold; each call site keeps its own relative tolerance.
+threshold; each call site keeps its own relative tolerance.  The inner
+bisections of the bandwidth-limited case run in ``_NuSplit``, which takes
+the same midpoints and comparisons with far fewer y' evaluations, so it
+returns the same bits:
+
+* path replay: each inner bisection is a fixed tree of midpoints for a
+  given start bracket, so a user's last walk is stored and a new target
+  re-evaluates y' only past the node where its branches differ;
+* early decision: each outer step only asks whether sum W_k(nu) exceeds
+  the budget, and each W_k lies inside its current bracket, so the
+  brackets are refined only until their ends settle that question with a
+  margin for the rounding of the sums; otherwise every inner bisection
+  runs to its end and the sum itself decides.
 
 Given the optimal bandwidths, the best antenna count balances the 1/(n-1)
-transmit-power scaling against per-antenna circuit power in closed form, and
-per-user power caps follow from the dropping threshold.
+transmit-power scaling against per-antenna circuit power in closed form
+(held to the antenna cap), and per-user power caps follow from the
+dropping threshold.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .fading import _bisect, _grow, mean_tx_power, solve_gain_threshold
@@ -114,15 +128,6 @@ def _y_prime_clamped(w: float, f: YFunction) -> float:
     return (1.0 - f.l / w - f.v / (2.0 * sw)) * math.exp(e) - 1.0
 
 
-def _neg_y_prime(w: float, f: YFunction) -> float:
-    return -_y_prime_clamped(w, f)
-
-
-def _neg_total(nu: float, split) -> float:
-    """-sum_k W_k(nu): the bandwidth total falls with nu, its negation rises."""
-    return -sum(split(nu))
-
-
 def find_bandwidth_minimizer(f: YFunction) -> float:
     """Unique minimizer W_th of y, by sign bisection on y'.
 
@@ -157,17 +162,154 @@ def sign_structure_witness(f: YFunction) -> tuple[float, float]:
     return w1, _bisect(_neg_curvature, f, 0.0, w1, hi, 1e-12)
 
 
-def _root_of_y_prime(target: float, f: YFunction, w_th: float) -> float:
-    """Solve y'(W) = target (target <= 0) on (0, w_th], where y' is strictly
-    increasing from -inf to 0."""
-    if target >= 0.0:
-        return w_th
-    hi = w_th
-    if math.isinf(hi):
-        # v = 0: y' rises towards 0-, so a finite right bracket always exists.
-        hi = _grow(_y_prime_clamped, f, target, f.l, 2.0)
-    lo = _grow(_neg_y_prime, f, -target, hi * 0.5, 0.5)
-    return _bisect(_y_prime_clamped, f, target, lo, hi, 1e-13)
+# Relative slack on a total of bracket ends.  Python's float sum of K
+# positive terms is off by at most (K-1) u times their exact total, with
+# u = 2**-53 (Rump 2012; the compensated sum of Python 3.12 does better).
+# The slack covers that bound twice, once for the sum being predicted and
+# once for the sum of the ends, plus the rounding of the comparison itself.
+_SLACK_PER_USER = 4.0 * 2.0 ** -53
+
+
+def _memo_y_prime(w: float, memo_f: tuple[dict, YFunction]) -> float:
+    """y'(w) of ``memo_f[1]``, memoized in ``memo_f[0]``."""
+    memo, f = memo_f
+    y = memo.get(w)
+    if y is None:
+        y = memo[w] = _y_prime_clamped(w, f)
+    return y
+
+
+def _neg_memo_y_prime(w: float, memo_f: tuple[dict, YFunction]) -> float:
+    return -_memo_y_prime(w, memo_f)
+
+
+class _NuSplit:
+    """W_k(nu), the root of y_k'(W)/alpha_k = -nu on (0, W_th,k], for every
+    user: the bracket search and bisection of ``fading._grow`` and
+    ``fading._bisect`` (relative stop 1e-13), with two exact shortcuts.
+
+    Path replay: from a fixed start bracket the bisection is a fixed tree
+    of midpoints, and a target takes the branch y'(mid) < target at each.
+    Each user keeps its last walk: per node the bracket it halves and
+    y'(mid), and per branch taken the running bounds max y' (branches up)
+    and min y' (branches down) that a target must lie between to follow
+    the walk that far.  Both bounds are monotone along the walk, so two
+    binary searches find the node where a new target turns off, and y' is
+    called only past it.  The bracket search memoizes y' at its points,
+    and a new start bracket drops the walk.
+
+    Early decision: the outer bisection needs only whether sum(W_k(nu))
+    exceeds w_max, and each W_k lies inside its user's current bracket.
+    So ``over`` refines the brackets in lock step only until the totals of
+    their ends settle that comparison, with a slack that covers the
+    rounding of both sums.  If they never do, every bisection runs to its
+    end and the sum itself is compared, exactly as for a full split.
+    """
+
+    def __init__(self, users: list[YFunction], w_ths: list[float],
+                 w_max: float):
+        self.users = users
+        self.w_ths = w_ths
+        self.w_max = w_max
+        self.slack = (len(users) + 1) * _SLACK_PER_USER
+        # per user: y' memo of the bracket search; per node of the last
+        # walk its bracket ends and y'; per branch the running max of y'
+        # over branches up and of -y' over branches down
+        self.paths = [(({}, f), [], [], [], [], []) for f in users]
+
+    def over(self, nu: float) -> bool:
+        """sum(self.solve(nu)) > w_max, mostly without finishing solve."""
+        return self._walk(nu, True)
+
+    def solve(self, nu: float) -> list[float]:
+        """Every user's W_k(nu), bit for bit the plain bisection's."""
+        return self._walk(nu, False)
+
+    def _walk(self, nu: float, early: bool):
+        los, his, targets, depths, active = [], [], [], [], []
+        for i, (f, w_th, path) in enumerate(zip(self.users, self.w_ths,
+                                                self.paths)):
+            t = -nu * f.alpha
+            lo = hi = w_th
+            d = 0
+            if not t >= 0.0:
+                memo_f, lows, highs, ys, up_max, down_max = path
+                if math.isinf(hi):
+                    # v = 0: y' rises towards 0-, so a finite right end exists
+                    hi = _grow(_memo_y_prime, memo_f, t, f.l, 2.0)
+                lo = _grow(_neg_memo_y_prime, memo_f, -t, hi * 0.5, 0.5)
+                if not (lows and lows[0] == lo and highs[0] == hi):
+                    for part in path[1:]:
+                        part.clear()
+                else:
+                    # start at the first node where t leaves the stored
+                    # branches, or at the last node
+                    d = min(bisect_left(up_max, t),
+                            bisect_right(down_max, -t))
+                    lo = lows[d]
+                    hi = highs[d]
+                active.append(i)
+            los.append(lo)
+            his.append(hi)
+            targets.append(t)
+            depths.append(d)
+
+        w_max = self.w_max
+        while active:
+            if early:
+                if sum(los) * (1.0 - self.slack) > w_max:
+                    return True
+                if sum(his) * (1.0 + self.slack) <= w_max:
+                    return False
+            running = []
+            for i in active:
+                lo = los[i]
+                hi = his[i]
+                t = targets[i]
+                d = depths[i]
+                mid = 0.5 * (lo + hi)
+                _, lows, highs, ys, up_max, down_max = self.paths[i]
+                if d < len(ys) and lows[d] == lo and highs[d] == hi:
+                    y = ys[d]
+                else:
+                    y = _y_prime_clamped(mid, self.users[i])
+                    # stored nodes from d on lie off this walk
+                    del lows[d:], highs[d:], ys[d:]
+                    if d:
+                        # the branch into this node, taken at node d - 1
+                        del up_max[d - 1:], down_max[d - 1:]
+                        a = up_max[-1] if up_max else -math.inf
+                        b = down_max[-1] if down_max else -math.inf
+                        y_prev = ys[-1]
+                        if y_prev < t:
+                            a = y_prev if y_prev > a else a
+                        elif -y_prev > b:
+                            b = -y_prev
+                        up_max.append(a)
+                        down_max.append(b)
+                    lows.append(lo)
+                    highs.append(hi)
+                    ys.append(y)
+                if y < t:
+                    lo = mid
+                else:
+                    hi = mid
+                d += 1
+                if hi - lo <= 1e-13 * hi or d == 200:
+                    lo = hi = 0.5 * (lo + hi)
+                else:
+                    running.append(i)
+                los[i] = lo
+                his[i] = hi
+                depths[i] = d
+            active = running
+        return sum(los) > w_max if early else los
+
+
+def _budget_sign(nu: float, split: _NuSplit) -> float:
+    """-1 while the bandwidths at nu overrun the budget, +1 once they fit:
+    a step that rises with nu, for the shared bracket and bisection."""
+    return -1.0 if split.over(nu) else 1.0
 
 
 def allocate_bandwidth(users: list[YFunction], w_max: float) -> BandwidthSolution:
@@ -193,19 +335,16 @@ def allocate_bandwidth(users: list[YFunction], w_max: float) -> BandwidthSolutio
         return BandwidthSolution(bandwidths=w_ths, case_tag=CASE_SUFFICIENT,
                                  objective=obj, kkt_multiplier=0.0)
 
-    def split(nu: float) -> list[float]:
-        return [_root_of_y_prime(-nu * f.alpha, f, wt)
-                for f, wt in zip(users, w_ths)]
-
     # Outer bisection on the equality multiplier: sum W_k(nu) falls
     # monotonically from sum W_th (> w_max at nu=0) towards 0.
+    split = _NuSplit(users, w_ths, w_max)
     w_small = w_max / (10.0 * k)
     seed = max((-_y_prime_clamped(w_small, f) / f.alpha for f in users),
                default=1.0)
     nu_hi = seed if math.isfinite(seed) and seed > 0 else 1.0
-    nu_hi = _grow(_neg_total, split, -w_max, nu_hi, 2.0)
-    nu = _bisect(_neg_total, split, -w_max, 0.0, nu_hi, 1e-14)
-    ws = split(nu)
+    nu_hi = _grow(_budget_sign, split, 0.0, nu_hi, 2.0)
+    nu = _bisect(_budget_sign, split, 0.0, 0.0, nu_hi, 1e-14)
+    ws = split.solve(nu)
     obj = sum(y_value(w, f) / f.alpha for w, f in zip(ws, users))
     stat = max(abs(y_derivatives(w, f)[0] / f.alpha + nu) / nu
                for w, f in zip(ws, users))
@@ -216,36 +355,45 @@ def allocate_bandwidth(users: list[YFunction], w_max: float) -> BandwidthSolutio
 
 
 def optimal_antennas(weighted_y: float, cfg: SystemConfig,
-                     eps_h: float | None = None) -> int:
+                     eps_h: float | None = None,
+                     antenna_cap: int = 512) -> int:
     """Antenna count minimizing mean total power for a given bandwidth split.
 
     Ceiling of the positive root of the circuit-vs-transmit tradeoff,
-    clamped to the minimum of 2 the power model requires.
+    clamped to the minimum of 2 the power model requires.  A root that is
+    not finite or lies past ``antenna_cap`` (a tiny amplifier efficiency
+    times circuit power) gives ``antenna_cap``: mean total power is convex
+    in the count, so the cap is then the best count within it.
     """
     if weighted_y < 0:
         raise ValueError("weighted_y must be non-negative")
     eps = cfg.loss_budget / 3.0 if eps_h is None else eps_h
-    arg = 1.0 + (4.0 * cfg.noise_psd * (1.0 - eps) * weighted_y
-                 / (cfg.amplifier_efficiency * cfg.circuit_power_per_antenna))
-    return max(2, math.ceil(0.5 * (1.0 + math.sqrt(arg))))
+    load = 4.0 * cfg.noise_psd * (1.0 - eps) * weighted_y
+    den = cfg.amplifier_efficiency * cfg.circuit_power_per_antenna
+    root = 0.5 * (1.0 + math.sqrt(1.0 + load / den)) if den > 0 else math.inf
+    if not root <= antenna_cap:
+        return antenna_cap
+    return max(2, math.ceil(root))
 
 
 def power_thresholds(sol: BandwidthSolution, n: int, cfg: SystemConfig,
-                     users: list[YFunction],
-                     eps_h: float | None = None) -> tuple[float, list[float]]:
+                     users: list[YFunction], eps_h: float | None = None, *,
+                     gammas: list[float] | None = None
+                     ) -> tuple[float, list[float]]:
     """Per-user transmit-power caps at antenna count ``n``.
 
     Returns (g_th, caps): the dropping threshold shared by every user and
-    P_k = N0 W_k gamma_k / (alpha_k g_th).
+    P_k = N0 W_k gamma_k / (alpha_k g_th).  ``gammas``, the users'
+    ``required_snr`` at ``sol.bandwidths``, is computed unless given.
     """
     if n < 2:
         raise ValueError("antenna count must be at least 2")
     eps = cfg.loss_budget / 3.0 if eps_h is None else eps_h
     g_th = solve_gain_threshold(n, eps).g_th
-    caps = []
-    for w, f in zip(sol.bandwidths, users):
-        gamma = required_snr(w, f)
-        caps.append(cfg.noise_psd * w * gamma / (f.alpha * g_th))
+    if gammas is None:
+        gammas = [required_snr(w, f) for w, f in zip(sol.bandwidths, users)]
+    caps = [cfg.noise_psd * w * gamma / (f.alpha * g_th)
+            for w, gamma, f in zip(sol.bandwidths, gammas, users)]
     return g_th, caps
 
 
@@ -272,21 +420,25 @@ def solve_allocation(cfg: SystemConfig, users: list[UserProfile],
                      eps_h: float | None = None,
                      n_antennas: int | None = None,
                      antenna_cap: int = 512, *,
+                     qos: QosBudget | None = None,
+                     yfuncs: list[YFunction] | None = None,
                      split: BandwidthSolution | None = None) -> Allocation:
     """End-to-end solve: bandwidths, antenna count, power caps, mean power.
 
     With ``n_antennas`` set the antenna count is held fixed (no feasibility
     loop); otherwise the count starts at its closed-form optimum and is
-    incremented until the summed power caps fit the BS budget.  Deterministic:
-    identical inputs give identical outputs bit for bit.
+    incremented until the summed power caps fit the BS budget; a closed-form
+    optimum past ``antenna_cap`` starts the loop at the cap (see
+    ``optimal_antennas``).  Deterministic: identical inputs give identical
+    outputs bit for bit.
 
-    The bandwidth split does not depend on the antenna count, so callers
-    solving one user set at several counts may compute it once and pass it
-    as ``split``; the solve then skips ``allocate_bandwidth`` and is
-    otherwise unchanged.  The split must be
-    ``allocate_bandwidth(build_y_functions(cfg, qos, users),
-    cfg.total_bandwidth)`` for the same ``cfg``, ``users`` and eps values,
-    with ``qos`` from ``validate_config``; nothing checks that it is.
+    The prologue of a solve does not depend on the antenna count, so
+    callers solving one user set at several counts may run it once and
+    pass its results: ``qos = validate_config(cfg, users, eps_c, eps_q,
+    eps_h)``, ``yfuncs = build_y_functions(cfg, qos, users)`` and ``split =
+    allocate_bandwidth(yfuncs, cfg.total_bandwidth)``.  Each one given
+    skips its step and the solve is otherwise unchanged; given ``qos``, the
+    eps arguments are not read.  Nothing checks that they match the inputs.
 
     Raises:
         ConfigError: on invalid inputs.
@@ -294,16 +446,21 @@ def solve_allocation(cfg: SystemConfig, users: list[UserProfile],
         PowerInfeasibleError: when no allowed antenna count fits the power
             budget (fixed ``n_antennas``, or the cap is exceeded).
     """
-    qos = validate_config(cfg, users, eps_c=eps_c, eps_q=eps_q, eps_h=eps_h)
-    yfuncs = build_y_functions(cfg, qos, users)
+    if qos is None:
+        qos = validate_config(cfg, users, eps_c=eps_c, eps_q=eps_q,
+                              eps_h=eps_h)
+    if yfuncs is None:
+        yfuncs = build_y_functions(cfg, qos, users)
     sol = (allocate_bandwidth(yfuncs, cfg.total_bandwidth) if split is None
            else split)
     weighted_y = sol.objective
+    gammas = [required_snr(w, f) for w, f in zip(sol.bandwidths, yfuncs)]
 
     if n_antennas is None:
-        n = optimal_antennas(weighted_y, cfg, qos.eps_h)
+        n = optimal_antennas(weighted_y, cfg, qos.eps_h, antenna_cap)
         while True:
-            g_th, caps = power_thresholds(sol, n, cfg, yfuncs, qos.eps_h)
+            g_th, caps = power_thresholds(sol, n, cfg, yfuncs, qos.eps_h,
+                                          gammas=gammas)
             if sum(caps) <= cfg.max_bs_power:
                 break
             n += 1
@@ -315,13 +472,13 @@ def solve_allocation(cfg: SystemConfig, users: list[UserProfile],
         if n_antennas < 2:
             raise ValueError("antenna count must be at least 2")
         n = n_antennas
-        g_th, caps = power_thresholds(sol, n, cfg, yfuncs, qos.eps_h)
+        g_th, caps = power_thresholds(sol, n, cfg, yfuncs, qos.eps_h,
+                                      gammas=gammas)
         if sum(caps) > cfg.max_bs_power:
             raise PowerInfeasibleError(
                 f"fixed antenna count {n} needs {sum(caps):.3g} W of "
                 f"power caps, budget is {cfg.max_bs_power:.3g} W")
 
-    gammas = [required_snr(w, f) for w, f in zip(sol.bandwidths, yfuncs)]
     mean_powers = [mean_tx_power(w, g, f.alpha, n, qos.eps_h, cfg)
                    for w, g, f in zip(sol.bandwidths, gammas, yfuncs)]
     total = (sum(mean_powers) / cfg.amplifier_efficiency

@@ -115,27 +115,30 @@ def user_sweep_rows(cfg: SystemConfig, k_values: list[int],
 
     Returns rows ``(k, ee_joint, {nt: ee or None})`` where None marks a
     fixed-antenna point whose power caps do not fit the BS budget.  Each
-    user set's bandwidth split is solved once and shared by its solves.
+    user set's validation, objective kernels and bandwidth split are
+    computed once and shared by its solves.
     """
     rows = []
     for k in k_values:
         users = place_users(k, cfg, scheme=scheme, seed=seed,
                             nodes_per_user=nodes_per_user,
                             node_packet_rate_hz=node_packet_rate_hz)
+        qos = validate_config(cfg, users)
+        yfuncs = build_y_functions(cfg, qos, users)
         try:
-            split = _bandwidth_split(cfg, users)[2]
+            split = allocate_bandwidth(yfuncs, cfg.total_bandwidth)
         except QosInfeasibleError:
             split = None  # each solve below raises it again
+        shared = {"qos": qos, "yfuncs": yfuncs, "split": split}
         try:
-            joint = solve_allocation(cfg, users, split=split)
+            joint = solve_allocation(cfg, users, **shared)
             ee_joint = joint.energy_efficiency
         except (QosInfeasibleError, PowerInfeasibleError):
             ee_joint = None
         fixed = {}
         for nt in fixed_nts:
             try:
-                alloc = solve_allocation(cfg, users, n_antennas=nt,
-                                         split=split)
+                alloc = solve_allocation(cfg, users, n_antennas=nt, **shared)
                 fixed[nt] = alloc.energy_efficiency
             except (QosInfeasibleError, PowerInfeasibleError):
                 fixed[nt] = None

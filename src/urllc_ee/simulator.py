@@ -237,10 +237,11 @@ def step_queue(state: QueueState, g: float, policy: SimPolicy,
 
 
 def _walk_chunk(state: QueueState, g: np.ndarray, a: np.ndarray,
-                up: UserPolicy, dq: int, base_frame: int,
+                deep: np.ndarray, up: UserPolicy, dq: int, base_frame: int,
                 cfg: SystemConfig) -> None:
     """``_advance`` over every frame of a chunk, skipping the frames that
     leave the state untouched (empty queue, no arrival, no deep fade).
+    ``deep`` is the chunk's mask ``g < up.gain_threshold``.
 
     The state lives in local variables for the whole chunk.  A visited
     frame that is not a deep fade runs inline with the float operations
@@ -252,7 +253,7 @@ def _walk_chunk(state: QueueState, g: np.ndarray, a: np.ndarray,
     arr_frames = np.flatnonzero(a)
     counts = a[arr_frames].tolist()
     arr_frames = arr_frames.tolist()
-    deep_frames = np.flatnonzero(g < up.gain_threshold).tolist()
+    deep_frames = np.flatnonzero(deep).tolist()
     arr_frames.append(n)  # sentinels: the next event is past the chunk
     deep_frames.append(n)
 
@@ -387,7 +388,7 @@ def _run_stream(policy: SimPolicy, cfg: SystemConfig, frames: int,
             else:
                 for w in range(0, n, _WINDOW):
                     _walk_chunk(state, g[w:w + _WINDOW], a[w:w + _WINDOW],
-                                up, dq, done + w, cfg)
+                                deep[w:w + _WINDOW], up, dq, done + w, cfg)
             done += n
         out.append({
             "arrivals": state.arrivals,

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urllc_ee import (DEFAULT_CONFIG_TEXT, ConfigError, QosInfeasibleError,
                       PowerInfeasibleError, SystemConfig, UserProfile,
@@ -16,8 +18,11 @@ from urllc_ee import (DEFAULT_CONFIG_TEXT, ConfigError, QosInfeasibleError,
 from urllc_ee import allocator, experiments, fading
 from urllc_ee.allocator import CASE_LIMITED, CASE_SUFFICIENT, mean_total_power
 from urllc_ee.experiments import place_users, user_sweep_rows
+from urllc_ee.model import path_loss_gain
+from urllc_ee.rate import _coeffs_at_rate
 
-from conftest import WTH_REFERENCE_MHZ, unit_rate_yfunction
+import oracles
+from conftest import DEFAULT_CFG, WTH_REFERENCE_MHZ, unit_rate_yfunction
 
 
 def numeric_first_derivative(w, f, h_rel=3e-6):
@@ -261,6 +266,25 @@ class TestOptimalAntennas:
     def test_monotone_in_load(self, cfg):
         counts = [optimal_antennas(wy, cfg) for wy in np.logspace(17, 22, 20)]
         assert all(b >= a for a, b in zip(counts, counts[1:]))
+
+    @pytest.mark.parametrize("eff, pc", [(1e-200, 0.05), (1e-308, 0.05),
+                                         (1e-308, 1e-20)])
+    def test_root_past_the_cap_gives_the_cap(self, cfg, single_user, eff,
+                                             pc):
+        # the closed-form root is ~1e100, infinite, or 1/0 when the
+        # efficiency times the circuit power underflows
+        tiny = replace(cfg, amplifier_efficiency=eff,
+                       circuit_power_per_antenna=pc)
+        wy = solve_allocation(cfg, [single_user]).extras["weighted_y"]
+        assert optimal_antennas(wy, tiny) == 512
+        assert optimal_antennas(wy, tiny, antenna_cap=64) == 64
+        # mean total power still falls at the cap, the best count within it
+        eps = cfg.loss_budget / 3
+        assert (mean_total_power(wy, 512, tiny, eps)
+                < mean_total_power(wy, 511, tiny, eps))
+        assert solve_allocation(tiny, [single_user]).antennas == 512
+        with pytest.raises(PowerInfeasibleError):
+            solve_allocation(replace(tiny, max_bs_power=1e-4), [single_user])
 
     def test_ceiling_is_exact_integer_argmin(self, cfg):
         # the quadratic inside the ceiling encodes the discrete optimality
@@ -512,3 +536,77 @@ class TestSplitReuse:
         assert inspect.isfunction(fading.solve_gain_threshold)
         with pytest.raises(ValueError):
             solve_gain_threshold(8, float("nan"))
+
+
+def split_outcome(fn, users, w_max):
+    try:
+        sol = fn(users, w_max)
+    except Exception as exc:  # the type must match the oracle's
+        return type(exc)
+    return (sol.bandwidths, sol.case_tag, sol.kkt_multiplier, sol.objective,
+            sol.kkt_residual)
+
+
+@st.composite
+def split_inputs(draw):
+    """Users of random distance, service rate and decoding-error target,
+    every ``flat``-th one at eps_c = 0.5 (v = 0, W_th = inf), and a budget
+    from far too small for QoS to beyond the sum of the minimizers."""
+    k = draw(st.integers(1, 60))
+    flat = draw(st.sampled_from([0, 0, 1, 3, 10]))
+    # W_th is about 3.3 l, and W_max / K below l / 700 overflows the QoS
+    scale = 10.0 ** draw(st.floats(-3.5, 1.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    users = []
+    for i in range(k):
+        eps_c = (0.5 if flat and i % flat == 0
+                 else 10.0 ** rng.uniform(-9, -0.4))
+        coeffs = _coeffs_at_rate(rng.uniform(1e-3, 5.0), eps_c, DEFAULT_CFG)
+        gain = path_loss_gain(rng.uniform(50.0, 250.0))
+        users.append(YFunction.from_coeffs(coeffs, gain))
+    return users, scale * sum(f.l for f in users)
+
+
+class TestSplitAgainstOracle:
+    """``allocate_bandwidth`` against the split that solves every user in
+    full at every trial multiplier (``oracles.allocate_bandwidth``)."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              database=None)
+    @given(split_inputs())
+    def test_bit_identical_to_the_full_split(self, inputs):
+        users, w_max = inputs
+        assert (split_outcome(allocate_bandwidth, users, w_max)
+                == split_outcome(oracles.allocate_bandwidth, users, w_max))
+
+    def test_each_outcome_once(self):
+        # one fixed instance per outcome that the property test draws
+        f = unit_rate_yfunction(1e-7)
+        flat = YFunction(l=f.l, v=0.0, alpha=3e-13)
+        for users, case in (([f, f], CASE_SUFFICIENT),
+                            ([f, f, f], CASE_LIMITED),
+                            ([flat, f, flat], CASE_LIMITED)):
+            got = split_outcome(allocate_bandwidth, users, 20e6)
+            assert got[1] == case
+            assert got == split_outcome(oracles.allocate_bandwidth, users,
+                                        20e6)
+        for fn in (allocate_bandwidth, oracles.allocate_bandwidth):
+            assert split_outcome(fn, [f, f], 200.0) is QosInfeasibleError
+
+    def test_a_tenth_of_the_oracles_y_prime_calls(self, cfg, monkeypatch):
+        users = place_users(40, cfg, scheme="uniform", seed=1)
+        yfuncs = build_y_functions(cfg, validate_config(cfg, users), users)
+        calls = []
+        plain = allocator._y_prime_clamped
+
+        def counted(w, f):
+            calls.append(w)
+            return plain(w, f)
+
+        monkeypatch.setattr(allocator, "_y_prime_clamped", counted)
+        fast = allocate_bandwidth(yfuncs, cfg.total_bandwidth)
+        n_fast = len(calls)
+        slow = oracles.allocate_bandwidth(yfuncs, cfg.total_bandwidth)
+        n_slow = len(calls) - n_fast
+        assert fast == slow and fast.case_tag == CASE_LIMITED
+        assert 10 * n_fast <= n_slow

@@ -57,6 +57,25 @@ class TestSolve:
         res = runner.invoke(main, ["solve", "--config", os.fspath(path)])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("eff", ["1e-308", "1e-200"])
+    def test_antenna_root_past_the_cap(self, runner, tmp_path, eff):
+        # the closed-form count is inf or ~1e100: the solve starts at the
+        # 512-antenna cap, and past it the power budget is infeasible
+        path = tmp_path / "amp.cfg"
+        text = DEFAULT_CONFIG_TEXT.replace("amplifier_efficiency = 0.5",
+                                           f"amplifier_efficiency = {eff}")
+        path.write_text(text)
+        out = tmp_path / "alloc.json"
+        res = runner.invoke(main, ["solve", "--config", os.fspath(path),
+                                   "--out", os.fspath(out)])
+        assert res.exit_code == 0, res.output
+        assert json.loads(out.read_text())["antennas"] == 512
+        path.write_text(text.replace("max_bs_power_dbm = 40",
+                                     "max_bs_power_dbm = -10"))
+        res = runner.invoke(main, ["solve", "--config", os.fspath(path)])
+        assert res.exit_code == 2, res.output
+        assert "512 antennas" in res.output
+
     def test_many_users_reports_feasibility(self, runner, tmp_path):
         # forty cell-edge-ish users: must complete and state the outcome
         dists = ", ".join(str(50 + 5 * i) for i in range(40))

@@ -158,7 +158,8 @@ class TestFastPathEquivalence:
         a = rng.poisson(up.arrival_rate, size=200_000)
 
         fast = QueueState()
-        _walk_chunk(fast, g, a, up, policy.queue_delay_frames, 0, cfg)
+        _walk_chunk(fast, g, a, g < up.gain_threshold, up,
+                    policy.queue_delay_frames, 0, cfg)
         slow = QueueState()
         frame_by_frame(slow, g, a, up, policy.queue_delay_frames, 0, cfg)
         assert_states_equal(fast, slow)
@@ -170,7 +171,7 @@ class TestFastPathEquivalence:
         g = rng.standard_gamma(3, size=50_000)
         a = rng.poisson(up.arrival_rate, size=50_000)
         fast = QueueState()
-        _walk_chunk(fast, g, a, up, 8, 0, cfg)
+        _walk_chunk(fast, g, a, g < up.gain_threshold, up, 8, 0, cfg)
         slow = QueueState()
         frame_by_frame(slow, g, a, up, 8, 0, cfg)
         assert slow.drop_events > 1000  # both branches heavily exercised
@@ -190,7 +191,7 @@ class TestFastPathEquivalence:
         g = rng.standard_gamma(3, size=100_000)
         a = rng.poisson(up.arrival_rate, size=100_000)
         fast = QueueState()
-        _walk_chunk(fast, g, a, up, 3, 0, cfg)
+        _walk_chunk(fast, g, a, g < up.gain_threshold, up, 3, 0, cfg)
         slow = QueueState()
         frame_by_frame(slow, g, a, up, 3, 0, cfg)
         deep = g < up.gain_threshold
