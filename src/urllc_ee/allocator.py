@@ -35,6 +35,7 @@ dropping threshold.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ from .fading import _bisect, _grow, mean_tx_power, solve_gain_threshold
 from .model import (Allocation, ConfigError, PowerInfeasibleError,
                     QosBudget, QosInfeasibleError, SystemConfig,
                     UserProfile, validate_config)
-from .rate import SnrRequirementCoeffs, required_snr, snr_coeffs
+from .rate import SnrRequirementCoeffs, snr_coeffs
 
 # expm1/exp overflow near 709.8; stop a margin early and report infeasible.
 MAX_EXPONENT = 700.0
@@ -68,9 +69,11 @@ class YFunction:
 
 @dataclass
 class BandwidthSolution:
-    """Optimal per-user bandwidths with the KKT certificate."""
+    """Optimal per-user bandwidths, the SNR targets they need, and the KKT
+    certificate."""
 
     bandwidths: list[float]
+    snr_targets: list[float]
     case_tag: str
     objective: float
     kkt_multiplier: float
@@ -102,9 +105,15 @@ def _neg_curvature(w: float, f: YFunction) -> float:
     return -_curvature(w, f)
 
 
+def _snr_target(w: float, f: YFunction) -> float:
+    """gamma(W) = exp(l/W + v/sqrt(W)) - 1, overflow reported as infeasible
+    QoS (``rate.required_snr`` would raise a bare OverflowError)."""
+    return math.expm1(_checked_exponent(w, f))
+
+
 def y_value(w: float, f: YFunction) -> float:
     """y(W) = W * (exp(l/W + v/sqrt(W)) - 1)."""
-    return w * math.expm1(_checked_exponent(w, f))
+    return w * _snr_target(w, f)
 
 
 def y_derivatives(w: float, f: YFunction) -> tuple[float, float]:
@@ -312,6 +321,14 @@ def _budget_sign(nu: float, split: _NuSplit) -> float:
     return -1.0 if split.over(nu) else 1.0
 
 
+def _targets(ws: list[float], users: list[YFunction]
+             ) -> tuple[list[float], float]:
+    """Each user's SNR target at ``ws`` and the objective
+    sum_k W_k gamma_k / alpha_k, which is sum_k y_k(W_k) / alpha_k."""
+    gammas = [_snr_target(w, f) for w, f in zip(ws, users)]
+    return gammas, sum(w * g / f.alpha for w, g, f in zip(ws, gammas, users))
+
+
 def allocate_bandwidth(users: list[YFunction], w_max: float) -> BandwidthSolution:
     """Globally optimal bandwidth split minimizing sum_k y_k(W_k)/alpha_k.
 
@@ -331,9 +348,10 @@ def allocate_bandwidth(users: list[YFunction], w_max: float) -> BandwidthSolutio
 
     w_ths = [find_bandwidth_minimizer(f) for f in users]
     if sum(w_ths) <= w_max:
-        obj = sum(y_value(w, f) / f.alpha for w, f in zip(w_ths, users))
-        return BandwidthSolution(bandwidths=w_ths, case_tag=CASE_SUFFICIENT,
-                                 objective=obj, kkt_multiplier=0.0)
+        gammas, obj = _targets(w_ths, users)
+        return BandwidthSolution(bandwidths=w_ths, snr_targets=gammas,
+                                 case_tag=CASE_SUFFICIENT, objective=obj,
+                                 kkt_multiplier=0.0)
 
     # Outer bisection on the equality multiplier: sum W_k(nu) falls
     # monotonically from sum W_th (> w_max at nu=0) towards 0.
@@ -345,17 +363,17 @@ def allocate_bandwidth(users: list[YFunction], w_max: float) -> BandwidthSolutio
     nu_hi = _grow(_budget_sign, split, 0.0, nu_hi, 2.0)
     nu = _bisect(_budget_sign, split, 0.0, 0.0, nu_hi, 1e-14)
     ws = split.solve(nu)
-    obj = sum(y_value(w, f) / f.alpha for w, f in zip(ws, users))
+    gammas, obj = _targets(ws, users)
     stat = max(abs(y_derivatives(w, f)[0] / f.alpha + nu) / nu
                for w, f in zip(ws, users))
     balance = abs(sum(ws) - w_max) / w_max
-    return BandwidthSolution(bandwidths=ws, case_tag=CASE_LIMITED,
-                             objective=obj, kkt_multiplier=nu,
+    return BandwidthSolution(bandwidths=ws, snr_targets=gammas,
+                             case_tag=CASE_LIMITED, objective=obj,
+                             kkt_multiplier=nu,
                              kkt_residual=max(stat, balance))
 
 
-def optimal_antennas(weighted_y: float, cfg: SystemConfig,
-                     eps_h: float | None = None,
+def optimal_antennas(weighted_y: float, cfg: SystemConfig, eps_h: float,
                      antenna_cap: int = 512) -> int:
     """Antenna count minimizing mean total power for a given bandwidth split.
 
@@ -367,8 +385,7 @@ def optimal_antennas(weighted_y: float, cfg: SystemConfig,
     """
     if weighted_y < 0:
         raise ValueError("weighted_y must be non-negative")
-    eps = cfg.loss_budget / 3.0 if eps_h is None else eps_h
-    load = 4.0 * cfg.noise_psd * (1.0 - eps) * weighted_y
+    load = 4.0 * cfg.noise_psd * (1.0 - eps_h) * weighted_y
     den = cfg.amplifier_efficiency * cfg.circuit_power_per_antenna
     root = 0.5 * (1.0 + math.sqrt(1.0 + load / den)) if den > 0 else math.inf
     if not root <= antenna_cap:
@@ -377,23 +394,19 @@ def optimal_antennas(weighted_y: float, cfg: SystemConfig,
 
 
 def power_thresholds(sol: BandwidthSolution, n: int, cfg: SystemConfig,
-                     users: list[YFunction], eps_h: float | None = None, *,
-                     gammas: list[float] | None = None
+                     users: list[YFunction], eps_h: float
                      ) -> tuple[float, list[float]]:
     """Per-user transmit-power caps at antenna count ``n``.
 
     Returns (g_th, caps): the dropping threshold shared by every user and
-    P_k = N0 W_k gamma_k / (alpha_k g_th).  ``gammas``, the users'
-    ``required_snr`` at ``sol.bandwidths``, is computed unless given.
+    P_k = N0 W_k gamma_k / (alpha_k g_th), with gamma_k from
+    ``sol.snr_targets``.
     """
     if n < 2:
         raise ValueError("antenna count must be at least 2")
-    eps = cfg.loss_budget / 3.0 if eps_h is None else eps_h
-    g_th = solve_gain_threshold(n, eps).g_th
-    if gammas is None:
-        gammas = [required_snr(w, f) for w, f in zip(sol.bandwidths, users)]
+    g_th = solve_gain_threshold(n, eps_h).g_th
     caps = [cfg.noise_psd * w * gamma / (f.alpha * g_th)
-            for w, gamma, f in zip(sol.bandwidths, gammas, users)]
+            for w, gamma, f in zip(sol.bandwidths, sol.snr_targets, users)]
     return g_th, caps
 
 
@@ -415,14 +428,24 @@ def mean_total_power(weighted_y: float, n: int, cfg: SystemConfig,
             + cfg.circuit_power_per_antenna * n + cfg.fixed_circuit_power)
 
 
+# Solving one user set at several antenna counts, as the sweeps do, repeats
+# this antenna-independent prologue; callers must not mutate what it returns.
+@functools.lru_cache(maxsize=16, typed=True)
+def _prologue(cfg: SystemConfig, users: tuple[UserProfile, ...],
+              eps_c: float | None, eps_q: float | None, eps_h: float | None
+              ) -> tuple[QosBudget, list[YFunction], BandwidthSolution]:
+    """(qos, yfuncs, split): validation, objective kernels and the optimal
+    bandwidth split of a solve, none of which depend on the antenna count."""
+    qos = validate_config(cfg, users, eps_c=eps_c, eps_q=eps_q, eps_h=eps_h)
+    yfuncs = build_y_functions(cfg, qos, users)
+    return qos, yfuncs, allocate_bandwidth(yfuncs, cfg.total_bandwidth)
+
+
 def solve_allocation(cfg: SystemConfig, users: list[UserProfile],
                      eps_c: float | None = None, eps_q: float | None = None,
                      eps_h: float | None = None,
                      n_antennas: int | None = None,
-                     antenna_cap: int = 512, *,
-                     qos: QosBudget | None = None,
-                     yfuncs: list[YFunction] | None = None,
-                     split: BandwidthSolution | None = None) -> Allocation:
+                     antenna_cap: int = 512) -> Allocation:
     """End-to-end solve: bandwidths, antenna count, power caps, mean power.
 
     With ``n_antennas`` set the antenna count is held fixed (no feasibility
@@ -430,15 +453,9 @@ def solve_allocation(cfg: SystemConfig, users: list[UserProfile],
     incremented until the summed power caps fit the BS budget; a closed-form
     optimum past ``antenna_cap`` starts the loop at the cap (see
     ``optimal_antennas``).  Deterministic: identical inputs give identical
-    outputs bit for bit.
-
-    The prologue of a solve does not depend on the antenna count, so
-    callers solving one user set at several counts may run it once and
-    pass its results: ``qos = validate_config(cfg, users, eps_c, eps_q,
-    eps_h)``, ``yfuncs = build_y_functions(cfg, qos, users)`` and ``split =
-    allocate_bandwidth(yfuncs, cfg.total_bandwidth)``.  Each one given
-    skips its step and the solve is otherwise unchanged; given ``qos``, the
-    eps arguments are not read.  Nothing checks that they match the inputs.
+    outputs bit for bit.  The validation, kernels and bandwidth split are
+    memoized per (cfg, users, eps_c, eps_q, eps_h), so a user set solved at
+    several antenna counts computes them once.
 
     Raises:
         ConfigError: on invalid inputs.
@@ -446,21 +463,13 @@ def solve_allocation(cfg: SystemConfig, users: list[UserProfile],
         PowerInfeasibleError: when no allowed antenna count fits the power
             budget (fixed ``n_antennas``, or the cap is exceeded).
     """
-    if qos is None:
-        qos = validate_config(cfg, users, eps_c=eps_c, eps_q=eps_q,
-                              eps_h=eps_h)
-    if yfuncs is None:
-        yfuncs = build_y_functions(cfg, qos, users)
-    sol = (allocate_bandwidth(yfuncs, cfg.total_bandwidth) if split is None
-           else split)
+    qos, yfuncs, sol = _prologue(cfg, tuple(users), eps_c, eps_q, eps_h)
     weighted_y = sol.objective
-    gammas = [required_snr(w, f) for w, f in zip(sol.bandwidths, yfuncs)]
 
     if n_antennas is None:
         n = optimal_antennas(weighted_y, cfg, qos.eps_h, antenna_cap)
         while True:
-            g_th, caps = power_thresholds(sol, n, cfg, yfuncs, qos.eps_h,
-                                          gammas=gammas)
+            g_th, caps = power_thresholds(sol, n, cfg, yfuncs, qos.eps_h)
             if sum(caps) <= cfg.max_bs_power:
                 break
             n += 1
@@ -472,15 +481,15 @@ def solve_allocation(cfg: SystemConfig, users: list[UserProfile],
         if n_antennas < 2:
             raise ValueError("antenna count must be at least 2")
         n = n_antennas
-        g_th, caps = power_thresholds(sol, n, cfg, yfuncs, qos.eps_h,
-                                      gammas=gammas)
+        g_th, caps = power_thresholds(sol, n, cfg, yfuncs, qos.eps_h)
         if sum(caps) > cfg.max_bs_power:
             raise PowerInfeasibleError(
                 f"fixed antenna count {n} needs {sum(caps):.3g} W of "
                 f"power caps, budget is {cfg.max_bs_power:.3g} W")
 
     mean_powers = [mean_tx_power(w, g, f.alpha, n, qos.eps_h, cfg)
-                   for w, g, f in zip(sol.bandwidths, gammas, yfuncs)]
+                   for w, g, f in zip(sol.bandwidths, sol.snr_targets,
+                                      yfuncs)]
     total = (sum(mean_powers) / cfg.amplifier_efficiency
              + cfg.circuit_power_per_antenna * n + cfg.fixed_circuit_power)
     delivered = (1.0 - cfg.loss_budget) * cfg.packet_bits * sum(
@@ -490,7 +499,7 @@ def solve_allocation(cfg: SystemConfig, users: list[UserProfile],
                           f"bit rate ({delivered:.3g} bit/s) overflows")
     return Allocation(
         bandwidths=list(sol.bandwidths),
-        snr_targets=gammas,
+        snr_targets=list(sol.snr_targets),
         gain_thresholds=[g_th] * len(users),
         power_caps=caps,
         mean_tx_powers=mean_powers,

@@ -15,13 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .allocator import (allocate_bandwidth, build_y_functions,
-                        find_bandwidth_minimizer, mean_total_power,
-                        power_thresholds, solve_allocation, YFunction)
+from .allocator import (_prologue, find_bandwidth_minimizer,
+                        mean_total_power, power_thresholds, solve_allocation,
+                        YFunction)
 from .config_io import load_config
 from .model import (ConfigError, PowerInfeasibleError, QosBudget,
-                    QosInfeasibleError, SystemConfig, UserProfile,
-                    validate_config)
+                    QosInfeasibleError, SystemConfig, UserProfile)
 from .rate import _coeffs_at_rate
 from .simulator import SimPolicy, run_simulation
 
@@ -73,16 +72,6 @@ def table_wth_rows(cfg: SystemConfig, eps_list: list[float],
             for eps in eps_list]
 
 
-def _bandwidth_split(cfg: SystemConfig, users: list[UserProfile],
-                     eps_c: float | None = None, eps_q: float | None = None,
-                     eps_h: float | None = None):
-    """(qos, yfuncs, split): the antenna-independent prologue of a solve,
-    run once for a user set that is then solved at several antenna counts."""
-    qos = validate_config(cfg, users, eps_c=eps_c, eps_q=eps_q, eps_h=eps_h)
-    yfuncs = build_y_functions(cfg, qos, users)
-    return qos, yfuncs, allocate_bandwidth(yfuncs, cfg.total_bandwidth)
-
-
 def antenna_sweep_rows(cfg: SystemConfig, users: list[UserProfile],
                        nt_values: list[int],
                        eps_c: float | None = None,
@@ -94,7 +83,7 @@ def antenna_sweep_rows(cfg: SystemConfig, users: list[UserProfile],
     feasibility means the per-user power caps fit the BS budget; the locus
     is (n_t*, power*) over the feasible rows.
     """
-    qos, yfuncs, sol = _bandwidth_split(cfg, users, eps_c, eps_q, eps_h)
+    qos, yfuncs, sol = _prologue(cfg, tuple(users), eps_c, eps_q, eps_h)
     rows = []
     best = None
     for nt in nt_values:
@@ -114,31 +103,23 @@ def user_sweep_rows(cfg: SystemConfig, k_values: list[int],
     """Joint-optimal EE and fixed-antenna EE per user count.
 
     Returns rows ``(k, ee_joint, {nt: ee or None})`` where None marks a
-    fixed-antenna point whose power caps do not fit the BS budget.  Each
-    user set's validation, objective kernels and bandwidth split are
-    computed once and shared by its solves.
+    fixed-antenna point whose power caps do not fit the BS budget.  The
+    solves of one user set share its memoized bandwidth split.
     """
     rows = []
     for k in k_values:
         users = place_users(k, cfg, scheme=scheme, seed=seed,
                             nodes_per_user=nodes_per_user,
                             node_packet_rate_hz=node_packet_rate_hz)
-        qos = validate_config(cfg, users)
-        yfuncs = build_y_functions(cfg, qos, users)
         try:
-            split = allocate_bandwidth(yfuncs, cfg.total_bandwidth)
-        except QosInfeasibleError:
-            split = None  # each solve below raises it again
-        shared = {"qos": qos, "yfuncs": yfuncs, "split": split}
-        try:
-            joint = solve_allocation(cfg, users, **shared)
+            joint = solve_allocation(cfg, users)
             ee_joint = joint.energy_efficiency
         except (QosInfeasibleError, PowerInfeasibleError):
             ee_joint = None
         fixed = {}
         for nt in fixed_nts:
             try:
-                alloc = solve_allocation(cfg, users, n_antennas=nt, **shared)
+                alloc = solve_allocation(cfg, users, n_antennas=nt)
                 fixed[nt] = alloc.energy_efficiency
             except (QosInfeasibleError, PowerInfeasibleError):
                 fixed[nt] = None
@@ -324,12 +305,9 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     return {"kind": spec.kind, "rows": rows}
 
 
-def config_digest(cfg: SystemConfig, users: list[UserProfile] | None = None) -> str:
+def config_digest(cfg: SystemConfig) -> str:
     """Short stable hash identifying a configuration (for CSV provenance)."""
-    payload = repr(cfg)
-    if users:
-        payload += "".join(repr(u) for u in users)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return hashlib.sha256(repr(cfg).encode()).hexdigest()[:16]
 
 
 def write_csv(path: str, header: list[str], rows: list[tuple],

@@ -12,9 +12,9 @@ import math
 
 from urllc_ee import allocator
 from urllc_ee.allocator import (CASE_LIMITED, CASE_SUFFICIENT, MAX_EXPONENT,
-                                BandwidthSolution, YFunction, _exponent,
-                                find_bandwidth_minimizer, y_derivatives,
-                                y_value)
+                                BandwidthSolution, YFunction,
+                                _checked_exponent, _exponent,
+                                find_bandwidth_minimizer, y_derivatives)
 from urllc_ee.fading import _bisect, _grow
 from urllc_ee.model import QosInfeasibleError
 
@@ -41,6 +41,13 @@ def _root_of_y_prime(target: float, f: YFunction, w_th: float) -> float:
     return _bisect(_y_prime, f, target, lo, hi, 1e-13)
 
 
+def _targets(ws: list[float], users: list[YFunction]):
+    """SNR targets expm1(l/W + v/sqrt(W)) and the objective
+    sum W gamma / alpha."""
+    gammas = [math.expm1(_checked_exponent(w, f)) for w, f in zip(ws, users)]
+    return gammas, sum(w * g / f.alpha for w, g, f in zip(ws, gammas, users))
+
+
 def _neg_total(nu: float, split) -> float:
     """-sum_k W_k(nu): the bandwidth total falls with nu, its negation rises."""
     return -sum(split(nu))
@@ -63,9 +70,10 @@ def allocate_bandwidth(users: list[YFunction],
 
     w_ths = [find_bandwidth_minimizer(f) for f in users]
     if sum(w_ths) <= w_max:
-        obj = sum(y_value(w, f) / f.alpha for w, f in zip(w_ths, users))
-        return BandwidthSolution(bandwidths=w_ths, case_tag=CASE_SUFFICIENT,
-                                 objective=obj, kkt_multiplier=0.0)
+        gammas, obj = _targets(w_ths, users)
+        return BandwidthSolution(bandwidths=w_ths, snr_targets=gammas,
+                                 case_tag=CASE_SUFFICIENT, objective=obj,
+                                 kkt_multiplier=0.0)
 
     def split(nu: float) -> list[float]:
         return [_root_of_y_prime(-nu * f.alpha, f, wt)
@@ -77,10 +85,11 @@ def allocate_bandwidth(users: list[YFunction],
     nu_hi = _grow(_neg_total, split, -w_max, nu_hi, 2.0)
     nu = _bisect(_neg_total, split, -w_max, 0.0, nu_hi, 1e-14)
     ws = split(nu)
-    obj = sum(y_value(w, f) / f.alpha for w, f in zip(ws, users))
+    gammas, obj = _targets(ws, users)
     stat = max(abs(y_derivatives(w, f)[0] / f.alpha + nu) / nu
                for w, f in zip(ws, users))
     balance = abs(sum(ws) - w_max) / w_max
-    return BandwidthSolution(bandwidths=ws, case_tag=CASE_LIMITED,
-                             objective=obj, kkt_multiplier=nu,
+    return BandwidthSolution(bandwidths=ws, snr_targets=gammas,
+                             case_tag=CASE_LIMITED, objective=obj,
+                             kkt_multiplier=nu,
                              kkt_residual=max(stat, balance))

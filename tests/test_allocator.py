@@ -15,9 +15,10 @@ from urllc_ee import (DEFAULT_CONFIG_TEXT, ConfigError, QosInfeasibleError,
                       sign_structure_witness, solve_allocation,
                       solve_gain_threshold, validate_config, y_derivatives,
                       y_value)
-from urllc_ee import allocator, experiments, fading
+from urllc_ee import allocator, fading
 from urllc_ee.allocator import CASE_LIMITED, CASE_SUFFICIENT, mean_total_power
-from urllc_ee.experiments import place_users, user_sweep_rows
+from urllc_ee.experiments import (antenna_sweep_rows, place_users,
+                                  user_sweep_rows)
 from urllc_ee.model import path_loss_gain
 from urllc_ee.rate import _coeffs_at_rate
 
@@ -227,6 +228,32 @@ class TestAllocateBandwidth:
         with pytest.raises(QosInfeasibleError):
             allocate_bandwidth([f, f], 200.0)
 
+    def test_overflow_at_the_optimum_is_qos_infeasible(self, cfg):
+        # The even split passes its check, but the optimum starves the user
+        # of larger alpha past an exponent that expm1 cannot take.
+        def just_past_the_even_split(fs):
+            k = len(fs)
+            # l t^2 + v t = MAX_EXPONENT with t = (k / W)^(1/2)
+            w = max(k * (2.0 * f.l / (math.sqrt(
+                f.v * f.v + 4.0 * f.l * allocator.MAX_EXPONENT) - f.v)) ** 2
+                for f in fs)
+            while any(allocator._exponent(w / k, f) > allocator.MAX_EXPONENT
+                      for f in fs):
+                w = math.nextafter(w, math.inf)
+            return 1.001 * w
+
+        fs = [YFunction(l=1e5, v=300.0, alpha=1e-3),
+              YFunction(l=1e5, v=300.0, alpha=1e-5)]
+        with pytest.raises(QosInfeasibleError,
+                           match="exponent 1259.3 overflows at W=81.56"):
+            allocate_bandwidth(fs, just_past_the_even_split(fs))
+        users = [UserProfile(arrival_rate=0.02, large_scale_gain=g)
+                 for g in (1e-12, 1e-14)]
+        yfuncs = build_y_functions(cfg, validate_config(cfg, users), users)
+        tight = replace(cfg, total_bandwidth=just_past_the_even_split(yfuncs))
+        with pytest.raises(QosInfeasibleError, match="overflows at W="):
+            solve_allocation(tight, users)
+
     def test_dispersion_free_user_gets_all_bandwidth(self):
         # v = 0 has no finite minimizer: the kernel decreases monotonically,
         # so the budget constraint binds and one user takes everything
@@ -246,56 +273,60 @@ class TestAllocateBandwidth:
             allocate_bandwidth([], 1e6)
 
 
-class TestOptimalAntennas:
-    def test_degenerate_load_clamps_to_two(self, cfg):
-        assert optimal_antennas(0.0, cfg) == 2
+@pytest.fixture
+def eps_h(cfg, single_user) -> float:
+    """The default cell's dropping budget, as a solve resolves it."""
+    return validate_config(cfg, [single_user]).eps_h
 
-    def test_exact_square_argument(self, cfg):
-        eps = cfg.loss_budget / 3
+
+class TestOptimalAntennas:
+    def test_degenerate_load_clamps_to_two(self, cfg, eps_h):
+        assert optimal_antennas(0.0, cfg, eps_h) == 2
+
+    def test_exact_square_argument(self, cfg, eps_h):
         wy = 48.0 * cfg.amplifier_efficiency * cfg.circuit_power_per_antenna \
-            / (4.0 * cfg.noise_psd * (1 - eps))
-        assert optimal_antennas(wy, cfg) == 4
+            / (4.0 * cfg.noise_psd * (1 - eps_h))
+        assert optimal_antennas(wy, cfg, eps_h) == 4
 
     def test_single_user_regression(self, cfg, single_user):
         # pre-power-loop value at the 250 m operating point
         qos = validate_config(cfg, [single_user])
         yfuncs = build_y_functions(cfg, qos, [single_user])
         sol = allocate_bandwidth(yfuncs, cfg.total_bandwidth)
-        assert optimal_antennas(sol.objective, cfg) == 3
+        assert optimal_antennas(sol.objective, cfg, qos.eps_h) == 3
 
-    def test_monotone_in_load(self, cfg):
-        counts = [optimal_antennas(wy, cfg) for wy in np.logspace(17, 22, 20)]
+    def test_monotone_in_load(self, cfg, eps_h):
+        counts = [optimal_antennas(wy, cfg, eps_h)
+                  for wy in np.logspace(17, 22, 20)]
         assert all(b >= a for a, b in zip(counts, counts[1:]))
 
     @pytest.mark.parametrize("eff, pc", [(1e-200, 0.05), (1e-308, 0.05),
                                          (1e-308, 1e-20)])
-    def test_root_past_the_cap_gives_the_cap(self, cfg, single_user, eff,
-                                             pc):
+    def test_root_past_the_cap_gives_the_cap(self, cfg, single_user, eps_h,
+                                             eff, pc):
         # the closed-form root is ~1e100, infinite, or 1/0 when the
         # efficiency times the circuit power underflows
         tiny = replace(cfg, amplifier_efficiency=eff,
                        circuit_power_per_antenna=pc)
         wy = solve_allocation(cfg, [single_user]).extras["weighted_y"]
-        assert optimal_antennas(wy, tiny) == 512
-        assert optimal_antennas(wy, tiny, antenna_cap=64) == 64
+        assert optimal_antennas(wy, tiny, eps_h) == 512
+        assert optimal_antennas(wy, tiny, eps_h, antenna_cap=64) == 64
         # mean total power still falls at the cap, the best count within it
-        eps = cfg.loss_budget / 3
-        assert (mean_total_power(wy, 512, tiny, eps)
-                < mean_total_power(wy, 511, tiny, eps))
+        assert (mean_total_power(wy, 512, tiny, eps_h)
+                < mean_total_power(wy, 511, tiny, eps_h))
         assert solve_allocation(tiny, [single_user]).antennas == 512
         with pytest.raises(PowerInfeasibleError):
             solve_allocation(replace(tiny, max_bs_power=1e-4), [single_user])
 
-    def test_ceiling_is_exact_integer_argmin(self, cfg):
+    def test_ceiling_is_exact_integer_argmin(self, cfg, eps_h):
         # the quadratic inside the ceiling encodes the discrete optimality
         # condition (n-1)(n-2) <= B <= n(n-1), so no off-by-one is possible;
         # verify against an explicit sweep across five decades of load
-        eps = cfg.loss_budget / 3
         rng = np.random.default_rng(31)
         for _ in range(60):
             wy = float(10 ** rng.uniform(17.5, 22.5))
-            n_formula = optimal_antennas(wy, cfg)
-            sweep = {n: mean_total_power(wy, n, cfg, eps)
+            n_formula = optimal_antennas(wy, cfg, eps_h)
+            sweep = {n: mean_total_power(wy, n, cfg, eps_h)
                      for n in range(2, 4000)}
             n_best = min(sweep, key=sweep.get)
             assert n_formula == n_best, (wy, n_formula, n_best)
@@ -306,24 +337,24 @@ class TestPowerThresholds:
         qos = validate_config(cfg, [single_user])
         yfuncs = build_y_functions(cfg, qos, [single_user])
         sol = allocate_bandwidth(yfuncs, cfg.total_bandwidth)
-        return sol, yfuncs
+        return sol, yfuncs, qos.eps_h
 
     def test_more_antennas_lower_caps(self, cfg, single_user):
-        sol, yfuncs = self._setup(cfg, single_user)
-        _, caps2 = power_thresholds(sol, 2, cfg, yfuncs)
-        _, caps16 = power_thresholds(sol, 16, cfg, yfuncs)
+        sol, yfuncs, eps_h = self._setup(cfg, single_user)
+        _, caps2 = power_thresholds(sol, 2, cfg, yfuncs, eps_h)
+        _, caps16 = power_thresholds(sol, 16, cfg, yfuncs, eps_h)
         assert caps16[0] < caps2[0]
 
     def test_alpha_scaling(self, cfg, single_user):
-        sol, yfuncs = self._setup(cfg, single_user)
+        sol, yfuncs, eps_h = self._setup(cfg, single_user)
         doubled = [YFunction(l=f.l, v=f.v, alpha=2 * f.alpha) for f in yfuncs]
-        _, caps = power_thresholds(sol, 4, cfg, yfuncs)
-        _, caps2 = power_thresholds(sol, 4, cfg, doubled)
+        _, caps = power_thresholds(sol, 4, cfg, yfuncs, eps_h)
+        _, caps2 = power_thresholds(sol, 4, cfg, doubled, eps_h)
         assert caps2[0] == pytest.approx(caps[0] / 2, rel=1e-12)
 
     def test_threshold_consistency(self, cfg, single_user):
-        sol, yfuncs = self._setup(cfg, single_user)
-        g_th, caps = power_thresholds(sol, 4, cfg, yfuncs)
+        sol, yfuncs, eps_h = self._setup(cfg, single_user)
+        g_th, caps = power_thresholds(sol, 4, cfg, yfuncs, eps_h)
         from urllc_ee import drop_bound_F
         assert drop_bound_F(g_th, 4) == pytest.approx(cfg.loss_budget / 3,
                                                       rel=1e-3)
@@ -356,8 +387,8 @@ class TestSolveAllocation:
         qos = validate_config(cfg, [single_user])
         yfuncs = build_y_functions(cfg, qos, [single_user])
         sol = allocate_bandwidth(yfuncs, cfg.total_bandwidth)
-        n0 = optimal_antennas(sol.objective, cfg)
-        _, caps = power_thresholds(sol, n0, cfg, yfuncs)
+        n0 = optimal_antennas(sol.objective, cfg, qos.eps_h)
+        _, caps = power_thresholds(sol, n0, cfg, yfuncs, qos.eps_h)
         assert sum(caps) > cfg.max_bs_power
         alloc = solve_allocation(cfg, [single_user])
         assert alloc.antennas > n0
@@ -401,7 +432,7 @@ class TestSolveAllocation:
         sol = allocate_bandwidth(yfuncs, cfg.total_bandwidth)
         feasible = []
         for n in range(2, 41):
-            _, caps = power_thresholds(sol, n, cfg, yfuncs)
+            _, caps = power_thresholds(sol, n, cfg, yfuncs, qos.eps_h)
             if sum(caps) <= cfg.max_bs_power:
                 feasible.append((mean_total_power(sol.objective, n, cfg,
                                                   qos.eps_h), n))
@@ -473,8 +504,9 @@ class TestRecordedOutputs:
 
 
 class TestSplitReuse:
-    """The EE-vs-K sweep solves each user set's bandwidth split once and
-    passes it to the joint and every fixed-antenna solve of that set."""
+    """The solves of one user set share its memoized bandwidth split: the
+    EE-vs-K sweep's joint and fixed-antenna solves, and every antenna count
+    of the antenna sweep."""
 
     K_VALUES = list(range(1, 13))
     FIXED_NTS = [2, 8, 64]
@@ -506,11 +538,26 @@ class TestSplitReuse:
             calls.append(len(args[0]))
             return allocate_bandwidth(*args)
 
-        # solve_allocation skips its own split when handed one
-        monkeypatch.setattr(experiments, "allocate_bandwidth", counted)
+        allocator._prologue.cache_clear()
         monkeypatch.setattr(allocator, "allocate_bandwidth", counted)
         user_sweep_rows(cfg, self.K_VALUES, self.FIXED_NTS)
         assert calls == self.K_VALUES
+
+    def test_one_snr_target_per_user_in_the_antenna_sweep(self, cfg,
+                                                          monkeypatch):
+        # the default sweep-antennas protocol: K = 5, 10, 20 and N_t 2..64
+        calls = []
+        plain = allocator._snr_target
+
+        def counted(w, f):
+            calls.append(w)
+            return plain(w, f)
+
+        allocator._prologue.cache_clear()
+        monkeypatch.setattr(allocator, "_snr_target", counted)
+        for k in (5, 10, 20):
+            antenna_sweep_rows(cfg, place_users(k, cfg), list(range(2, 65)))
+        assert len(calls) == 35
 
     def test_qos_infeasible_cell_gives_no_points(self):
         cfg = SystemConfig(total_bandwidth=100.0)
@@ -518,14 +565,21 @@ class TestSplitReuse:
         assert rows == [(k, None, dict.fromkeys(self.FIXED_NTS))
                         for k in (1, 2, 5)]
 
-    def test_solve_with_split_is_bit_identical(self, cfg):
+    def test_warm_cache_solves_are_bit_identical(self, cfg):
         users = place_users(9, cfg, scheme="uniform", seed=7)
-        qos = validate_config(cfg, users)
-        split = allocate_bandwidth(build_y_functions(cfg, qos, users),
-                                   cfg.total_bandwidth)
         for kw in ({}, {"n_antennas": 16}, {"n_antennas": 64}):
-            assert (solve_allocation(cfg, users, split=split, **kw).to_json()
-                    == solve_allocation(cfg, users, **kw).to_json())
+            allocator._prologue.cache_clear()
+            cold = solve_allocation(cfg, users, **kw)
+            warm = solve_allocation(cfg, users, **kw)
+            want = cold.to_json()
+            assert warm.to_json() == want
+            # a caller's edits to a result never reach the cached split
+            for alloc in (cold, warm):
+                for name in ("bandwidths", "snr_targets", "power_caps"):
+                    values = getattr(alloc, name)
+                    values[0] *= 2.0
+                    values.append(1.0)
+            assert solve_allocation(cfg, users, **kw).to_json() == want
 
     def test_gain_threshold_memo(self):
         first = [solve_gain_threshold(n, 1e-7) for n in (2, 8, 64)]
