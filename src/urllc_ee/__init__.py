@@ -12,33 +12,26 @@ from .model import (Allocation, ConfigError, PowerInfeasibleError, QosBudget,
                     QosInfeasibleError, SystemConfig, UserProfile,
                     path_loss_gain, validate_config)
 from .rate import (SnrRequirementCoeffs, achievable_rate, channel_dispersion,
-                   inv_gaussian_q, required_snr, snr_coeffs)
-from .traffic import EffectiveBandwidth, effective_bandwidth, queueing_constraint_met
-from .fading import (GainThreshold, drop_bound_F, drop_prob_B, gain_cdf,
-                     gain_pdf, mean_tx_power, solve_gain_threshold)
+                   inv_gaussian_q, snr_coeffs)
+from .traffic import effective_bandwidth
+from .fading import (GainThreshold, drop_bound_F, mean_tx_power,
+                     solve_gain_threshold)
 from .allocator import (BandwidthSolution, YFunction, allocate_bandwidth,
                         build_y_functions, find_bandwidth_minimizer,
-                        optimal_antennas, power_thresholds,
-                        sign_structure_witness, solve_allocation,
-                        y_derivatives, y_value)
-from .simulator import (QueueState, SimPolicy, SimReport, draw_channel_gain,
-                        run_simulation, step_queue)
+                        optimal_antennas, power_thresholds, solve_allocation)
+from .simulator import QueueState, SimPolicy, SimReport, run_simulation
 from .config_io import DEFAULT_CONFIG_TEXT, load_config, parse_config_text
 from .experiments import ExperimentSpec, place_users, run_experiment
 
 __all__ = [
     "Allocation", "BandwidthSolution", "ConfigError", "DEFAULT_CONFIG_TEXT",
-    "EffectiveBandwidth", "ExperimentSpec", "GainThreshold",
-    "PowerInfeasibleError", "QosBudget", "QosInfeasibleError", "QueueState",
-    "SimPolicy", "SimReport", "SnrRequirementCoeffs", "SystemConfig",
-    "UserProfile", "YFunction", "achievable_rate", "allocate_bandwidth",
-    "build_y_functions", "channel_dispersion", "draw_channel_gain",
-    "drop_bound_F", "drop_prob_B", "effective_bandwidth",
-    "find_bandwidth_minimizer", "gain_cdf", "gain_pdf", "inv_gaussian_q",
-    "load_config", "mean_tx_power", "optimal_antennas", "parse_config_text",
-    "path_loss_gain", "place_users", "power_thresholds",
-    "queueing_constraint_met", "required_snr", "run_experiment",
-    "run_simulation", "sign_structure_witness", "snr_coeffs",
-    "solve_allocation", "step_queue", "validate_config", "y_derivatives",
-    "y_value",
+    "ExperimentSpec", "GainThreshold", "PowerInfeasibleError", "QosBudget",
+    "QosInfeasibleError", "QueueState", "SimPolicy", "SimReport",
+    "SnrRequirementCoeffs", "SystemConfig", "UserProfile", "YFunction",
+    "achievable_rate", "allocate_bandwidth", "build_y_functions",
+    "channel_dispersion", "drop_bound_F", "effective_bandwidth",
+    "find_bandwidth_minimizer", "inv_gaussian_q", "load_config",
+    "mean_tx_power", "optimal_antennas", "parse_config_text",
+    "path_loss_gain", "place_users", "power_thresholds", "run_experiment",
+    "run_simulation", "snr_coeffs", "solve_allocation", "validate_config",
 ]

@@ -11,12 +11,11 @@ bandwidth problem solvable to global optimality by bisection:
   bisecting the shared multiplier nu, with an inner bisection per user on
   y'(W)/alpha = -nu over (0, W_th].
 
-Every root here (W_th, nu, each W_k and the curvature witness) is bracketed
-by ``fading._grow`` and bisected by ``fading._bisect``, as is the gain
-threshold; each call site keeps its own relative tolerance.  The inner
-bisections of the bandwidth-limited case run in ``_NuSplit``, which takes
-the same midpoints and comparisons with far fewer y' evaluations, so it
-returns the same bits:
+Every root here (W_th, nu and each W_k) is bracketed by ``fading._grow``
+and bisected by ``fading._bisect``, as is the gain threshold; each call
+site keeps its own relative tolerance.  The inner bisections of the
+bandwidth-limited case run in ``_NuSplit``, which takes the same midpoints
+and comparisons with far fewer y' evaluations, so it returns the same bits:
 
 * path replay: each inner bisection is a fixed tree of midpoints for a
   given start bracket, so a user's last walk is stored and a new target
@@ -44,7 +43,7 @@ from .fading import _bisect, _grow, mean_tx_power, solve_gain_threshold
 from .model import (Allocation, ConfigError, PowerInfeasibleError,
                     QosBudget, QosInfeasibleError, SystemConfig,
                     UserProfile, validate_config)
-from .rate import SnrRequirementCoeffs, snr_coeffs
+from .rate import snr_coeffs
 
 # expm1/exp overflow near 709.8; stop a margin early and report infeasible.
 MAX_EXPONENT = 700.0
@@ -61,10 +60,6 @@ class YFunction:
     l: float
     v: float
     alpha: float
-
-    @staticmethod
-    def from_coeffs(coeffs: SnrRequirementCoeffs, alpha: float) -> "YFunction":
-        return YFunction(l=coeffs.l, v=coeffs.v, alpha=alpha)
 
 
 @dataclass
@@ -95,32 +90,10 @@ def _checked_exponent(w: float, f: YFunction) -> float:
     return e
 
 
-def _curvature(w: float, f: YFunction) -> float:
-    """The curvature polynomial x(W) of sign_structure_witness; sign(y'')."""
-    sw = math.sqrt(w)
-    return -f.v * w * sw + f.v * f.v * w + 4.0 * f.l * f.v * sw + 4.0 * f.l * f.l
-
-
-def _neg_curvature(w: float, f: YFunction) -> float:
-    return -_curvature(w, f)
-
-
 def _snr_target(w: float, f: YFunction) -> float:
     """gamma(W) = exp(l/W + v/sqrt(W)) - 1, overflow reported as infeasible
-    QoS (``rate.required_snr`` would raise a bare OverflowError)."""
+    QoS (a bare expm1 would raise OverflowError)."""
     return math.expm1(_checked_exponent(w, f))
-
-
-def y_value(w: float, f: YFunction) -> float:
-    """y(W) = W * (exp(l/W + v/sqrt(W)) - 1)."""
-    return w * _snr_target(w, f)
-
-
-def y_derivatives(w: float, f: YFunction) -> tuple[float, float]:
-    """First and second derivatives of y at W."""
-    e = _checked_exponent(w, f)
-    y2 = _curvature(w, f) * math.exp(e) / (4.0 * w ** 3)
-    return _y_prime_clamped(w, f), y2
 
 
 def _y_prime_clamped(w: float, f: YFunction) -> float:
@@ -153,22 +126,6 @@ def find_bandwidth_minimizer(f: YFunction) -> float:
     # y'(l) < 0, so hi >= 2 l and y' is still negative at hi / 2.
     hi = _grow(_y_prime_clamped, f, 0.0, f.l, 2.0)
     return _bisect(_y_prime_clamped, f, 0.0, 0.5 * hi, hi, 1e-11)
-
-
-def sign_structure_witness(f: YFunction) -> tuple[float, float]:
-    """Return (W1, W0): the maximizer of the curvature polynomial
-    x(W) = -v W^{3/2} + v^2 W + 4 l v sqrt(W) + 4 l^2 and its unique root
-    above W1.  y'' is positive below W0 and negative above it; exposed for
-    test instrumentation of that sign pattern.
-    """
-    if f.v <= 0:
-        raise ValueError("witness undefined for v = 0 (y is globally convex)")
-    # In t = sqrt(W), x' = 0 reduces to 3 t^2 - 2 v t - 4 l = 0.
-    t_star = (f.v + math.sqrt(f.v * f.v + 12.0 * f.l)) / 3.0
-    w1 = t_star * t_star
-    # x falls past w1, so the bisection runs on -x.
-    hi = _grow(_neg_curvature, f, 0.0, w1, 2.0)
-    return w1, _bisect(_neg_curvature, f, 0.0, w1, hi, 1e-12)
 
 
 # Relative slack on a total of bracket ends.  Python's float sum of K
@@ -364,7 +321,7 @@ def allocate_bandwidth(users: list[YFunction], w_max: float) -> BandwidthSolutio
     nu = _bisect(_budget_sign, split, 0.0, 0.0, nu_hi, 1e-14)
     ws = split.solve(nu)
     gammas, obj = _targets(ws, users)
-    stat = max(abs(y_derivatives(w, f)[0] / f.alpha + nu) / nu
+    stat = max(abs(_y_prime_clamped(w, f) / f.alpha + nu) / nu
                for w, f in zip(ws, users))
     balance = abs(sum(ws) - w_max) / w_max
     return BandwidthSolution(bandwidths=ws, snr_targets=gammas,
@@ -416,7 +373,7 @@ def build_y_functions(cfg: SystemConfig, qos: QosBudget,
     out = []
     for usr in users:
         coeffs = snr_coeffs(qos.eps_c, qos.eps_q, usr.arrival_rate, cfg, qos)
-        out.append(YFunction.from_coeffs(coeffs, usr.gain))
+        out.append(YFunction(l=coeffs.l, v=coeffs.v, alpha=usr.gain))
     return out
 
 

@@ -15,7 +15,7 @@ import sys
 
 import click
 
-from .experiments import ExperimentSpec, run_experiment
+from .experiments import MIN_DROP_EVENTS, ExperimentSpec, run_experiment
 from .model import ConfigError, PowerInfeasibleError, QosInfeasibleError
 
 EXIT_OK = 0
@@ -95,7 +95,7 @@ def simulate(config_path, out_path, seed, frames, streams, workers, eps_h,
         click.echo(f"achieved_eps_h={report.achieved_eps_h:.3e}  "
                    f"mean_tx_power={report.empirical_mean_tx_power:.6g} W  "
                    f"drop_events={report.drop_events}")
-    if report.drop_events < 30:
+    if report.drop_events < MIN_DROP_EVENTS:
         click.echo(f"warning: only {report.drop_events} drop events observed; "
                    "the dropping probability is statistically unresolved at "
                    "this frame count", err=True)
@@ -142,8 +142,9 @@ def table_drop(config_path, out_path, eps_text, frames, seed, streams,
                    f"achieved={r['achieved_eps_h']:.3e}  "
                    f"events={r['drop_events']}{note}")
         if not r["resolvable"]:
-            click.echo(f"warning: {r['drop_events']} drop events < 30 at "
-                       f"required eps_h={r['required_eps_h']:g}", err=True)
+            click.echo(f"warning: {r['drop_events']} drop events < "
+                       f"{MIN_DROP_EVENTS} at required "
+                       f"eps_h={r['required_eps_h']:g}", err=True)
 
 
 @main.command("sweep-antennas")

@@ -131,7 +131,6 @@ def parse_config_text(text: str) -> tuple[SystemConfig, list[UserProfile]]:
             arrival_rate=lam,
             distance=distances[i] if distances is not None else None,
             large_scale_gain=gains[i] if gains is not None else None,
-            node_count=nodes,
         ))
     return cfg, users
 

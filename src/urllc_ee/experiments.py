@@ -26,14 +26,19 @@ from .simulator import SimPolicy, run_simulation
 
 PLACEMENT_NEAR_M = 50.0
 PLACEMENT_FAR_M = 250.0
+# Users placed by the sweeps and the dropping table each aggregate this
+# many nodes at this rate; the config's user and traffic keys do not apply.
+NODES_PER_USER = 20
+NODE_PACKET_RATE_HZ = 10.0
+# Fewer drop events than this leave the dropping probability unresolved.
+MIN_DROP_EVENTS = 30
 
 EXPERIMENT_KINDS = ("solve", "simulate", "table_wth", "table_drop",
                     "sweep_antennas", "sweep_users")
 
 
 def place_users(k: int, cfg: SystemConfig, scheme: str = "grid",
-                seed: int = 1234, nodes_per_user: int = 20,
-                node_packet_rate_hz: float = 10.0) -> list[UserProfile]:
+                seed: int = 1234) -> list[UserProfile]:
     """Deterministic user placement on the 50-250 m annulus.
 
     ``grid`` respreads K users evenly (midpoints of K equal sub-intervals);
@@ -53,7 +58,7 @@ def place_users(k: int, cfg: SystemConfig, scheme: str = "grid",
             dists.append(PLACEMENT_NEAR_M + span * float(rng.random()))
     else:
         raise ValueError(f"unknown placement scheme {scheme!r}")
-    return [UserProfile.from_nodes(d, nodes_per_user, node_packet_rate_hz, cfg)
+    return [UserProfile.from_nodes(d, NODES_PER_USER, NODE_PACKET_RATE_HZ, cfg)
             for d in dists]
 
 
@@ -62,7 +67,8 @@ def bandwidth_minimizer_for_rate(cfg: SystemConfig, eps_c: float,
     """Minimizer of the bandwidth-SNR kernel at a fixed nominal service rate
     (packets/frame), independent of any user's channel gain."""
     coeffs = _coeffs_at_rate(service_rate, eps_c, cfg)
-    return find_bandwidth_minimizer(YFunction.from_coeffs(coeffs, 1.0))
+    return find_bandwidth_minimizer(YFunction(l=coeffs.l, v=coeffs.v,
+                                              alpha=1.0))
 
 
 def table_wth_rows(cfg: SystemConfig, eps_list: list[float],
@@ -98,8 +104,7 @@ def antenna_sweep_rows(cfg: SystemConfig, users: list[UserProfile],
 
 def user_sweep_rows(cfg: SystemConfig, k_values: list[int],
                     fixed_nts: list[int], scheme: str = "grid",
-                    seed: int = 1234, nodes_per_user: int = 20,
-                    node_packet_rate_hz: float = 10.0):
+                    seed: int = 1234):
     """Joint-optimal EE and fixed-antenna EE per user count.
 
     Returns rows ``(k, ee_joint, {nt: ee or None})`` where None marks a
@@ -108,9 +113,7 @@ def user_sweep_rows(cfg: SystemConfig, k_values: list[int],
     """
     rows = []
     for k in k_values:
-        users = place_users(k, cfg, scheme=scheme, seed=seed,
-                            nodes_per_user=nodes_per_user,
-                            node_packet_rate_hz=node_packet_rate_hz)
+        users = place_users(k, cfg, scheme=scheme, seed=seed)
         try:
             joint = solve_allocation(cfg, users)
             ee_joint = joint.energy_efficiency
@@ -129,19 +132,16 @@ def user_sweep_rows(cfg: SystemConfig, k_values: list[int],
 
 def drop_table_rows(cfg: SystemConfig, eps_h_list: list[float],
                     frames: int, seed: int, streams: int = 8,
-                    workers: int = 1, distance: float = 250.0,
-                    nodes_per_user: int = 20,
-                    node_packet_rate_hz: float = 10.0,
-                    min_events: int = 30):
+                    workers: int = 1, distance: float = 250.0):
     """Required-vs-achieved dropping probability, one simulation per target.
 
     Each row is a dict with the solved policy summary, the empirical
     dropping probability, the observed drop-event count and a
     ``resolvable`` flag (enough events for the comparison to mean
-    anything, threshold ``min_events``).
+    anything, threshold ``MIN_DROP_EVENTS``).
     """
-    user = UserProfile.from_nodes(distance, nodes_per_user,
-                                  node_packet_rate_hz, cfg)
+    user = UserProfile.from_nodes(distance, NODES_PER_USER,
+                                  NODE_PACKET_RATE_HZ, cfg)
     rows = []
     for eps_h in eps_h_list:
         alloc = solve_allocation(cfg, [user], eps_h=eps_h)
@@ -157,7 +157,7 @@ def drop_table_rows(cfg: SystemConfig, eps_h_list: list[float],
             "frames": frames,
             "antennas": alloc.antennas,
             "gain_threshold": alloc.gain_thresholds[0],
-            "resolvable": report.drop_events >= min_events,
+            "resolvable": report.drop_events >= MIN_DROP_EVENTS,
         })
     return rows
 
@@ -201,6 +201,8 @@ class ExperimentSpec:
             raise ConfigError("frames must be at least 1")
         if self.streams < 1:
             raise ConfigError("streams must be at least 1")
+        if self.workers < 1:
+            raise ConfigError("workers must be at least 1")
         for name in ("service_rate", "distance"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be positive and finite")

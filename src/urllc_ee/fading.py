@@ -1,4 +1,4 @@
-"""Channel-gain statistics, the proactive-dropping bound, and mean power.
+"""The proactive-dropping bound, its gain threshold, and mean power.
 
 With maximum-ratio transmission over n antennas the effective channel gain
 is Gamma(n, 1) distributed.  Packets are dropped proactively whenever the
@@ -14,31 +14,11 @@ by ``_grow`` and found by ``_bisect``, both defined below.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 from scipy.special import gammainc
 
 from .model import SystemConfig
-
-
-def gain_pdf(g: float, n: int) -> float:
-    """Gamma(n, 1) density of the beamformed channel gain."""
-    if g < 0:
-        raise ValueError("gain must be non-negative")
-    if n < 1:
-        raise ValueError("antenna count must be at least 1")
-    if g == 0.0:
-        return 1.0 if n == 1 else 0.0
-    # log form keeps large n stable
-    return math.exp((n - 1) * math.log(g) - g - math.lgamma(n))
-
-
-def gain_cdf(g: float, n: int) -> float:
-    """Gamma(n, 1) CDF, i.e. the probability of a deep fade below ``g``."""
-    if g < 0:
-        raise ValueError("gain must be non-negative")
-    return float(gammainc(n, g))
 
 
 def drop_bound_F(g_th: float, n: int) -> float:
@@ -56,30 +36,6 @@ def drop_bound_F(g_th: float, n: int) -> float:
         raise ValueError("antenna count must be at least 2")
     m = n - 1
     return float(gammainc(m, g_th) - (m / g_th) * gammainc(m + 1, g_th))
-
-
-def drop_prob_B(g_th: float, gamma: float, n: int) -> float:
-    """Dropping-probability approximation via adaptive quadrature.
-
-    Integrates [1 - ln(1 + g*gamma/g_th)/ln(1 + gamma)] f_n(g) over
-    [0, g_th]; absolute error <= 1e-12.  Bounded above by drop_bound_F.
-    """
-    if g_th <= 0:
-        raise ValueError("g_th must be positive")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if n < 2:
-        raise ValueError("antenna count must be at least 2")
-    # Imported here: scipy.integrate would dominate the package import time.
-    from scipy.integrate import quad
-
-    log_den = math.log1p(gamma)
-
-    def integrand(g: float) -> float:
-        return (1.0 - math.log1p(g * gamma / g_th) / log_den) * gain_pdf(g, n)
-
-    val, _ = quad(integrand, 0.0, g_th, epsabs=1e-13, epsrel=1e-11, limit=200)
-    return max(0.0, float(val))
 
 
 def _grow(fn, arg, target: float, x: float, factor: float) -> float:

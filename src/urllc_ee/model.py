@@ -36,38 +36,9 @@ class PowerInfeasibleError(RuntimeError):
     """Transmit-power budget cannot be met within the antenna cap."""
 
 
-def db_to_linear(x_db: float) -> float:
-    """Convert a dB power ratio to linear."""
-    return 10.0 ** (x_db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    """Convert a linear power ratio to dB."""
-    if x <= 0:
-        raise ValueError("linear value must be positive")
-    return 10.0 * math.log10(x)
-
-
 def dbm_to_watts(x_dbm: float) -> float:
     """Convert dBm to watts."""
     return 10.0 ** (x_dbm / 10.0) * 1e-3
-
-
-def watts_to_dbm(x_w: float) -> float:
-    """Convert watts to dBm."""
-    if x_w <= 0:
-        raise ValueError("power must be positive")
-    return 10.0 * math.log10(x_w * 1e3)
-
-
-def seconds_to_frames(t: float, frame_duration: float) -> float:
-    """Express a duration in frame units."""
-    return t / frame_duration
-
-
-def frames_to_seconds(n: float, frame_duration: float) -> float:
-    """Express a frame count in seconds."""
-    return n * frame_duration
 
 
 def path_loss_gain(distance: float) -> float:
@@ -129,7 +100,6 @@ class UserProfile:
     arrival_rate: float
     distance: float | None = None
     large_scale_gain: float | None = None
-    node_count: int = 1
 
     @property
     def gain(self) -> float:
@@ -144,8 +114,7 @@ class UserProfile:
                    node_packet_rate_hz: float, cfg: SystemConfig) -> "UserProfile":
         """Build a user whose traffic aggregates ``node_count`` nodes."""
         lam = node_count * node_packet_rate_hz * cfg.frame_duration
-        return UserProfile(arrival_rate=lam, distance=distance,
-                           node_count=node_count)
+        return UserProfile(arrival_rate=lam, distance=distance)
 
 
 @dataclass(frozen=True)
@@ -156,9 +125,6 @@ class QosBudget:
     eps_c: float
     eps_q: float
     eps_h: float
-
-    def total_loss(self) -> float:
-        return self.eps_c + self.eps_q + self.eps_h
 
 
 def validate_config(cfg: SystemConfig, users: list[UserProfile],
@@ -258,9 +224,6 @@ class Allocation:
     kkt_multiplier: float = 0.0
     extras: dict = field(default_factory=dict)
 
-    def total_power_cap(self) -> float:
-        return sum(self.power_caps)
-
     def to_dict(self) -> dict:
         return {
             "bandwidths_hz": self.bandwidths,
@@ -275,5 +238,5 @@ class Allocation:
             "kkt_multiplier": self.kkt_multiplier,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -1,8 +1,8 @@
-"""Short-packet achievable rate and the QoS-required SNR.
+"""Short-packet achievable rate and the coefficients of the QoS-required SNR.
 
 The rate model is the normal approximation for finite-blocklength coding:
 Shannon term minus a dispersion penalty scaled by the inverse Gaussian
-Q-function of the decoding-error target.  The required-SNR helpers fold the
+Q-function of the decoding-error target.  ``snr_coeffs`` folds the
 queueing constraint (service rate >= effective bandwidth) into two
 coefficients l (Hz) and v (Hz^1/2) so that downstream optimization only ever
 sees gamma(W) = exp(l/W + v/sqrt(W)) - 1.
@@ -75,11 +75,6 @@ def inv_gaussian_q(p: float) -> float:
     return _norm_quantile(1.0 - p)
 
 
-def gaussian_q(x: float) -> float:
-    """Upper-tail standard normal probability Q(x)."""
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
-
-
 def channel_dispersion(snr: float) -> float:
     """Dispersion V = 1 - 1/(1+snr)^2 of the AWGN coding penalty."""
     if snr < 0:
@@ -108,14 +103,11 @@ class SnrRequirementCoeffs:
 
 
 def achievable_rate(tx_power: float, bandwidth: float, alpha: float, g: float,
-                    eps_c: float, cfg: SystemConfig,
-                    force_max_dispersion: bool = False) -> float:
+                    eps_c: float, cfg: SystemConfig) -> float:
     """Finite-blocklength achievable rate in packets/frame.
 
     May be negative for tiny SNR; callers decide whether that means "drop"
-    (the simulator clamps at zero, this function does not).  With
-    ``force_max_dispersion`` the dispersion is pinned at its upper limit 1,
-    matching the conservative constraint used by the allocator.
+    (the simulator clamps at zero, this function does not).
     """
     if tx_power <= 0 or bandwidth <= 0 or alpha <= 0 or g <= 0:
         raise ValueError("tx_power, bandwidth, alpha and g must be positive")
@@ -123,7 +115,7 @@ def achievable_rate(tx_power: float, bandwidth: float, alpha: float, g: float,
         raise ValueError("eps_c must be in (0, 1/2]")
     snr = alpha * tx_power * g / (cfg.noise_psd * bandwidth)
     blocklength = cfg.dl_fraction * bandwidth
-    disp = 1.0 if force_max_dispersion else channel_dispersion(snr)
+    disp = channel_dispersion(snr)
     penalty = math.sqrt(disp / blocklength) * inv_gaussian_q(eps_c)
     return (blocklength / (cfg.packet_bits * LN2)) * (math.log1p(snr) - penalty)
 
@@ -140,10 +132,10 @@ def snr_coeffs(eps_c: float, eps_q: float, lam: float, cfg: SystemConfig,
     if lam <= 0:
         raise ValueError("arrival rate must be positive")
     eb = effective_bandwidth(lam, eps_q, qos.queue_delay_frames)
-    if not eb.value > 0.0:
+    if not eb > 0.0:
         raise ConfigError(f"arrival rate {lam:.3g} packets/frame is too "
                           "small: its effective bandwidth underflows to 0")
-    return _coeffs_at_rate(eb.value, eps_c, cfg)
+    return _coeffs_at_rate(eb, eps_c, cfg)
 
 
 def _coeffs_at_rate(service_rate: float, eps_c: float,
@@ -152,16 +144,3 @@ def _coeffs_at_rate(service_rate: float, eps_c: float,
     l = service_rate * cfg.packet_bits * LN2 / cfg.dl_fraction
     v = inv_gaussian_q(eps_c) / math.sqrt(cfg.dl_fraction) if eps_c < 0.5 else 0.0
     return SnrRequirementCoeffs(l=l, v=v)
-
-
-def required_snr(bandwidth: float, coeffs: SnrRequirementCoeffs) -> float:
-    """Minimal SNR meeting both QoS components at bandwidth W.
-
-    Conservative form with the dispersion pinned at 1:
-    gamma = exp(l/W + v/sqrt(W)) - 1.  Only ``coeffs.l`` and ``coeffs.v``
-    are read, so the allocator passes its per-user kernels directly.
-    """
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
-    return math.expm1(coeffs.l / bandwidth
-                      + coeffs.v / math.sqrt(bandwidth))

@@ -77,14 +77,13 @@ class SimPolicy:
             raise ValueError("allocation and user list disagree on K")
         ups = []
         for k, usr in enumerate(users):
-            eb = effective_bandwidth(usr.arrival_rate, qos.eps_q,
-                                     qos.queue_delay_frames)
             ups.append(UserPolicy(
                 bandwidth=alloc.bandwidths[k],
                 snr_target=alloc.snr_targets[k],
                 gain_threshold=alloc.gain_thresholds[k],
                 power_cap=alloc.power_caps[k],
-                service_rate_nominal=eb.value,
+                service_rate_nominal=effective_bandwidth(
+                    usr.arrival_rate, qos.eps_q, qos.queue_delay_frames),
                 alpha=usr.gain,
                 arrival_rate=usr.arrival_rate,
                 eps_c=qos.eps_c,
@@ -131,13 +130,6 @@ class QueueState:
         t = self.dropped + y
         self._dropped_c = (t - self.dropped) - y
         self.dropped = t
-
-
-def draw_channel_gain(rng: np.random.Generator, n: int) -> float:
-    """One beamformed channel gain: Gamma(n, 1), n antennas."""
-    if n < 1:
-        raise ValueError("antenna count must be at least 1")
-    return float(rng.standard_gamma(n))
 
 
 def _deep_fade_rate(g: float, up: UserPolicy, cfg: SystemConfig) -> float:
@@ -222,18 +214,6 @@ def _advance(state: QueueState, g: float, a: int, up: UserPolicy,
         state.inflow = 0
         state.outflow = 0.0
     return served, d
-
-
-def step_queue(state: QueueState, g: float, policy: SimPolicy,
-               rng: np.random.Generator, user: int = 0,
-               frame: int = 0) -> QueueState:
-    """Single-frame reference transition: Poisson arrivals then the queue
-    update under the gain ``g``.  Returns the mutated state."""
-    cfg = policy.cfg
-    up = policy.users[user]
-    a = int(rng.poisson(up.arrival_rate))
-    _advance(state, g, a, up, policy.queue_delay_frames, frame, cfg)
-    return state
 
 
 def _walk_chunk(state: QueueState, g: np.ndarray, a: np.ndarray,
@@ -446,8 +426,8 @@ class SimReport:
             "per_user": self.per_user,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def run_simulation(policy: SimPolicy, cfg: SystemConfig,
@@ -458,7 +438,8 @@ def run_simulation(policy: SimPolicy, cfg: SystemConfig,
 
     ``frames`` are split as evenly as possible across ``streams``
     independent substreams (each restarts from an empty queue); ``workers``
-    only controls process parallelism and never changes the result.
+    caps the worker processes, at most one per stream, and never changes
+    the result.
     """
     if frames < 1:
         raise ValueError("frames must be at least 1")
@@ -474,14 +455,16 @@ def run_simulation(policy: SimPolicy, cfg: SystemConfig,
     if trace_path and (streams > 1):
         raise ValueError("per-frame tracing supports a single stream only")
 
+    jobs = [(s, nf) for s, nf in enumerate(stream_frames) if nf > 0]
     if workers > 1 and trace_rows is None:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a forked pool starts every worker at its first submit
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             futures = [pool.submit(_run_stream, policy, cfg, nf, seed, s)
-                       for s, nf in enumerate(stream_frames) if nf > 0]
+                       for s, nf in jobs]
             results = [f.result() for f in futures]
     else:
         results = [_run_stream(policy, cfg, nf, seed, s, trace_rows)
-                   for s, nf in enumerate(stream_frames) if nf > 0]
+                   for s, nf in jobs]
 
     k = len(policy.users)
     per_user = []

@@ -1,30 +1,16 @@
-"""Effective bandwidth of the arrival process and the queueing check.
+"""Effective bandwidth of the Poisson arrival process.
 
 The effective bandwidth is the minimal constant service rate (packets/frame)
 that keeps the probability of exceeding a queueing-delay bound of
-``delay_frames`` frames below ``eps_q``.  Only the Poisson form is built in;
-other arrival processes would swap in a different formula behind the same
-interface without touching the allocator.
+``delay_frames`` frames below ``eps_q``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
-class EffectiveBandwidth:
-    """Effective bandwidth (packets/frame) with the inputs that produced it."""
-
-    value: float
-    lam: float
-    eps_q: float
-    delay_frames: int
-
-
-def effective_bandwidth(lam: float, eps_q: float,
-                        delay_frames: int) -> EffectiveBandwidth:
+def effective_bandwidth(lam: float, eps_q: float, delay_frames: int) -> float:
     """Poisson effective bandwidth in packets/frame.
 
     E = ln(1/eps_q) / (D * ln(1 + ln(1/eps_q) / (lam * D))) with D the delay
@@ -37,12 +23,4 @@ def effective_bandwidth(lam: float, eps_q: float,
     if delay_frames < 1:
         raise ValueError("delay_frames must be at least 1")
     big_l = -math.log(eps_q)
-    value = big_l / (delay_frames * math.log1p(big_l / (lam * delay_frames)))
-    return EffectiveBandwidth(value=value, lam=lam, eps_q=eps_q,
-                              delay_frames=delay_frames)
-
-
-def queueing_constraint_met(service_rate: float,
-                            eb: EffectiveBandwidth) -> bool:
-    """True iff a constant service rate meets the queueing requirement."""
-    return service_rate >= eb.value
+    return big_l / (delay_frames * math.log1p(big_l / (lam * delay_frames)))

@@ -1,22 +1,121 @@
 """Reference implementations that the package no longer carries.
 
 Each function here is the plain, slow form of something ``urllc_ee``
-computes faster.  The differential tests hold the fast form to ``==``
-against it, so the two must take the same float operations in the same
-order; only the amount of work may differ.
+computes faster, or a quantity that only the tests evaluate.  The
+differential tests hold the fast form to ``==`` against it, so the two must
+take the same float operations in the same order; only the amount of work
+may differ.  Where a reference shares a formula with the runtime, it calls
+the runtime's private kernel, so the tests still exercise that kernel.
 """
 
 from __future__ import annotations
 
 import math
+from unittest import mock
 
-from urllc_ee import allocator
+from scipy.integrate import quad
+from scipy.special import gammainc
+
+from urllc_ee import allocator, rate
 from urllc_ee.allocator import (CASE_LIMITED, CASE_SUFFICIENT, MAX_EXPONENT,
                                 BandwidthSolution, YFunction,
                                 _checked_exponent, _exponent,
-                                find_bandwidth_minimizer, y_derivatives)
+                                find_bandwidth_minimizer)
 from urllc_ee.fading import _bisect, _grow
 from urllc_ee.model import QosInfeasibleError
+
+
+def gain_pdf(g: float, n: int) -> float:
+    """Gamma(n, 1) density of the beamformed channel gain."""
+    if g < 0:
+        raise ValueError("gain must be non-negative")
+    if n < 1:
+        raise ValueError("antenna count must be at least 1")
+    if g == 0.0:
+        return 1.0 if n == 1 else 0.0
+    # log form keeps large n stable
+    return math.exp((n - 1) * math.log(g) - g - math.lgamma(n))
+
+
+def gain_cdf(g: float, n: int) -> float:
+    """Gamma(n, 1) CDF, i.e. the probability of a deep fade below ``g``."""
+    if g < 0:
+        raise ValueError("gain must be non-negative")
+    return float(gammainc(n, g))
+
+
+def drop_prob_B(g_th: float, gamma: float, n: int) -> float:
+    """Dropping-probability approximation via adaptive quadrature.
+
+    Integrates [1 - ln(1 + g*gamma/g_th)/ln(1 + gamma)] f_n(g) over
+    [0, g_th]; absolute error <= 1e-12.  Bounded above by drop_bound_F.
+    """
+    if g_th <= 0:
+        raise ValueError("g_th must be positive")
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    if n < 2:
+        raise ValueError("antenna count must be at least 2")
+    log_den = math.log1p(gamma)
+
+    def integrand(g: float) -> float:
+        return (1.0 - math.log1p(g * gamma / g_th) / log_den) * gain_pdf(g, n)
+
+    val, _ = quad(integrand, 0.0, g_th, epsabs=1e-13, epsrel=1e-11, limit=200)
+    return max(0.0, float(val))
+
+
+def required_snr(bandwidth: float, coeffs) -> float:
+    """gamma = exp(l/W + v/sqrt(W)) - 1 for anything with ``l`` and ``v``
+    (``SnrRequirementCoeffs`` or ``YFunction``): the allocator's SNR target."""
+    return allocator._snr_target(bandwidth, coeffs)
+
+
+def achievable_rate_max_dispersion(tx_power: float, bandwidth: float,
+                                   alpha: float, g: float, eps_c: float,
+                                   cfg) -> float:
+    """``rate.achievable_rate`` with the dispersion pinned at its upper limit
+    1, the conservative form behind the allocator's SNR targets."""
+    with mock.patch.object(rate, "channel_dispersion", lambda snr: 1.0):
+        return rate.achievable_rate(tx_power, bandwidth, alpha, g, eps_c, cfg)
+
+
+def y_value(w: float, f: YFunction) -> float:
+    """y(W) = W * (exp(l/W + v/sqrt(W)) - 1)."""
+    return w * allocator._snr_target(w, f)
+
+
+def _curvature(w: float, f: YFunction) -> float:
+    """The curvature polynomial x(W) of sign_structure_witness; sign(y'')."""
+    sw = math.sqrt(w)
+    return -f.v * w * sw + f.v * f.v * w + 4.0 * f.l * f.v * sw + 4.0 * f.l * f.l
+
+
+def _neg_curvature(w: float, f: YFunction) -> float:
+    return -_curvature(w, f)
+
+
+def y_derivatives(w: float, f: YFunction) -> tuple[float, float]:
+    """First and second derivatives of y at W; the first is the allocator's
+    own y'."""
+    e = _checked_exponent(w, f)
+    y2 = _curvature(w, f) * math.exp(e) / (4.0 * w ** 3)
+    return _y_prime(w, f), y2
+
+
+def sign_structure_witness(f: YFunction) -> tuple[float, float]:
+    """Return (W1, W0): the maximizer of the curvature polynomial
+    x(W) = -v W^{3/2} + v^2 W + 4 l v sqrt(W) + 4 l^2 and its unique root
+    above W1.  y'' is positive below W0 and negative above it.
+    """
+    if f.v <= 0:
+        raise ValueError("witness undefined for v = 0 (y is globally convex)")
+    # In t = sqrt(W), x' = 0 reduces to 3 t^2 - 2 v t - 4 l = 0.
+    t_star = (f.v + math.sqrt(f.v * f.v + 12.0 * f.l)) / 3.0
+    w1 = t_star * t_star
+    # x falls past w1, so the bisection runs on -x.
+    hi = _grow(_neg_curvature, f, 0.0, w1, 2.0)
+    return w1, _bisect(_neg_curvature, f, 0.0, w1, hi, 1e-12)
 
 
 def _y_prime(w: float, f: YFunction) -> float:

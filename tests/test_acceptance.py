@@ -16,16 +16,16 @@ from scipy.integrate import quad
 
 from urllc_ee import (DEFAULT_CONFIG_TEXT, SimPolicy, UserProfile,
                       allocate_bandwidth, build_y_functions, drop_bound_F,
-                      drop_prob_B, find_bandwidth_minimizer, gain_cdf,
-                      gain_pdf, run_simulation, sign_structure_witness,
-                      solve_allocation, validate_config, y_derivatives,
-                      y_value)
+                      find_bandwidth_minimizer, run_simulation,
+                      solve_allocation, validate_config)
 from urllc_ee.allocator import CASE_LIMITED
 from urllc_ee.cli import main as cli_main
 from urllc_ee.experiments import (antenna_sweep_rows, drop_table_rows,
                                   place_users, user_sweep_rows)
 
 from conftest import DEFAULT_CFG, WTH_REFERENCE_MHZ, unit_rate_yfunction
+from oracles import (drop_prob_B, gain_cdf, gain_pdf, sign_structure_witness,
+                     y_derivatives, y_value)
 
 CFG = DEFAULT_CFG
 

@@ -12,9 +12,7 @@ from urllc_ee import (DEFAULT_CONFIG_TEXT, ConfigError, QosInfeasibleError,
                       YFunction, allocate_bandwidth, build_y_functions,
                       find_bandwidth_minimizer, mean_tx_power,
                       optimal_antennas, parse_config_text, power_thresholds,
-                      sign_structure_witness, solve_allocation,
-                      solve_gain_threshold, validate_config, y_derivatives,
-                      y_value)
+                      solve_allocation, solve_gain_threshold, validate_config)
 from urllc_ee import allocator, fading
 from urllc_ee.allocator import CASE_LIMITED, CASE_SUFFICIENT, mean_total_power
 from urllc_ee.experiments import (antenna_sweep_rows, place_users,
@@ -24,6 +22,7 @@ from urllc_ee.rate import _coeffs_at_rate
 
 import oracles
 from conftest import DEFAULT_CFG, WTH_REFERENCE_MHZ, unit_rate_yfunction
+from oracles import sign_structure_witness, y_derivatives, y_value
 
 
 def numeric_first_derivative(w, f, h_rel=3e-6):
@@ -392,7 +391,7 @@ class TestSolveAllocation:
         assert sum(caps) > cfg.max_bs_power
         alloc = solve_allocation(cfg, [single_user])
         assert alloc.antennas > n0
-        assert alloc.total_power_cap() <= cfg.max_bs_power
+        assert sum(alloc.power_caps) <= cfg.max_bs_power
 
     def test_mean_power_matches_fading_closed_form(self, cfg, single_user):
         alloc = solve_allocation(cfg, [single_user])
@@ -411,7 +410,7 @@ class TestSolveAllocation:
                  for d in (250.0, 230.0, 170.0, 110.0, 60.0)]
         alloc = solve_allocation(cfg, users)
         assert sum(alloc.bandwidths) <= cfg.total_bandwidth * (1 + 1e-9)
-        assert alloc.total_power_cap() <= cfg.max_bs_power * (1 + 1e-9)
+        assert sum(alloc.power_caps) <= cfg.max_bs_power * (1 + 1e-9)
         assert all(w > 0 for w in alloc.bandwidths)
         assert all(np.isfinite(alloc.mean_tx_powers))
 
@@ -617,7 +616,7 @@ def split_inputs(draw):
                  else 10.0 ** rng.uniform(-9, -0.4))
         coeffs = _coeffs_at_rate(rng.uniform(1e-3, 5.0), eps_c, DEFAULT_CFG)
         gain = path_loss_gain(rng.uniform(50.0, 250.0))
-        users.append(YFunction.from_coeffs(coeffs, gain))
+        users.append(YFunction(l=coeffs.l, v=coeffs.v, alpha=gain))
     return users, scale * sum(f.l for f in users)
 
 

@@ -1,10 +1,13 @@
+import inspect
 import json
 import os
+import sys
 
 import pytest
 from click.testing import CliRunner
 
-from urllc_ee import DEFAULT_CONFIG_TEXT
+from urllc_ee import (DEFAULT_CONFIG_TEXT, allocator, cli, config_io,
+                      experiments, fading, model, rate, simulator, traffic)
 from urllc_ee.cli import main
 
 
@@ -277,6 +280,7 @@ class TestExperimentSpec:
             ExperimentSpec(kind="sweep_antennas", config_path=config_file,
                            k_values=(5,), nt_values=()).validate()
         for bad in ({"kind": "simulate", "streams": 0},
+                    {"kind": "simulate", "workers": 0},
                     {"kind": "table_wth", "service_rate": 0.0},
                     {"kind": "table_wth", "service_rate": float("nan")},
                     {"kind": "table_drop", "distance": -5.0},
@@ -293,12 +297,13 @@ class TestExperimentSpec:
         ["table-wth", "--service-rate", "0"],
         ["table-wth", "--service-rate", "nan"],
         ["simulate", "--streams", "0"],
+        ["simulate", "--workers", "0"],
         ["table-drop", "--distance", "-5"],
         ["solve"],
         ["sweep-users", "--k-max", "2", "--fixed-nt", "1"],
         ["sweep-antennas", "--k-values", "2", "--nt-min", "1"],
-    ], ids=["rate-zero", "rate-nan", "streams-zero", "distance-negative",
-            "noise-nan", "fixed-nt-one", "nt-min-one"])
+    ], ids=["rate-zero", "rate-nan", "streams-zero", "workers-zero",
+            "distance-negative", "noise-nan", "fixed-nt-one", "nt-min-one"])
     def test_bad_inputs_exit_3(self, runner, tmp_path, args):
         # the solve case reads a config whose noise density is NaN
         path = tmp_path / "cell.cfg"
@@ -313,8 +318,8 @@ class TestExperimentSpec:
         assert "config error" in res.output
 
     def test_cli_import_leaves_out_quadrature(self):
-        # scipy.integrate serves only the drop_prob_B oracle, and importing
-        # it would make up most of every CLI start
+        # scipy.integrate serves only the tests' quadrature oracles, and
+        # importing it would make up most of every CLI start
         import subprocess
         import sys
 
@@ -347,3 +352,46 @@ class TestExperimentSpec:
         unif6 = [u.distance for u in place_users(6, cfg, scheme="uniform",
                                                  seed=1234)]
         assert unif6[:4] == unif
+
+
+def test_every_public_function_runs_in_a_command(runner, config_file,
+                                                 tmp_path):
+    # a public function that none of the six commands reaches is dead API:
+    # test-only references belong in tests/oracles.py
+    layers = (cli, config_io, model, rate, traffic, fading, allocator,
+              simulator, experiments)
+    public = {fn.__code__: f"{mod.__name__}.{name}"
+              for mod in layers for name, fn in vars(mod).items()
+              if inspect.isfunction(fn) and not name.startswith("_")
+              and fn.__module__ == mod.__name__}
+    out = os.fspath(tmp_path / "out")
+    commands = [
+        ["solve"],
+        # a relaxed dropping budget makes deep fades, which reach the
+        # finite-blocklength rate
+        ["simulate", "--frames", "20000", "--streams", "1", "--eps-h", "1e-2"],
+        ["table-wth", "--eps", "1e-7"],
+        ["table-drop", "--eps", "1e-2", "--frames", "20000", "--streams", "1"],
+        ["sweep-antennas", "--k-values", "2", "--nt-max", "4"],
+        ["sweep-users", "--k-max", "2", "--fixed-nt", "8"],
+    ]
+    # memoized results would hide the calls behind them
+    allocator._prologue.cache_clear()
+    fading._gain_threshold.cache_clear()
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        results = [runner.invoke(main, args + ["--config", config_file,
+                                               "--out", out])
+                   for args in commands]
+    finally:
+        sys.setprofile(previous)
+    for args, res in zip(commands, results):
+        assert res.exit_code == 0, (args, res.output)
+    assert sorted(public[code] for code in public.keys() - called) == []

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from urllc_ee import (SystemConfig, drop_bound_F, drop_prob_B, gain_cdf,
-                      gain_pdf, mean_tx_power, solve_gain_threshold)
+from urllc_ee import (SystemConfig, drop_bound_F, mean_tx_power,
+                      solve_gain_threshold)
 from urllc_ee.fading import _bisect, _grow
+
+from oracles import drop_prob_B, gain_cdf, gain_pdf
 
 UPPER_BOUND_GRID_N = (2, 4, 8, 16, 32)
 UPPER_BOUND_GRID_GAMMA = (0.1, 1.0, 10.0, 100.0)

@@ -16,14 +16,16 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from urllc_ee import (PowerInfeasibleError, QosInfeasibleError, SystemConfig,
-                      UserProfile, achievable_rate, effective_bandwidth,
-                      find_bandwidth_minimizer, required_snr,
-                      solve_allocation, validate_config)
+                      UserProfile, effective_bandwidth,
+                      find_bandwidth_minimizer, solve_allocation,
+                      validate_config)
 from urllc_ee.allocator import CASE_LIMITED, CASE_SUFFICIENT, build_y_functions
 from urllc_ee.cli import main
 from urllc_ee.config_io import (_LIST_KEYS, _SCALAR_KEYS,
                                 DEFAULT_CONFIG_TEXT)
 from urllc_ee.rate import SnrRequirementCoeffs
+
+from oracles import achievable_rate_max_dispersion, required_snr
 
 
 def sample_scenario(rng):
@@ -93,10 +95,10 @@ def test_randomized_scenarios_hold_contracts():
             # gain sustains the effective bandwidth under the conservative
             # dispersion assumption
             eb = effective_bandwidth(usr.arrival_rate, qos.eps_q,
-                                     qos.queue_delay_frames).value
-            rate = achievable_rate(alloc.power_caps[i], alloc.bandwidths[i],
-                                   usr.gain, alloc.gain_thresholds[i],
-                                   qos.eps_c, cfg, force_max_dispersion=True)
+                                     qos.queue_delay_frames)
+            rate = achievable_rate_max_dispersion(
+                alloc.power_caps[i], alloc.bandwidths[i], usr.gain,
+                alloc.gain_thresholds[i], qos.eps_c, cfg)
             assert rate == pytest.approx(eb, rel=1e-9)
 
     # the sampler must exercise the solver, not just the error paths

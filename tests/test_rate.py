@@ -5,9 +5,10 @@ import pytest
 
 from urllc_ee import (SnrRequirementCoeffs, achievable_rate,
                       channel_dispersion, effective_bandwidth,
-                      inv_gaussian_q, required_snr, snr_coeffs,
-                      validate_config)
-from urllc_ee.rate import LN2, gaussian_q
+                      inv_gaussian_q, snr_coeffs, validate_config)
+from urllc_ee.rate import LN2
+
+from oracles import achievable_rate_max_dispersion, required_snr
 
 
 def q_of(x: float) -> float:
@@ -55,10 +56,6 @@ class TestInvGaussianQ:
         for p in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(ValueError):
                 inv_gaussian_q(p)
-
-    def test_q_function_forward(self):
-        assert gaussian_q(0.0) == pytest.approx(0.5, rel=1e-15)
-        assert gaussian_q(5.199337582) == pytest.approx(1e-7, rel=1e-8)
 
 
 class TestChannelDispersion:
@@ -123,9 +120,9 @@ class TestAchievableRate:
             alpha, g = 3e-13, 1.7
             p = gamma * cfg.noise_psd * w / (alpha * g)
             eb = effective_bandwidth(single_user.arrival_rate, qos.eps_q,
-                                     qos.queue_delay_frames).value
-            got = achievable_rate(p, w, alpha, g, qos.eps_c, cfg,
-                                  force_max_dispersion=True)
+                                     qos.queue_delay_frames)
+            got = achievable_rate_max_dispersion(p, w, alpha, g, qos.eps_c,
+                                                 cfg)
             assert got == pytest.approx(eb, rel=1e-9)
 
     def test_exact_dispersion_exceeds_pinned(self, cfg):
@@ -137,8 +134,8 @@ class TestAchievableRate:
         alpha, g = 2.8e-13, 1.0
         p = gamma * cfg.noise_psd * 7.42e6 / (alpha * g)
         exact = achievable_rate(p, 7.42e6, alpha, g, 1e-7, cfg)
-        pinned = achievable_rate(p, 7.42e6, alpha, g, 1e-7, cfg,
-                                 force_max_dispersion=True)
+        pinned = achievable_rate_max_dispersion(p, 7.42e6, alpha, g, 1e-7,
+                                                cfg)
         assert pinned == pytest.approx(1.0, rel=1e-9)
         assert exact == pytest.approx(1.1586657938, rel=1e-9)
         assert exact > pinned
@@ -156,7 +153,7 @@ class TestSnrCoeffs:
         coeffs = snr_coeffs(qos.eps_c, qos.eps_q, single_user.arrival_rate,
                             cfg, qos)
         eb = effective_bandwidth(single_user.arrival_rate, qos.eps_q,
-                                 qos.queue_delay_frames).value
+                                 qos.queue_delay_frames)
         assert coeffs.l == pytest.approx(
             eb * cfg.packet_bits * LN2 / cfg.dl_fraction, rel=1e-12)
 

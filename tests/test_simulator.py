@@ -1,17 +1,20 @@
 import hashlib
 import math
 import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from urllc_ee import (SimPolicy, gain_cdf, run_simulation, solve_allocation,
-                      step_queue, validate_config)
+from urllc_ee import (SimPolicy, run_simulation, solve_allocation,
+                      validate_config)
 from urllc_ee import simulator
 from urllc_ee.config_io import DEFAULT_CONFIG_TEXT, parse_config_text
 from urllc_ee.simulator import (QueueState, UserPolicy, _advance, _run_stream,
-                                _walk_chunk, draw_channel_gain)
+                                _walk_chunk)
+
+from oracles import drop_prob_B, gain_cdf
 
 
 @pytest.fixture
@@ -45,14 +48,9 @@ class TestChannelDraws:
 
     def test_single_antenna_is_exponential(self):
         rng = np.random.default_rng(3)
-        draws = [draw_channel_gain(rng, 1) for _ in range(100_000)]
+        draws = rng.standard_gamma(1, size=100_000)
         _stat, pvalue = stats.kstest(draws, "expon")
         assert pvalue > 1e-4
-
-    def test_rejects_bad_antennas(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            draw_channel_gain(rng, 0)
 
 
 class TestQueueTransition:
@@ -109,11 +107,13 @@ class TestQueueTransition:
 
     def test_step_queue_draws_arrivals(self, cfg, solved):
         policy, _alloc = solved
+        up = policy.users[0]
         state = QueueState()
         rng = np.random.default_rng(2)
         for frame in range(2000):
-            g = draw_channel_gain(rng, policy.antennas)
-            step_queue(state, g, policy, rng, frame=frame)
+            g = float(rng.standard_gamma(policy.antennas))
+            a = int(rng.poisson(up.arrival_rate))
+            _advance(state, g, a, up, policy.queue_delay_frames, frame, cfg)
         assert state.arrivals > 0
         assert state.queue >= 0.0
 
@@ -317,6 +317,40 @@ class TestRunSimulation:
                              seed=5, streams=4, workers=2)
         assert seq.to_json() == par.to_json()
 
+    def test_pool_never_outgrows_the_streams(self, cfg, single_user,
+                                             monkeypatch):
+        # a forked pool starts all max_workers processes at its first
+        # submit; this stand-in records the size and runs each stream here
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        policy, _ = relaxed_policy(cfg, single_user, eps_h=1e-2)
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", InlinePool)
+        many = run_simulation(policy, cfg, [single_user], frames=100_000,
+                              seed=5, streams=2, workers=10_000)
+        one = run_simulation(policy, cfg, [single_user], frames=100_000,
+                             seed=5, streams=2, workers=1)
+        assert sizes == [2]
+        assert many.to_json() == one.to_json()
+        # one frame over three streams leaves two of them empty
+        run_simulation(policy, cfg, [single_user], frames=1, seed=5,
+                       streams=3, workers=4)
+        assert sizes == [2, 1]
+
     def test_seed_changes_results(self, cfg, single_user):
         policy, _ = relaxed_policy(cfg, single_user, eps_h=1e-2)
         a = run_simulation(policy, cfg, [single_user], frames=200_000, seed=1)
@@ -348,7 +382,6 @@ class TestRunSimulation:
     def test_achieved_matches_drop_approximation(self, cfg, single_user):
         # the empirical dropping probability tracks the quadrature
         # approximation (which the threshold's closed-form bound dominates)
-        from urllc_ee import drop_prob_B
         policy, alloc = relaxed_policy(cfg, single_user, eps_h=1e-2)
         rep = run_simulation(policy, cfg, [single_user], frames=10_000_000,
                              seed=99, streams=4)
