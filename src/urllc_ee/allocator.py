@@ -34,6 +34,7 @@ dropping threshold.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from bisect import bisect_left, bisect_right
@@ -387,15 +388,31 @@ def mean_total_power(weighted_y: float, n: int, cfg: SystemConfig,
 
 # Solving one user set at several antenna counts, as the sweeps do, repeats
 # this antenna-independent prologue; callers must not mutate what it returns.
+# lru_cache keeps only return values, so a failure is returned, without its
+# traceback, and ``_prologue`` raises a fresh copy of it on every call.
 @functools.lru_cache(maxsize=16, typed=True)
+def _cached_prologue(cfg: SystemConfig, users: tuple[UserProfile, ...],
+                     eps_c: float | None, eps_q: float | None,
+                     eps_h: float | None):
+    try:
+        qos = validate_config(cfg, users, eps_c=eps_c, eps_q=eps_q,
+                              eps_h=eps_h)
+        yfuncs = build_y_functions(cfg, qos, users)
+        sol = allocate_bandwidth(yfuncs, cfg.total_bandwidth)
+    except (ConfigError, QosInfeasibleError) as exc:
+        return None, exc.with_traceback(None)
+    return (qos, yfuncs, sol), None
+
+
 def _prologue(cfg: SystemConfig, users: tuple[UserProfile, ...],
               eps_c: float | None, eps_q: float | None, eps_h: float | None
               ) -> tuple[QosBudget, list[YFunction], BandwidthSolution]:
     """(qos, yfuncs, split): validation, objective kernels and the optimal
     bandwidth split of a solve, none of which depend on the antenna count."""
-    qos = validate_config(cfg, users, eps_c=eps_c, eps_q=eps_q, eps_h=eps_h)
-    yfuncs = build_y_functions(cfg, qos, users)
-    return qos, yfuncs, allocate_bandwidth(yfuncs, cfg.total_bandwidth)
+    result, error = _cached_prologue(cfg, users, eps_c, eps_q, eps_h)
+    if error is not None:
+        raise copy.copy(error)
+    return result
 
 
 def solve_allocation(cfg: SystemConfig, users: list[UserProfile],
@@ -411,8 +428,8 @@ def solve_allocation(cfg: SystemConfig, users: list[UserProfile],
     optimum past ``antenna_cap`` starts the loop at the cap (see
     ``optimal_antennas``).  Deterministic: identical inputs give identical
     outputs bit for bit.  The validation, kernels and bandwidth split are
-    memoized per (cfg, users, eps_c, eps_q, eps_h), so a user set solved at
-    several antenna counts computes them once.
+    memoized per (cfg, users, eps_c, eps_q, eps_h), failures included, so a
+    user set solved at several antenna counts computes them once.
 
     Raises:
         ConfigError: on invalid inputs.

@@ -44,6 +44,19 @@ def gain_cdf(g: float, n: int) -> float:
     return float(gammainc(n, g))
 
 
+def drop_bound_F(g_th: float, n: int) -> float:
+    """``fading.drop_bound_F`` with every incomplete gamma from scipy."""
+    m = n - 1
+    return float(gammainc(m, g_th) - (m / g_th) * gammainc(m + 1, g_th))
+
+
+def gain_threshold(n: int, eps_target: float) -> float:
+    """g_th by ``fading._gain_threshold``'s bracket and bisection, run on the
+    scipy form of the dropping bound."""
+    hi = _grow(drop_bound_F, n, eps_target, 1e-9, 2.0)
+    return _bisect(drop_bound_F, n, eps_target, 0.0, hi, 1e-14)
+
+
 def drop_prob_B(g_th: float, gamma: float, n: int) -> float:
     """Dropping-probability approximation via adaptive quadrature.
 

@@ -1,14 +1,20 @@
 import inspect
 import json
 import os
+import subprocess
 import sys
+import textwrap
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
 
 from urllc_ee import (DEFAULT_CONFIG_TEXT, allocator, cli, config_io,
-                      experiments, fading, model, rate, simulator, traffic)
+                      experiments, fading, model, rate, simulator,
+                      solve_allocation, traffic)
 from urllc_ee.cli import main
+
+import oracles
 
 
 @pytest.fixture
@@ -318,19 +324,12 @@ class TestExperimentSpec:
         assert "config error" in res.output
 
     def test_cli_import_leaves_out_quadrature(self):
-        # scipy.integrate serves only the tests' quadrature oracles, and
-        # importing it would make up most of every CLI start
-        import subprocess
-        import sys
-
-        import urllc_ee
-        src = os.path.dirname(os.path.dirname(urllc_ee.__file__))
-        code = ("import sys, urllc_ee.cli; "
-                "print('scipy.integrate' in sys.modules)")
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        # scipy serves only the tests' oracles and the dropping bound's
+        # x >= 0.6 a region, and importing it would make up most of every
+        # CLI start
+        out = run_fresh("import sys, urllc_ee.cli; "
+                        "print('scipy' in sys.modules)")
+        assert out.strip() == "False"
 
     def test_programmatic_solve(self, config_file):
         from urllc_ee import ExperimentSpec, run_experiment
@@ -354,6 +353,31 @@ class TestExperimentSpec:
         assert unif6[:4] == unif
 
 
+# The six commands on small inputs.
+SMALL_COMMANDS = [
+    ["solve"],
+    # a relaxed dropping budget makes deep fades, which reach the
+    # finite-blocklength rate
+    ["simulate", "--frames", "20000", "--streams", "1", "--eps-h", "1e-2"],
+    ["table-wth", "--eps", "1e-7"],
+    ["table-drop", "--eps", "1e-2", "--frames", "20000", "--streams", "1"],
+    # the default N_t range 2..64, whose threshold searches bracket past
+    # x = 0.6 a, where scipy serves the incomplete gamma
+    ["sweep-antennas", "--k-values", "2"],
+    ["sweep-users", "--k-max", "2", "--fixed-nt", "8"],
+]
+
+
+def run_fresh(code: str, *args: str) -> str:
+    """Stdout of ``code`` run with ``args`` in a fresh interpreter that
+    imports this checkout's package."""
+    import urllc_ee
+    src = os.path.dirname(os.path.dirname(urllc_ee.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
 def test_every_public_function_runs_in_a_command(runner, config_file,
                                                  tmp_path):
     # a public function that none of the six commands reaches is dead API:
@@ -365,18 +389,8 @@ def test_every_public_function_runs_in_a_command(runner, config_file,
               if inspect.isfunction(fn) and not name.startswith("_")
               and fn.__module__ == mod.__name__}
     out = os.fspath(tmp_path / "out")
-    commands = [
-        ["solve"],
-        # a relaxed dropping budget makes deep fades, which reach the
-        # finite-blocklength rate
-        ["simulate", "--frames", "20000", "--streams", "1", "--eps-h", "1e-2"],
-        ["table-wth", "--eps", "1e-7"],
-        ["table-drop", "--eps", "1e-2", "--frames", "20000", "--streams", "1"],
-        ["sweep-antennas", "--k-values", "2", "--nt-max", "4"],
-        ["sweep-users", "--k-max", "2", "--fixed-nt", "8"],
-    ]
     # memoized results would hide the calls behind them
-    allocator._prologue.cache_clear()
+    allocator._cached_prologue.cache_clear()
     fading._gain_threshold.cache_clear()
     called = set()
 
@@ -389,9 +403,43 @@ def test_every_public_function_runs_in_a_command(runner, config_file,
     try:
         results = [runner.invoke(main, args + ["--config", config_file,
                                                "--out", out])
-                   for args in commands]
+                   for args in SMALL_COMMANDS]
     finally:
         sys.setprofile(previous)
-    for args, res in zip(commands, results):
+    for args, res in zip(SMALL_COMMANDS, results):
         assert res.exit_code == 0, (args, res.output)
     assert sorted(public[code] for code in public.keys() - called) == []
+
+
+def test_commands_leave_out_scipy(config_file, tmp_path):
+    # On default inputs no threshold search needs the incomplete gamma's
+    # x >= 0.6 a region, so no command loads scipy.  A loose dropping budget
+    # does need it, and its solve keeps the all-scipy bits.
+    code = textwrap.dedent("""\
+        import json, sys
+        from click.testing import CliRunner
+        from urllc_ee import load_config, solve_allocation
+        from urllc_ee.cli import main
+        config, out = sys.argv[1:3]
+        runner = CliRunner()
+        for args in json.loads(sys.argv[3]):
+            res = runner.invoke(main, args + ["--config", config,
+                                              "--out", out])
+            assert res.exit_code == 0, (args, res.output)
+        print("scipy" in sys.modules)
+        cfg, users = load_config(config)
+        print(solve_allocation(cfg, users, eps_h=0.3).to_json())
+        print("scipy" in sys.modules)
+    """)
+    lines = run_fresh(code, config_file, os.fspath(tmp_path / "out"),
+                      json.dumps(SMALL_COMMANDS)).splitlines()
+    assert (lines[0], lines[-1]) == ("False", "True")
+
+    cfg, users = config_io.load_config(config_file)
+    fading._gain_threshold.cache_clear()
+    try:
+        with mock.patch.object(fading, "drop_bound_F", oracles.drop_bound_F):
+            want = solve_allocation(cfg, users, eps_h=0.3).to_json()
+    finally:
+        fading._gain_threshold.cache_clear()
+    assert "\n".join(lines[1:-1]) == want

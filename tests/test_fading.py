@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammainc, gammaln
 
 from urllc_ee import (SystemConfig, drop_bound_F, mean_tx_power,
                       solve_gain_threshold)
-from urllc_ee.fading import _bisect, _grow
+from urllc_ee.fading import (_bisect, _gain_threshold, _gammainc, _grow,
+                             _igam, _lgam)
 
+import oracles
 from oracles import drop_prob_B, gain_cdf, gain_pdf
 
 UPPER_BOUND_GRID_N = (2, 4, 8, 16, 32)
@@ -86,6 +91,55 @@ class TestDropBound:
             drop_bound_F(0.0, 2)
         with pytest.raises(ValueError):
             drop_bound_F(0.1, 1)
+
+
+class TestIncompleteGammaAgainstScipy:
+    """Below x = 0.6 a the incomplete gamma is cephes's series, transcribed;
+    it must give scipy's bits, so every comparison here is ``==``."""
+
+    def test_lgam_equals_gammaln(self):
+        for a in range(1, 4097):
+            assert _lgam(a) == float(gammaln(a)), a
+        # past 1e8 cephes keeps only the leading Stirling terms
+        for a in (10**8, 10**8 + 1, 10**12, 10**300):
+            assert _lgam(a) == float(gammaln(float(a))), a
+
+    @settings(max_examples=1000, deadline=None, derandomize=True,
+              database=None)
+    @given(a=st.integers(1, 4096), u=st.floats(0.0, 1.0),
+           log_uniform=st.booleans())
+    def test_series_equals_scipy(self, a, u, log_uniform):
+        # log-uniform x from 1e-300 mostly lands where the prefactor
+        # underflows to 0; uniform x covers the rest of [0, 0.6 a)
+        top = 0.6 * a
+        if log_uniform:
+            lo = math.log(1e-300)
+            x = math.exp(lo + u * (math.log(top) - lo))
+        else:
+            x = u * top
+        assume(0.0 < x < a and abs(a - x) > 0.4 * a)
+        assert _igam(a, x) == float(gammainc(a, x))
+
+    def test_branch_edge(self):
+        # x = 0.6 a and x = a - 0.4 a, and their float neighbours, fall on
+        # both sides of cephes's test |a - x| > 0.4 a
+        for a in range(1, 4097):
+            for edge in (0.6 * a, a - 0.4 * a):
+                for x in (math.nextafter(edge, 0.0), edge,
+                          math.nextafter(edge, math.inf)):
+                    assert _gammainc(a, x) == float(gammainc(a, x)), (a, x)
+        for n in range(2, 513):
+            for edge in (0.6 * (n - 1), 0.6 * n):
+                for x in (math.nextafter(edge, 0.0), edge,
+                          math.nextafter(edge, math.inf)):
+                    assert drop_bound_F(x, n) == oracles.drop_bound_F(x, n)
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-7, 1e-5, 1e-4, 1e-2, 0.3])
+    def test_gain_threshold_equals_scipy_oracle(self, eps):
+        # loose budgets at few antennas, and large arrays, reach x >= 0.6 a
+        for n in range(2, 513):
+            assert (_gain_threshold.__wrapped__(n, eps).g_th
+                    == oracles.gain_threshold(n, eps)), n
 
 
 class TestDropProb:
