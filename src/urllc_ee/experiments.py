@@ -201,6 +201,9 @@ class ExperimentSpec:
             raise ConfigError("frames must be at least 1")
         if self.streams < 1:
             raise ConfigError("streams must be at least 1")
+        if self.trace_path and self.streams > 1:
+            raise ConfigError("per-frame tracing supports a single stream "
+                              "only (--streams 1)")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
         for name in ("service_rate", "distance"):

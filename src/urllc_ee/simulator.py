@@ -20,7 +20,11 @@ frame without a deep fade inline, with the float operations of the
 frame-by-frame reference ``_advance`` in the same order, so its tallies are
 bit-identical; deep fades (about one frame in a million) go through
 ``_advance`` itself.  Pending packets are kept as one entry per arrival
-frame, since packets of one frame share their queueing delay.  A
+frame, since packets of one frame share their queueing delay.  The walk
+settles departures only where a packet can be late: from the frame at which
+the oldest pending arrival frame reaches age ``dq``, when the queue
+empties, in a deep fade and at the end of each walk window.  Most busy
+spells end before that age, so most frames skip the departure loop.  A
 cumulative-sum (Lindley) form of the queue would round in a different order
 and so cannot reproduce these bytes.
 """
@@ -102,6 +106,8 @@ class QueueState:
     empty; ``inflow`` is the number the next arrival gets.  ``pending``
     holds one ``[arrival_frame, next_index, end_index]`` entry per frame
     with arrivals, in FIFO order, for the packets that have not departed.
+    Between ``_advance`` calls and between walk windows it is exact; inside
+    ``_walk_chunk`` it may still hold packets that departed on time.
     """
 
     queue: float = 0.0
@@ -216,6 +222,32 @@ def _advance(state: QueueState, g: float, a: int, up: UserPolicy,
     return served, d
 
 
+def _settle(pend: deque, outflow: float, frame: int,
+            late: int) -> tuple[int, int]:
+    """Release the pending packets that ``outflow`` covers, oldest first,
+    and return their (departed, delay_violations) counts; a packet of
+    arrival frame t is late when ``frame - t > late``.  ``_advance`` keeps
+    its own copy of this loop as the oracle.
+    """
+    departed = violations = 0
+    while pend:
+        entry = pend[0]
+        start = nxt = entry[1]
+        end = entry[2]
+        while nxt < end and outflow > nxt - 1e-9:
+            nxt += 1
+        if nxt == start:
+            break
+        departed += nxt - start
+        if frame - entry[0] > late:
+            violations += nxt - start
+        if nxt < end:
+            entry[1] = nxt
+            break
+        pend.popleft()
+    return departed, violations
+
+
 def _walk_chunk(state: QueueState, g: np.ndarray, a: np.ndarray,
                 deep: np.ndarray, up: UserPolicy, dq: int, base_frame: int,
                 cfg: SystemConfig) -> None:
@@ -228,6 +260,21 @@ def _walk_chunk(state: QueueState, g: np.ndarray, a: np.ndarray,
     of ``_advance`` in the same order, so the tallies stay bit-identical
     to the frame-by-frame oracle; the rare deep fades hand the state to
     ``_advance`` itself.
+
+    Departures are settled lazily.  ``_settle`` runs on every frame from
+    ``due``, the frame at which the oldest pending arrival frame reaches
+    age ``dq``, and once at the end of the chunk, so the returned state
+    (``pending`` included) is exact; a deep fade settles inside
+    ``_advance``.  A queue that empties by ``due`` releases all its
+    packets on time, and ``inflow - pend[0][1]`` counts them.  The tallies
+    stay those of ``_advance``:
+
+    - ``outflow`` never decreases within a busy spell, so "packet i has
+      departed by frame f" is the same as ``outflow > i - 1e-9`` at f;
+    - a packet that departs late is settled on its own departure frame,
+      because the head is already due by then;
+    - a packet settled after the frame it departed on was on time,
+      because the head was not due yet.
     """
     n = len(g)
     arr_frames = np.flatnonzero(a)
@@ -249,8 +296,11 @@ def _walk_chunk(state: QueueState, g: np.ndarray, a: np.ndarray,
     inflow = state.inflow
     outflow = state.outflow
     # a packet of arrival frame t departing at chunk frame f is late when
-    # f - t > late, i.e. when base_frame + f - t > dq
+    # f - t > late, i.e. when base_frame + f - t > dq; ``due`` is the chunk
+    # frame pend[0][0] + late from which the head can be late (n when
+    # nothing is pending)
     late = dq - base_frame
+    due = pend[0][0] + late if pend else n
     ai = di = 0
     next_arr = arr_frames[0]
     next_deep = deep_frames[0]
@@ -285,6 +335,7 @@ def _walk_chunk(state: QueueState, g: np.ndarray, a: np.ndarray,
             served_sum, served_c = state.served, state._served_c
             departed, violations = state.departed, state.delay_violations
             inflow, outflow = state.inflow, state.outflow
+            due = pend[0][0] + late if pend else n
             continue
 
         # _advance with d = 0.0: its "- d" and "+ d" are exact no-ops on
@@ -300,35 +351,36 @@ def _walk_chunk(state: QueueState, g: np.ndarray, a: np.ndarray,
         outflow += served
         if k:
             arrivals += k
+            if not pend:
+                due = f + dq
             pend.append([base_frame + f, inflow, inflow + k])
             inflow += k
         if q == 0.0:
             # every pending packet departs; _advance releases the covered
-            # ones first, which tallies the same
-            for t_arr, start, end in pend:
-                departed += end - start
-                if f - t_arr > late:
-                    violations += end - start
-            pend.clear()
+            # ones first, which tallies the same, and by due none is late
+            if pend:
+                if f > due:
+                    for t_arr, start, end in pend:
+                        departed += end - start
+                        if f - t_arr > late:
+                            violations += end - start
+                else:
+                    departed += inflow - pend[0][1]
+                pend.clear()
+                due = n
             inflow = 0
             outflow = 0.0
             continue
-        while pend:
-            entry = pend[0]
-            start = nxt = entry[1]
-            end = entry[2]
-            while nxt < end and outflow > nxt - 1e-9:
-                nxt += 1
-            if nxt == start:
-                break
-            departed += nxt - start
-            if f - entry[0] > late:
-                violations += nxt - start
-            if nxt < end:
-                entry[1] = nxt
-                break
-            pend.popleft()
+        if f >= due:
+            dep, vio = _settle(pend, outflow, f, late)
+            departed += dep
+            violations += vio
+            due = pend[0][0] + late if pend else n
 
+    if pend:
+        dep, vio = _settle(pend, outflow, n - 1, late)
+        departed += dep
+        violations += vio
     state.queue, state.arrivals, state.busy_frames = q, arrivals, busy
     state.served, state._served_c = served_sum, served_c
     state.departed, state.delay_violations = departed, violations

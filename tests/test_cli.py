@@ -287,6 +287,7 @@ class TestExperimentSpec:
                            k_values=(5,), nt_values=()).validate()
         for bad in ({"kind": "simulate", "streams": 0},
                     {"kind": "simulate", "workers": 0},
+                    {"kind": "simulate", "trace_path": "t.csv"},
                     {"kind": "table_wth", "service_rate": 0.0},
                     {"kind": "table_wth", "service_rate": float("nan")},
                     {"kind": "table_drop", "distance": -5.0},
@@ -308,15 +309,18 @@ class TestExperimentSpec:
         ["solve"],
         ["sweep-users", "--k-max", "2", "--fixed-nt", "1"],
         ["sweep-antennas", "--k-values", "2", "--nt-min", "1"],
+        ["simulate", "--trace", "trace.csv"],
     ], ids=["rate-zero", "rate-nan", "streams-zero", "workers-zero",
-            "distance-negative", "noise-nan", "fixed-nt-one", "nt-min-one"])
+            "distance-negative", "noise-nan", "fixed-nt-one", "nt-min-one",
+            "trace-multi-stream"])
     def test_bad_inputs_exit_3(self, runner, tmp_path, args):
         # the solve case reads a config whose noise density is NaN
         path = tmp_path / "cell.cfg"
         path.write_text(DEFAULT_CONFIG_TEXT if len(args) > 1 else
                         DEFAULT_CONFIG_TEXT.replace("noise_psd_dbm_hz = -173",
                                                     "noise_psd_dbm_hz = nan"))
-        args = args + ["--config", os.fspath(path)]
+        args = [os.fspath(tmp_path / a) if a.endswith(".csv") else a
+                for a in args] + ["--config", os.fspath(path)]
         if args[0].startswith(("table", "sweep")):
             args += ["--out", os.fspath(tmp_path / "t.csv")]
         res = runner.invoke(main, args)

@@ -5,6 +5,8 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from urllc_ee import (SimPolicy, run_simulation, solve_allocation,
@@ -14,6 +16,7 @@ from urllc_ee.config_io import DEFAULT_CONFIG_TEXT, parse_config_text
 from urllc_ee.simulator import (QueueState, UserPolicy, _advance, _run_stream,
                                 _walk_chunk)
 
+from conftest import DEFAULT_CFG
 from oracles import drop_prob_B, gain_cdf
 
 
@@ -244,6 +247,70 @@ class TestFastPathEquivalence:
             "final_queue": slow.queue,
         }
         assert slow.drop_events > 0 and slow.delay_violations > 0
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(dq=st.integers(0, 9),
+           eb=st.sampled_from([0.3, 0.9, 1.0, 2.0, 2.05, 2.89, 3.5]),
+           load=st.floats(0.1, 1.2),
+           g_th=st.sampled_from([0.0, 0.05, 0.35, 3.0]),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_walk_matches_on_random_windows(self, dq, eb, load, g_th, seed,
+                                            data):
+        # lazily settled departures must leave every tally and the pending
+        # entries as the frame-by-frame oracle does, after every window:
+        # spells that straddle windows, heads that come due at a window's
+        # first frame and queues that empty exactly when due all occur
+        up = UserPolicy(bandwidth=3e6, snr_target=1.0, gain_threshold=g_th,
+                        power_cap=1e-18, service_rate_nominal=eb,
+                        alpha=3e-13, arrival_rate=load * eb, eps_c=1e-7,
+                        inversion_coeff=1e-7)
+        rng = np.random.default_rng(seed)
+        frames = 3000
+        g = rng.standard_gamma(3, size=frames)
+        a = rng.poisson(up.arrival_rate, size=frames)
+        fast, slow = QueueState(), QueueState()
+        base = 0
+        while base < frames:
+            end = min(frames, base + data.draw(st.integers(50, 700)))
+            _walk_chunk(fast, g[base:end], a[base:end],
+                        g[base:end] < g_th, up, dq, base, DEFAULT_CFG)
+            frame_by_frame(slow, g[base:end], a[base:end], up, dq, base,
+                           DEFAULT_CFG)
+            assert_states_equal(fast, slow)
+            base = end
+
+    def test_departures_settle_only_where_a_packet_can_be_late(
+            self, cfg, monkeypatch):
+        # lambda = 2 against eb = 2.89 with dq = 8: most busy spells end
+        # before their first packet comes due, so the departure loop must
+        # run on only a small share of the visited frames
+        up = UserPolicy(bandwidth=3e6, snr_target=1.0, gain_threshold=0.05,
+                        power_cap=1e-18, service_rate_nominal=2.89,
+                        alpha=3e-13, arrival_rate=2.0, eps_c=1e-7,
+                        inversion_coeff=1e-7)
+        rng = np.random.default_rng(37)
+        g = rng.standard_gamma(3, size=100_000)
+        a = rng.poisson(up.arrival_rate, size=100_000)
+        deep = g < up.gain_threshold
+        calls = 0
+        settle = simulator._settle
+
+        def counting_settle(*args):
+            nonlocal calls
+            calls += 1
+            return settle(*args)
+
+        monkeypatch.setattr(simulator, "_settle", counting_settle)
+        fast = QueueState()
+        _walk_chunk(fast, g, a, deep, up, 8, 0, cfg)
+        slow = QueueState()
+        visited = 0
+        for i in range(len(g)):
+            visited += bool(slow.queue > 0.0 or a[i] or deep[i])
+            _advance(slow, float(g[i]), int(a[i]), up, 8, i, cfg)
+        assert_states_equal(fast, slow)
+        assert 0 < calls <= visited / 5
 
 
 def _digest(report):
