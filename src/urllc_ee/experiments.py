@@ -27,7 +27,7 @@ from .simulator import SimPolicy, run_simulation
 PLACEMENT_NEAR_M = 50.0
 PLACEMENT_FAR_M = 250.0
 # Users placed by the sweeps and the dropping table each aggregate this
-# many nodes at this rate; the config's user and traffic keys do not apply.
+# many nodes at this rate; they reject a config whose users' traffic differs.
 NODES_PER_USER = 20
 NODE_PACKET_RATE_HZ = 10.0
 # Fewer drop events than this leave the dropping probability unresolved.
@@ -223,6 +223,13 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     """
     spec.validate()
     cfg, users = load_config(spec.config_path)
+    if spec.kind in ("table_drop", "sweep_antennas", "sweep_users"):
+        lam = NODES_PER_USER * NODE_PACKET_RATE_HZ * cfg.frame_duration
+        if any(usr.arrival_rate != lam for usr in users):
+            raise ConfigError(
+                f"{spec.kind} places its own users, each {NODES_PER_USER} "
+                f"nodes at {NODE_PACKET_RATE_HZ:g} Hz; the config's traffic "
+                "differs")
     if spec.kind == "solve":
         alloc = solve_allocation(cfg, users)
         if spec.output_path:

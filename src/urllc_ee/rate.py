@@ -33,16 +33,12 @@ _P_LOW = 0.02425
 
 
 def _norm_quantile_raw(p: float) -> float:
+    # lower tail and central region only: inv_gaussian_q passes p < 0.5
     if p < _P_LOW:
         q = math.sqrt(-2.0 * math.log(p))
         return ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q
                   + _C[4]) * q + _C[5])
                 / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    if p > 1.0 - _P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q
-                   + _C[4]) * q + _C[5])
-                 / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
     q = p - 0.5
     r = q * q
     return ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r

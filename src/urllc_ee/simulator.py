@@ -14,19 +14,19 @@ independent of execution order or parallelism degree.
 The hot path skips frames that provably do nothing: a frame with an empty
 queue, no arrivals and no deep fade leaves every counter unchanged, so only
 event frames (and busy spells after them) run through the Python queue
-update; channel draws and power statistics stay vectorized.  The walk over
-the visited frames keeps the queue state in local variables and runs a
-frame without a deep fade inline, with the float operations of the
-frame-by-frame reference ``_advance`` in the same order, so its tallies are
-bit-identical; deep fades (about one frame in a million) go through
-``_advance`` itself.  Pending packets are kept as one entry per arrival
-frame, since packets of one frame share their queueing delay.  The walk
-settles departures only where a packet can be late: from the frame at which
-the oldest pending arrival frame reaches age ``dq``, when the queue
-empties, in a deep fade and at the end of each walk window.  Most busy
-spells end before that age, so most frames skip the departure loop.  A
-cumulative-sum (Lindley) form of the queue would round in a different order
-and so cannot reproduce these bytes.
+update; channel draws and power statistics stay vectorized.  The walk
+splits each window at its deep fades (about one frame in a million): the
+deep-fade frames go through the frame-by-frame reference ``_advance``, and
+the runs of frames between them through ``_serve``, an arrival-only loop
+that keeps the queue state in local variables and runs ``_advance``'s
+float operations in the same order, so its tallies are bit-identical.
+Pending packets are kept as one entry per arrival frame, since packets of
+one frame share their queueing delay.  ``_serve`` settles departures only
+where a packet can be late: from the frame at which the oldest pending
+arrival frame reaches age ``dq``, when the queue empties and at the end of
+its run.  Most busy spells end before that age, so most frames skip the
+departure loop.  A cumulative-sum (Lindley) form of the queue would round
+in a different order and so cannot reproduce these bytes.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import csv
 import json
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class UserPolicy:
     """Per-user slice of a simulation policy."""
 
     bandwidth: float
-    snr_target: float
     gain_threshold: float
     power_cap: float
     service_rate_nominal: float  # effective bandwidth, packets/frame
@@ -71,7 +70,6 @@ class SimPolicy:
     users: tuple[UserPolicy, ...]
     antennas: int
     queue_delay_frames: int
-    cfg: SystemConfig
 
     @staticmethod
     def from_allocation(alloc: Allocation, cfg: SystemConfig,
@@ -83,7 +81,6 @@ class SimPolicy:
         for k, usr in enumerate(users):
             ups.append(UserPolicy(
                 bandwidth=alloc.bandwidths[k],
-                snr_target=alloc.snr_targets[k],
                 gain_threshold=alloc.gain_thresholds[k],
                 power_cap=alloc.power_caps[k],
                 service_rate_nominal=effective_bandwidth(
@@ -95,7 +92,7 @@ class SimPolicy:
                                  * alloc.snr_targets[k] / usr.gain),
             ))
         return SimPolicy(users=tuple(ups), antennas=alloc.antennas,
-                         queue_delay_frames=qos.queue_delay_frames, cfg=cfg)
+                         queue_delay_frames=qos.queue_delay_frames)
 
 
 @dataclass
@@ -106,8 +103,8 @@ class QueueState:
     empty; ``inflow`` is the number the next arrival gets.  ``pending``
     holds one ``[arrival_frame, next_index, end_index]`` entry per frame
     with arrivals, in FIFO order, for the packets that have not departed.
-    Between ``_advance`` calls and between walk windows it is exact; inside
-    ``_walk_chunk`` it may still hold packets that departed on time.
+    Between ``_advance`` and ``_serve`` calls it is exact; inside
+    ``_serve`` it may still hold packets that departed on time.
     """
 
     queue: float = 0.0
@@ -125,17 +122,12 @@ class QueueState:
     outflow: float = 0.0
     pending: deque = field(default_factory=deque)
 
-    def _add_served(self, x: float) -> None:
-        y = x - self._served_c
-        t = self.served + y
-        self._served_c = (t - self.served) - y
-        self.served = t
 
-    def _add_dropped(self, x: float) -> None:
-        y = x - self._dropped_c
-        t = self.dropped + y
-        self._dropped_c = (t - self.dropped) - y
-        self.dropped = t
+def _kahan(total: float, comp: float, x: float) -> tuple[float, float]:
+    """Compensated ``total + x``; returns the new (total, compensation)."""
+    y = x - comp
+    t = total + y
+    return t, (t - total) - y
 
 
 def _deep_fade_rate(g: float, up: UserPolicy, cfg: SystemConfig) -> float:
@@ -175,13 +167,15 @@ def _advance(state: QueueState, g: float, a: int, up: UserPolicy,
                 d = 0.0
         if d > 0.0:
             state.drop_events += 1
-            state._add_dropped(d)
+            state.dropped, state._dropped_c = _kahan(
+                state.dropped, state._dropped_c, d)
     else:
         capacity = eb
     avail = q + a - d
     served = capacity if capacity < avail else avail
     if served > 0.0:
-        state._add_served(served)
+        state.served, state._served_c = _kahan(
+            state.served, state._served_c, served)
     state.queue = avail - served
     if state.queue < 0.0:
         state.queue = 0.0
@@ -255,19 +249,35 @@ def _walk_chunk(state: QueueState, g: np.ndarray, a: np.ndarray,
     leave the state untouched (empty queue, no arrival, no deep fade).
     ``deep`` is the chunk's mask ``g < up.gain_threshold``.
 
-    The state lives in local variables for the whole chunk.  A visited
-    frame that is not a deep fade runs inline with the float operations
-    of ``_advance`` in the same order, so the tallies stay bit-identical
-    to the frame-by-frame oracle; the rare deep fades hand the state to
-    ``_advance`` itself.
+    Each deep fade goes through ``_advance`` itself and each run of frames
+    between them through ``_serve``.  Both leave the state exact, so the
+    split keeps the tallies of the frame-by-frame oracle.
+    """
+    eb = up.service_rate_nominal
+    start = 0
+    for f in np.flatnonzero(deep).tolist():
+        _serve(state, a[start:f], eb, dq, base_frame + start)
+        _advance(state, float(g[f]), int(a[f]), up, dq, base_frame + f, cfg)
+        start = f + 1
+    _serve(state, a[start:], eb, dq, base_frame + start)
+
+
+def _serve(state: QueueState, a: np.ndarray, eb: float, dq: int,
+           base_frame: int) -> None:
+    """``_advance`` over a run of frames without a deep fade, at the
+    nominal service rate ``eb``, skipping the frames with an empty queue
+    and no arrival.
+
+    The state lives in local variables for the whole run.  A visited frame
+    runs with the float operations of ``_advance`` in the same order, so
+    the tallies stay bit-identical to the frame-by-frame oracle.
 
     Departures are settled lazily.  ``_settle`` runs on every frame from
     ``due``, the frame at which the oldest pending arrival frame reaches
-    age ``dq``, and once at the end of the chunk, so the returned state
-    (``pending`` included) is exact; a deep fade settles inside
-    ``_advance``.  A queue that empties by ``due`` releases all its
-    packets on time, and ``inflow - pend[0][1]`` counts them.  The tallies
-    stay those of ``_advance``:
+    age ``dq``, and once at the end of the run, so the returned state
+    (``pending`` included) is exact.  A queue that empties by ``due``
+    releases all its packets on time, and ``inflow - pend[0][1]`` counts
+    them.  The tallies stay those of ``_advance``:
 
     - ``outflow`` never decreases within a busy spell, so "packet i has
       departed by frame f" is the same as ``outflow > i - 1e-9`` at f;
@@ -276,15 +286,12 @@ def _walk_chunk(state: QueueState, g: np.ndarray, a: np.ndarray,
     - a packet settled after the frame it departed on was on time,
       because the head was not due yet.
     """
-    n = len(g)
+    n = len(a)
     arr_frames = np.flatnonzero(a)
     counts = a[arr_frames].tolist()
     arr_frames = arr_frames.tolist()
-    deep_frames = np.flatnonzero(deep).tolist()
-    arr_frames.append(n)  # sentinels: the next event is past the chunk
-    deep_frames.append(n)
+    arr_frames.append(n)  # sentinel: the next arrival is past the run
 
-    eb = up.service_rate_nominal
     pend = state.pending
     q = state.queue
     arrivals = state.arrivals
@@ -295,15 +302,14 @@ def _walk_chunk(state: QueueState, g: np.ndarray, a: np.ndarray,
     violations = state.delay_violations
     inflow = state.inflow
     outflow = state.outflow
-    # a packet of arrival frame t departing at chunk frame f is late when
-    # f - t > late, i.e. when base_frame + f - t > dq; ``due`` is the chunk
+    # a packet of arrival frame t departing at run frame f is late when
+    # f - t > late, i.e. when base_frame + f - t > dq; ``due`` is the run
     # frame pend[0][0] + late from which the head can be late (n when
     # nothing is pending)
     late = dq - base_frame
     due = pend[0][0] + late if pend else n
-    ai = di = 0
+    ai = 0
     next_arr = arr_frames[0]
-    next_deep = deep_frames[0]
     f = -1
     while True:
         if q > 0.0:
@@ -312,7 +318,7 @@ def _walk_chunk(state: QueueState, g: np.ndarray, a: np.ndarray,
                 break
             busy += 1
         else:
-            f = next_arr if next_arr < next_deep else next_deep
+            f = next_arr
             if f >= n:
                 break
         if f == next_arr:
@@ -321,28 +327,14 @@ def _walk_chunk(state: QueueState, g: np.ndarray, a: np.ndarray,
             next_arr = arr_frames[ai]
         else:
             k = 0
-        if f == next_deep:
-            di += 1
-            next_deep = deep_frames[di]
-            if q > 0.0:
-                busy -= 1  # _advance counts the busy frame itself
-            state.queue, state.arrivals, state.busy_frames = q, arrivals, busy
-            state.served, state._served_c = served_sum, served_c
-            state.departed, state.delay_violations = departed, violations
-            state.inflow, state.outflow = inflow, outflow
-            _advance(state, float(g[f]), k, up, dq, base_frame + f, cfg)
-            q, arrivals, busy = state.queue, state.arrivals, state.busy_frames
-            served_sum, served_c = state.served, state._served_c
-            departed, violations = state.departed, state.delay_violations
-            inflow, outflow = state.inflow, state.outflow
-            due = pend[0][0] + late if pend else n
-            continue
 
         # _advance with d = 0.0: its "- d" and "+ d" are exact no-ops on
         # these non-negative values, and avail - served >= 0 exactly
         avail = q + k
         served = eb if eb < avail else avail
         if served > 0.0:
+            # _kahan written out: a call per visited frame would cost more
+            # than the sum itself
             y = served - served_c
             t = served_sum + y
             served_c = (t - served_sum) - y
@@ -405,11 +397,8 @@ def _run_stream(policy: SimPolicy, cfg: SystemConfig, frames: int,
             a = rng.poisson(up.arrival_rate, size=n)
             deep = g < up.gain_threshold
             p = np.where(deep, up.power_cap, up.inversion_coeff / g)
-            chunk_power = float(np.sum(p))
-            y = chunk_power - power_c
-            t = power_sum + y
-            power_c = (t - power_sum) - y
-            power_sum = t
+            power_sum, power_c = _kahan(power_sum, power_c,
+                                        float(np.sum(p)))
             if trace_rows is not None:
                 for i in range(n):
                     srv, drp = _advance(state, float(g[i]), int(a[i]), up,
@@ -459,24 +448,9 @@ class SimReport:
     per_user: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "frames_run": self.frames_run,
-            "achieved_eps_h": self.achieved_eps_h,
-            "empirical_mean_tx_power_w": self.empirical_mean_tx_power,
-            "empirical_delay_violation": self.empirical_delay_violation,
-            "arrival_count": self.arrival_count,
-            "drop_count": self.drop_count,
-            "rng_seed": self.rng_seed,
-            "stream_count": self.stream_count,
-            "drop_events": self.drop_events,
-            "deep_fade_count": self.deep_fade_count,
-            "busy_frames": self.busy_frames,
-            "served_count": self.served_count,
-            "departed_count": self.departed_count,
-            "delay_violation_count": self.delay_violation_count,
-            "final_queue": self.final_queue,
-            "per_user": self.per_user,
-        }
+        out = asdict(self)
+        out["empirical_mean_tx_power_w"] = out.pop("empirical_mean_tx_power")
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -518,22 +492,14 @@ def run_simulation(policy: SimPolicy, cfg: SystemConfig,
         results = [_run_stream(policy, cfg, nf, seed, s, trace_rows)
                    for s, nf in jobs]
 
-    k = len(policy.users)
-    per_user = []
-    for u in range(k):
-        agg = {key: 0.0 for key in ("arrivals", "served", "dropped",
-                                    "power_sum", "final_queue")}
-        for key in ("drop_events", "deep_fades", "busy_frames", "departed",
-                    "delay_violations"):
-            agg[key] = 0
-        for res in results:
+    per_user = results[0]
+    for u, agg in enumerate(per_user):
+        for res in results[1:]:
             for key in agg:
                 agg[key] += res[u][key]
-        agg["arrivals"] = int(agg["arrivals"])
         agg["achieved_eps_h"] = (agg["dropped"] / agg["arrivals"]
                                  if agg["arrivals"] else 0.0)
         agg["mean_tx_power"] = agg["power_sum"] / frames
-        per_user.append(agg)
 
     arrivals = sum(pu["arrivals"] for pu in per_user)
     dropped = sum(pu["dropped"] for pu in per_user)

@@ -300,25 +300,34 @@ class TestExperimentSpec:
                 ExperimentSpec(config_path=config_file, eps_list=(1e-5,),
                                **bad).validate()
 
-    @pytest.mark.parametrize("args", [
-        ["table-wth", "--service-rate", "0"],
-        ["table-wth", "--service-rate", "nan"],
-        ["simulate", "--streams", "0"],
-        ["simulate", "--workers", "0"],
-        ["table-drop", "--distance", "-5"],
-        ["solve"],
-        ["sweep-users", "--k-max", "2", "--fixed-nt", "1"],
-        ["sweep-antennas", "--k-values", "2", "--nt-min", "1"],
-        ["simulate", "--trace", "trace.csv"],
+    @pytest.mark.parametrize("args,edit", [
+        (["table-wth", "--service-rate", "0"], None),
+        (["table-wth", "--service-rate", "nan"], None),
+        (["simulate", "--streams", "0"], None),
+        (["simulate", "--workers", "0"], None),
+        (["table-drop", "--distance", "-5"], None),
+        (["solve"], ("noise_psd_dbm_hz = -173", "noise_psd_dbm_hz = nan")),
+        (["sweep-users", "--k-max", "2", "--fixed-nt", "1"], None),
+        (["sweep-antennas", "--k-values", "2", "--nt-min", "1"], None),
+        (["simulate", "--trace", "trace.csv"], None),
+        # the sweeps and the dropping table place their own users, so a
+        # config whose traffic they would ignore is refused
+        (["sweep-users", "--k-max", "2", "--fixed-nt", "8"],
+         ("node_packet_rate_hz = 10", "node_packet_rate_hz = 100")),
+        (["sweep-antennas", "--k-values", "2"],
+         ("nodes_per_user = 20", "nodes_per_user = 5")),
+        (["table-drop", "--eps", "1e-2", "--frames", "1000"],
+         ("user_distances_m = 250",
+          "user_distances_m = 250, 100\nuser_arrival_rates_pps = 200, 400")),
     ], ids=["rate-zero", "rate-nan", "streams-zero", "workers-zero",
             "distance-negative", "noise-nan", "fixed-nt-one", "nt-min-one",
-            "trace-multi-stream"])
-    def test_bad_inputs_exit_3(self, runner, tmp_path, args):
-        # the solve case reads a config whose noise density is NaN
+            "trace-multi-stream", "sweep-users-node-rate",
+            "sweep-antennas-node-count", "table-drop-user-rates"])
+    def test_bad_inputs_exit_3(self, runner, tmp_path, args, edit):
+        # ``edit`` is a (line, replacement) pair for the default config
         path = tmp_path / "cell.cfg"
-        path.write_text(DEFAULT_CONFIG_TEXT if len(args) > 1 else
-                        DEFAULT_CONFIG_TEXT.replace("noise_psd_dbm_hz = -173",
-                                                    "noise_psd_dbm_hz = nan"))
+        path.write_text(DEFAULT_CONFIG_TEXT.replace(*edit) if edit else
+                        DEFAULT_CONFIG_TEXT)
         args = [os.fspath(tmp_path / a) if a.endswith(".csv") else a
                 for a in args] + ["--config", os.fspath(path)]
         if args[0].startswith(("table", "sweep")):

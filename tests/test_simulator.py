@@ -58,7 +58,7 @@ class TestChannelDraws:
 
 class TestQueueTransition:
     def _policy_user(self, cfg, g_th=1.0, eb=0.4, p_th=1.0):
-        return UserPolicy(bandwidth=3e6, snr_target=1.0, gain_threshold=g_th,
+        return UserPolicy(bandwidth=3e6, gain_threshold=g_th,
                           power_cap=p_th, service_rate_nominal=eb,
                           alpha=3e-13, arrival_rate=0.02, eps_c=1e-7,
                           inversion_coeff=1e-7)
@@ -144,7 +144,7 @@ def frame_by_frame(state, g, a, up, dq, base_frame, cfg):
 
 # saturated regime: ~half the frames are deep fades with a starved power
 # cap, multi-packet arrivals, persistent backlog
-DENSE_USER = UserPolicy(bandwidth=3e6, snr_target=1.0, gain_threshold=3.0,
+DENSE_USER = UserPolicy(bandwidth=3e6, gain_threshold=3.0,
                         power_cap=1e-18, service_rate_nominal=0.9,
                         alpha=3e-13, arrival_rate=0.8, eps_c=1e-7,
                         inversion_coeff=1e-7)
@@ -186,7 +186,7 @@ class TestFastPathEquivalence:
         # long busy spells fed by multi-packet arrivals, so the walk hands
         # a backlogged state with several pending arrival frames to
         # ``_advance`` and takes it back
-        up = UserPolicy(bandwidth=3e6, snr_target=1.0, gain_threshold=0.35,
+        up = UserPolicy(bandwidth=3e6, gain_threshold=0.35,
                         power_cap=1e-18, service_rate_nominal=2.2,
                         alpha=3e-13, arrival_rate=2.0, eps_c=1e-7,
                         inversion_coeff=1e-7)
@@ -203,10 +203,30 @@ class TestFastPathEquivalence:
         assert slow.delay_violations > 1000
         assert_states_equal(fast, slow)
 
+        # hand-built fades, walked in windows of 8 frames: at a window's
+        # first frame (empty queue and backlogged), at its last frame, on
+        # adjacent frames (across a window edge too) and inside the backlog
+        # of a burst, so the walk's runs between fades are empty or short
+        a = np.tile([3, 0, 4, 0, 0, 2, 6, 0], 6)
+        a[8:12] = 6
+        for fades in ([0, 8, 16], [7, 15, 47], [9, 10, 11], [23, 24],
+                      [12, 13, 30, 31, 32]):
+            g = np.ones(len(a))
+            g[fades] = 0.01
+            fast, slow = QueueState(), QueueState()
+            for base in range(0, len(a), 8):
+                ga, aa = g[base:base + 8], a[base:base + 8]
+                _walk_chunk(fast, ga, aa, ga < up.gain_threshold, up, 3,
+                            base, cfg)
+                frame_by_frame(slow, ga, aa, up, 3, base, cfg)
+                assert_states_equal(fast, slow)
+            assert slow.deep_fades == len(fades)
+            assert slow.drop_events > 0 and slow.delay_violations > 0
+
     @pytest.mark.parametrize("up", [
         pytest.param(DENSE_USER, id="dense"),
-        pytest.param(UserPolicy(bandwidth=3e6, snr_target=1.0,
-                                gain_threshold=0.35, power_cap=1e-18,
+        pytest.param(UserPolicy(bandwidth=3e6, gain_threshold=0.35,
+                                power_cap=1e-18,
                                 service_rate_nominal=2.05, alpha=3e-13,
                                 arrival_rate=2.0, eps_c=1e-7,
                                 inversion_coeff=1e-7), id="busy"),
@@ -217,8 +237,7 @@ class TestFastPathEquivalence:
         # window boundaries; the stream must equal one frame-by-frame pass
         # over the same draws
         chunk, frames, seed, stream = 4096, 40_000, 31, 2
-        policy = SimPolicy(users=(up,), antennas=3, queue_delay_frames=4,
-                           cfg=cfg)
+        policy = SimPolicy(users=(up,), antennas=3, queue_delay_frames=4)
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(entropy=seed, spawn_key=(stream, 0))))
         slow = QueueState()
@@ -261,7 +280,7 @@ class TestFastPathEquivalence:
         # entries as the frame-by-frame oracle does, after every window:
         # spells that straddle windows, heads that come due at a window's
         # first frame and queues that empty exactly when due all occur
-        up = UserPolicy(bandwidth=3e6, snr_target=1.0, gain_threshold=g_th,
+        up = UserPolicy(bandwidth=3e6, gain_threshold=g_th,
                         power_cap=1e-18, service_rate_nominal=eb,
                         alpha=3e-13, arrival_rate=load * eb, eps_c=1e-7,
                         inversion_coeff=1e-7)
@@ -285,7 +304,7 @@ class TestFastPathEquivalence:
         # lambda = 2 against eb = 2.89 with dq = 8: most busy spells end
         # before their first packet comes due, so the departure loop must
         # run on only a small share of the visited frames
-        up = UserPolicy(bandwidth=3e6, snr_target=1.0, gain_threshold=0.05,
+        up = UserPolicy(bandwidth=3e6, gain_threshold=0.05,
                         power_cap=1e-18, service_rate_nominal=2.89,
                         alpha=3e-13, arrival_rate=2.0, eps_c=1e-7,
                         inversion_coeff=1e-7)
