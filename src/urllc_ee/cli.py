@@ -40,12 +40,12 @@ def _handle_errors(fn):
     return wrapper
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip())
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip())
+def _parse_list(text: str, kind) -> tuple:
+    """The items of a comma list as ``kind``; a bad item is a config error."""
+    try:
+        return tuple(kind(x) for x in text.split(",") if x.strip())
+    except ValueError as exc:  # its message quotes the bad item
+        raise ConfigError(f"{text!r}: {exc}") from None
 
 
 @click.group()
@@ -112,7 +112,8 @@ def simulate(config_path, out_path, seed, frames, streams, workers, eps_h,
 def table_wth(config_path, out_path, eps_text, service_rate):
     """Bandwidth minimizer of the power kernel per error target."""
     spec = ExperimentSpec(kind="table_wth", config_path=config_path,
-                          output_path=out_path, eps_list=_parse_floats(eps_text),
+                          output_path=out_path,
+                          eps_list=_parse_list(eps_text, float),
                           service_rate=service_rate)
     for eps, wth in run_experiment(spec)["rows"]:
         click.echo(f"eps_c={eps:g}  W_th={wth/1e6:.4f} MHz")
@@ -133,7 +134,8 @@ def table_drop(config_path, out_path, eps_text, frames, seed, streams,
                workers, distance):
     """Required vs achieved dropping probability (single-user protocol)."""
     spec = ExperimentSpec(kind="table_drop", config_path=config_path,
-                          output_path=out_path, eps_list=_parse_floats(eps_text),
+                          output_path=out_path,
+                          eps_list=_parse_list(eps_text, float),
                           frames=frames, seed=seed, streams=streams,
                           workers=workers, distance=distance)
     for r in run_experiment(spec)["rows"]:
@@ -161,7 +163,8 @@ def sweep_antennas(config_path, out_path, k_text, nt_min, nt_max, placement,
                    seed):
     """Mean total power vs antenna count, per user count."""
     spec = ExperimentSpec(kind="sweep_antennas", config_path=config_path,
-                          output_path=out_path, k_values=_parse_ints(k_text),
+                          output_path=out_path,
+                          k_values=_parse_list(k_text, int),
                           nt_values=tuple(range(nt_min, nt_max + 1)),
                           placement=placement, seed=seed)
     loci = run_experiment(spec)["loci"]
@@ -189,7 +192,7 @@ def sweep_users(config_path, out_path, k_min, k_max, fixed_nt_text,
     spec = ExperimentSpec(kind="sweep_users", config_path=config_path,
                           output_path=out_path,
                           k_values=tuple(range(k_min, k_max + 1)),
-                          fixed_nts=_parse_ints(fixed_nt_text),
+                          fixed_nts=_parse_list(fixed_nt_text, int),
                           placement=placement, seed=seed)
     for k, ee_joint, fixed in run_experiment(spec)["rows"]:
         click.echo(f"K={k}: EE_joint={_show(ee_joint)}  " + "  ".join(

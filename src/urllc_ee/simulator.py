@@ -14,12 +14,17 @@ independent of execution order or parallelism degree.
 The hot path skips frames that provably do nothing: a frame with an empty
 queue, no arrivals and no deep fade leaves every counter unchanged, so only
 event frames (and busy spells after them) run through the Python queue
-update; channel draws and power statistics stay vectorized.  The walk
-splits each window at its deep fades (about one frame in a million): the
-deep-fade frames go through the frame-by-frame reference ``_advance``, and
-the runs of frames between them through ``_serve``, an arrival-only loop
-that keeps the queue state in local variables and runs ``_advance``'s
-float operations in the same order, so its tallies are bit-identical.
+update; channel draws and power statistics stay vectorized.  They run one
+chunk ahead on a helper thread: while the walk runs a chunk, the helper
+draws the next chunk of the run (numpy's samplers release the GIL).  The
+chunk size ``_CHUNK`` and the draw order (per (stream, user) pair, each
+chunk's gains, then its arrivals) are part of the output bytes; another
+chunking draws other numbers.  The walk splits each chunk at its deep
+fades (about one frame in a million): the deep-fade frames go through the
+frame-by-frame reference ``_advance``, and the runs of frames between them
+through ``_serve``, an arrival-only loop that keeps the queue state in
+local variables and runs ``_advance``'s float operations in the same
+order, so its tallies are bit-identical.
 Pending packets are kept as one entry per arrival frame, since packets of
 one frame share their queueing delay.  ``_serve`` settles departures only
 where a packet can be late: from the frame at which the oldest pending
@@ -34,7 +39,7 @@ from __future__ import annotations
 import csv
 import json
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -242,24 +247,27 @@ def _settle(pend: deque, outflow: float, frame: int,
     return departed, violations
 
 
-def _walk_chunk(state: QueueState, g: np.ndarray, a: np.ndarray,
-                deep: np.ndarray, up: UserPolicy, dq: int, base_frame: int,
+def _walk_chunk(state: QueueState, a: np.ndarray, fades: list,
+                gains: list, up: UserPolicy, dq: int, base_frame: int,
                 cfg: SystemConfig) -> None:
     """``_advance`` over every frame of a chunk, skipping the frames that
     leave the state untouched (empty queue, no arrival, no deep fade).
-    ``deep`` is the chunk's mask ``g < up.gain_threshold``.
+    ``fades`` lists the chunk's deep-fade frames (``g < up.gain_threshold``)
+    in order and ``gains`` their channel gains.
 
     Each deep fade goes through ``_advance`` itself and each run of frames
-    between them through ``_serve``.  Both leave the state exact, so the
-    split keeps the tallies of the frame-by-frame oracle.
+    between them through ``_serve``, at most ``_WINDOW`` frames at a time.
+    Both leave the state exact, so the split keeps the tallies of the
+    frame-by-frame oracle.
     """
     eb = up.service_rate_nominal
     start = 0
-    for f in np.flatnonzero(deep).tolist():
-        _serve(state, a[start:f], eb, dq, base_frame + start)
-        _advance(state, float(g[f]), int(a[f]), up, dq, base_frame + f, cfg)
+    for f, g in zip([*fades, len(a)], [*gains, None]):
+        for w in range(start, f, _WINDOW):
+            _serve(state, a[w:min(w + _WINDOW, f)], eb, dq, base_frame + w)
+        if g is not None:
+            _advance(state, g, int(a[f]), up, dq, base_frame + f, cfg)
         start = f + 1
-    _serve(state, a[start:], eb, dq, base_frame + start)
 
 
 def _serve(state: QueueState, a: np.ndarray, eb: float, dq: int,
@@ -379,50 +387,94 @@ def _serve(state: QueueState, a: np.ndarray, eb: float, dq: int,
     state.inflow, state.outflow = inflow, outflow
 
 
-def _run_stream(policy: SimPolicy, cfg: SystemConfig, frames: int,
-                seed: int, stream: int, trace_rows: list | None = None):
-    """Simulate every user for one stream; returns per-user tallies."""
+def _draw(rng: np.random.Generator, antennas: int, up: UserPolicy, n: int,
+          trace: bool) -> tuple:
+    """One chunk of a (stream, user) pair's draws: ``n`` channel gains,
+    then ``n`` arrival counts.
+
+    Returns the arrival counts, the deep-fade frames, their gains, the
+    transmit powers (None unless tracing) and the sum of the powers.  A
+    traced chunk hands every frame's gain.  The powers overwrite the gains
+    in place; they are the values ``np.where(deep, cap, coeff / g)`` gives,
+    in a contiguous array of the same length, so their pairwise sum is the
+    same too.
+    """
+    g = rng.standard_gamma(antennas, size=n)
+    deep = g < up.gain_threshold
+    fades = np.flatnonzero(deep)
+    gains = g.tolist() if trace else g[fades].tolist()
+    np.divide(up.inversion_coeff, g, out=g)
+    np.copyto(g, up.power_cap, where=deep)
+    power = g if trace else None
+    power_sum = float(np.sum(g))
+    # the gains go before the arrivals are drawn, so the chunk's two large
+    # arrays are never live together
+    del g, deep
+    a = rng.poisson(up.arrival_rate, size=n)
+    return a, fades.tolist(), gains, power, power_sum
+
+
+def _run_streams(policy: SimPolicy, cfg: SystemConfig, jobs: list,
+                 seed: int, trace_rows: list | None = None) -> list:
+    """Simulate every user of each ``(stream, frames)`` job; returns, per
+    job, the per-user tallies.
+
+    One loop walks every (stream, user, chunk) of the jobs in order while
+    a helper thread makes the draws of the next one.
+    """
     dq = policy.queue_delay_frames
+    trace = trace_rows is not None
+    chunks = []
+    for s, nf in jobs:
+        for u, up in enumerate(policy.users):
+            rng = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(entropy=seed, spawn_key=(s, u))))
+            chunks += [(u, up, rng, done, min(_CHUNK, nf - done))
+                       for done in range(0, nf, _CHUNK)]
+    chunks.append(None)  # sentinel: nothing left to draw
+
     out = []
-    for u, up in enumerate(policy.users):
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=seed, spawn_key=(stream, u))))
-        state = QueueState()
-        power_sum = 0.0
-        power_c = 0.0
-        done = 0
-        while done < frames:
-            n = min(_CHUNK, frames - done)
-            g = rng.standard_gamma(policy.antennas, size=n)
-            a = rng.poisson(up.arrival_rate, size=n)
-            deep = g < up.gain_threshold
-            p = np.where(deep, up.power_cap, up.inversion_coeff / g)
-            power_sum, power_c = _kahan(power_sum, power_c,
-                                        float(np.sum(p)))
-            if trace_rows is not None:
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        def draw(chunk):
+            u, up, rng, done, n = chunk
+            return helper.submit(_draw, rng, policy.antennas, up, n, trace)
+
+        ahead = draw(chunks[0])
+        for chunk, nxt in zip(chunks, chunks[1:]):
+            # unpacking frees the last chunk's arrays before the next draw
+            # starts, so at most two chunks are live
+            a, fades, gains, power, power_chunk = ahead.result()
+            if nxt is not None:
+                ahead = draw(nxt)
+            u, up, _, done, n = chunk
+            if done == 0:
+                if u == 0:
+                    out.append([])
+                state = QueueState()
+                power_sum = power_c = 0.0
+            power_sum, power_c = _kahan(power_sum, power_c, power_chunk)
+            if trace:
                 for i in range(n):
-                    srv, drp = _advance(state, float(g[i]), int(a[i]), up,
-                                        dq, done + i, cfg)
-                    trace_rows.append((done + i, u, float(g[i]),
-                                       float(p[i]), int(a[i]), srv, drp,
+                    srv, drp = _advance(state, gains[i], int(a[i]), up, dq,
+                                        done + i, cfg)
+                    trace_rows.append((done + i, u, gains[i],
+                                       float(power[i]), int(a[i]), srv, drp,
                                        state.queue))
             else:
-                for w in range(0, n, _WINDOW):
-                    _walk_chunk(state, g[w:w + _WINDOW], a[w:w + _WINDOW],
-                                deep[w:w + _WINDOW], up, dq, done + w, cfg)
-            done += n
-        out.append({
-            "arrivals": state.arrivals,
-            "served": state.served,
-            "dropped": state.dropped,
-            "drop_events": state.drop_events,
-            "deep_fades": state.deep_fades,
-            "busy_frames": state.busy_frames,
-            "departed": state.departed,
-            "delay_violations": state.delay_violations,
-            "final_queue": state.queue,
-            "power_sum": power_sum,
-        })
+                _walk_chunk(state, a, fades, gains, up, dq, done, cfg)
+            if nxt is None or nxt[3] == 0:  # the pair's last chunk
+                out[-1].append({
+                    "arrivals": state.arrivals,
+                    "served": state.served,
+                    "dropped": state.dropped,
+                    "drop_events": state.drop_events,
+                    "deep_fades": state.deep_fades,
+                    "busy_frames": state.busy_frames,
+                    "departed": state.departed,
+                    "delay_violations": state.delay_violations,
+                    "final_queue": state.queue,
+                    "power_sum": power_sum,
+                })
     return out
 
 
@@ -465,7 +517,8 @@ def run_simulation(policy: SimPolicy, cfg: SystemConfig,
     ``frames`` are split as evenly as possible across ``streams``
     independent substreams (each restarts from an empty queue); ``workers``
     caps the worker processes, at most one per stream, and never changes
-    the result.
+    the result.  Each process draws on one helper thread that ends with
+    the call.
     """
     if frames < 1:
         raise ValueError("frames must be at least 1")
@@ -485,12 +538,11 @@ def run_simulation(policy: SimPolicy, cfg: SystemConfig,
     if workers > 1 and trace_rows is None:
         # a forked pool starts every worker at its first submit
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            futures = [pool.submit(_run_stream, policy, cfg, nf, seed, s)
-                       for s, nf in jobs]
-            results = [f.result() for f in futures]
+            futures = [pool.submit(_run_streams, policy, cfg, [job], seed)
+                       for job in jobs]
+            results = [f.result()[0] for f in futures]
     else:
-        results = [_run_stream(policy, cfg, nf, seed, s, trace_rows)
-                   for s, nf in jobs]
+        results = _run_streams(policy, cfg, jobs, seed, trace_rows)
 
     per_user = results[0]
     for u, agg in enumerate(per_user):

@@ -319,10 +319,16 @@ class TestExperimentSpec:
         (["table-drop", "--eps", "1e-2", "--frames", "1000"],
          ("user_distances_m = 250",
           "user_distances_m = 250, 100\nuser_arrival_rates_pps = 200, 400")),
+        (["table-drop", "--eps", "1e-4,abc"], None),
+        (["table-wth", "--eps", "0.1,y"], None),
+        (["sweep-users", "--k-max", "2", "--fixed-nt", "8,x"], None),
+        (["sweep-antennas", "--k-values", "5,x"], None),
     ], ids=["rate-zero", "rate-nan", "streams-zero", "workers-zero",
             "distance-negative", "noise-nan", "fixed-nt-one", "nt-min-one",
             "trace-multi-stream", "sweep-users-node-rate",
-            "sweep-antennas-node-count", "table-drop-user-rates"])
+            "sweep-antennas-node-count", "table-drop-user-rates",
+            "table-drop-eps-list", "table-wth-eps-list",
+            "sweep-users-fixed-nt-list", "sweep-antennas-k-list"])
     def test_bad_inputs_exit_3(self, runner, tmp_path, args, edit):
         # ``edit`` is a (line, replacement) pair for the default config
         path = tmp_path / "cell.cfg"

@@ -1,7 +1,9 @@
 import hashlib
 import math
 import os
+import threading
 from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,8 +15,8 @@ from urllc_ee import (SimPolicy, run_simulation, solve_allocation,
                       validate_config)
 from urllc_ee import simulator
 from urllc_ee.config_io import DEFAULT_CONFIG_TEXT, parse_config_text
-from urllc_ee.simulator import (QueueState, UserPolicy, _advance, _run_stream,
-                                _walk_chunk)
+from urllc_ee.simulator import (QueueState, UserPolicy, _advance,
+                                _run_streams, _walk_chunk)
 
 from conftest import DEFAULT_CFG
 from oracles import drop_prob_B, gain_cdf
@@ -136,6 +138,14 @@ def assert_states_equal(fast, slow):
     assert list(fast.pending) == list(slow.pending)
 
 
+def walk(state, g, a, up, dq, base_frame, cfg):
+    """The walk over a chunk of draws, handed its deep fades as the
+    simulator hands them."""
+    fades = np.flatnonzero(g < up.gain_threshold)
+    _walk_chunk(state, a, fades.tolist(), g[fades].tolist(), up, dq,
+                base_frame, cfg)
+
+
 def frame_by_frame(state, g, a, up, dq, base_frame, cfg):
     """The oracle: every frame of a chunk through ``_advance``."""
     for i in range(len(g)):
@@ -161,8 +171,7 @@ class TestFastPathEquivalence:
         a = rng.poisson(up.arrival_rate, size=200_000)
 
         fast = QueueState()
-        _walk_chunk(fast, g, a, g < up.gain_threshold, up,
-                    policy.queue_delay_frames, 0, cfg)
+        walk(fast, g, a, up, policy.queue_delay_frames, 0, cfg)
         slow = QueueState()
         frame_by_frame(slow, g, a, up, policy.queue_delay_frames, 0, cfg)
         assert_states_equal(fast, slow)
@@ -174,7 +183,7 @@ class TestFastPathEquivalence:
         g = rng.standard_gamma(3, size=50_000)
         a = rng.poisson(up.arrival_rate, size=50_000)
         fast = QueueState()
-        _walk_chunk(fast, g, a, g < up.gain_threshold, up, 8, 0, cfg)
+        walk(fast, g, a, up, 8, 0, cfg)
         slow = QueueState()
         frame_by_frame(slow, g, a, up, 8, 0, cfg)
         assert slow.drop_events > 1000  # both branches heavily exercised
@@ -194,7 +203,7 @@ class TestFastPathEquivalence:
         g = rng.standard_gamma(3, size=100_000)
         a = rng.poisson(up.arrival_rate, size=100_000)
         fast = QueueState()
-        _walk_chunk(fast, g, a, g < up.gain_threshold, up, 3, 0, cfg)
+        walk(fast, g, a, up, 3, 0, cfg)
         slow = QueueState()
         frame_by_frame(slow, g, a, up, 3, 0, cfg)
         deep = g < up.gain_threshold
@@ -216,8 +225,7 @@ class TestFastPathEquivalence:
             fast, slow = QueueState(), QueueState()
             for base in range(0, len(a), 8):
                 ga, aa = g[base:base + 8], a[base:base + 8]
-                _walk_chunk(fast, ga, aa, ga < up.gain_threshold, up, 3,
-                            base, cfg)
+                walk(fast, ga, aa, up, 3, base, cfg)
                 frame_by_frame(slow, ga, aa, up, 3, base, cfg)
                 assert_states_equal(fast, slow)
             assert slow.deep_fades == len(fades)
@@ -255,7 +263,7 @@ class TestFastPathEquivalence:
 
         monkeypatch.setattr(simulator, "_CHUNK", chunk)
         monkeypatch.setattr(simulator, "_WINDOW", 1500)
-        (fast,) = _run_stream(policy, cfg, frames, seed, stream)
+        ((fast,),) = _run_streams(policy, cfg, [(stream, frames)], seed)
         del fast["power_sum"]  # summed per chunk, outside the walk
         assert fast == {
             "arrivals": slow.arrivals, "served": slow.served,
@@ -292,8 +300,7 @@ class TestFastPathEquivalence:
         base = 0
         while base < frames:
             end = min(frames, base + data.draw(st.integers(50, 700)))
-            _walk_chunk(fast, g[base:end], a[base:end],
-                        g[base:end] < g_th, up, dq, base, DEFAULT_CFG)
+            walk(fast, g[base:end], a[base:end], up, dq, base, DEFAULT_CFG)
             frame_by_frame(slow, g[base:end], a[base:end], up, dq, base,
                            DEFAULT_CFG)
             assert_states_equal(fast, slow)
@@ -322,7 +329,7 @@ class TestFastPathEquivalence:
 
         monkeypatch.setattr(simulator, "_settle", counting_settle)
         fast = QueueState()
-        _walk_chunk(fast, g, a, deep, up, 8, 0, cfg)
+        walk(fast, g, a, up, 8, 0, cfg)
         slow = QueueState()
         visited = 0
         for i in range(len(g)):
@@ -436,6 +443,99 @@ class TestRunSimulation:
         run_simulation(policy, cfg, [single_user], frames=1, seed=5,
                        streams=3, workers=4)
         assert sizes == [2, 1]
+
+    def test_every_chunk_reaches_its_own_state(self, cfg, single_user,
+                                               monkeypatch):
+        # two users over three streams, each (stream, user) pair cut into
+        # several chunks and windows: every pair must equal one
+        # frame-by-frame pass over its own Philox draws, and each user's
+        # report the sum of its pairs in stream order, so a chunk walked
+        # against the wrong state or out of order shows by name
+        chunk, frames, seed, streams = 4096, 3 * 9000 + 1, 41, 3
+        ups = (DENSE_USER, UserPolicy(
+            bandwidth=3e6, gain_threshold=0.35, power_cap=1e-18,
+            service_rate_nominal=2.05, alpha=3e-13, arrival_rate=2.0,
+            eps_c=1e-7, inversion_coeff=1e-7))
+        policy = SimPolicy(users=ups, antennas=3, queue_delay_frames=4)
+        oracle = [{} for _ in ups]
+        for s, nf in enumerate((9001, 9000, 9000)):
+            for u, up in enumerate(ups):
+                rng = np.random.Generator(np.random.Philox(
+                    np.random.SeedSequence(entropy=seed, spawn_key=(s, u))))
+                slow = QueueState()
+                power_sum = power_c = 0.0
+                for done in range(0, nf, chunk):
+                    n = min(chunk, nf - done)
+                    g = rng.standard_gamma(policy.antennas, size=n)
+                    a = rng.poisson(up.arrival_rate, size=n)
+                    p = np.where(g < up.gain_threshold, up.power_cap,
+                                 up.inversion_coeff / g)
+                    power_sum, power_c = simulator._kahan(
+                        power_sum, power_c, float(np.sum(p)))
+                    frame_by_frame(slow, g, a, up, policy.queue_delay_frames,
+                                   done, cfg)
+                tallies = {
+                    "arrivals": slow.arrivals, "served": slow.served,
+                    "dropped": slow.dropped, "drop_events": slow.drop_events,
+                    "deep_fades": slow.deep_fades,
+                    "busy_frames": slow.busy_frames,
+                    "departed": slow.departed,
+                    "delay_violations": slow.delay_violations,
+                    "final_queue": slow.queue, "power_sum": power_sum,
+                }
+                for key, value in tallies.items():
+                    oracle[u][key] = oracle[u].get(key, 0) + value
+
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
+        monkeypatch.setattr(simulator, "_WINDOW", 1500)
+        # run_simulation reads only the length of its user list
+        rep = run_simulation(policy, cfg, [single_user] * 2, frames=frames,
+                             seed=seed, streams=streams, workers=1)
+        for u, pu in enumerate(rep.per_user):
+            assert {key: pu[key] for key in oracle[u]} == oracle[u]
+        assert all(o["drop_events"] > 0 and o["delay_violations"] > 0
+                   for o in oracle)
+
+    def test_no_thread_outlives_the_run(self, cfg, single_user,
+                                        monkeypatch):
+        # the draws run one chunk ahead on a helper thread; it ends with
+        # the run, also when the walk or a draw raises, and the caller
+        # sees the original exception
+        policy, _ = relaxed_policy(cfg, single_user, eps_h=1e-2)
+        before = threading.active_count()
+        run_simulation(policy, cfg, [single_user], frames=30_000, seed=5,
+                       streams=3)
+        assert threading.active_count() == before
+
+        class WalkFailed(Exception):
+            pass
+
+        calls = 0
+        walk_chunk = simulator._walk_chunk
+
+        def failing_walk(*args):
+            nonlocal calls
+            calls += 1
+            if calls == 2:
+                raise WalkFailed
+            return walk_chunk(*args)
+
+        monkeypatch.setattr(simulator, "_walk_chunk", failing_walk)
+        with pytest.raises(WalkFailed):
+            run_simulation(policy, cfg, [single_user], frames=30_000, seed=5,
+                           streams=3)
+        assert calls == 2
+        assert threading.active_count() == before
+        monkeypatch.undo()
+
+        # a negative arrival rate makes the helper's Poisson draw raise
+        bad = SimPolicy(users=(replace(policy.users[0], arrival_rate=-1.0),),
+                        antennas=policy.antennas,
+                        queue_delay_frames=policy.queue_delay_frames)
+        with pytest.raises(ValueError, match="lam"):
+            run_simulation(bad, cfg, [single_user], frames=30_000, seed=5,
+                           streams=3)
+        assert threading.active_count() == before
 
     def test_seed_changes_results(self, cfg, single_user):
         policy, _ = relaxed_policy(cfg, single_user, eps_h=1e-2)
