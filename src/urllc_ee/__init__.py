@@ -11,11 +11,10 @@ __version__ = "0.1.0"
 from .model import (Allocation, ConfigError, PowerInfeasibleError, QosBudget,
                     QosInfeasibleError, SystemConfig, UserProfile,
                     path_loss_gain, validate_config)
-from .rate import (SnrRequirementCoeffs, achievable_rate, channel_dispersion,
-                   inv_gaussian_q, snr_coeffs)
+from .rate import (achievable_rate, channel_dispersion, inv_gaussian_q,
+                   snr_coeffs)
 from .traffic import effective_bandwidth
-from .fading import (GainThreshold, drop_bound_F, mean_tx_power,
-                     solve_gain_threshold)
+from .fading import drop_bound_F, mean_tx_power, solve_gain_threshold
 from .allocator import (BandwidthSolution, YFunction, allocate_bandwidth,
                         build_y_functions, find_bandwidth_minimizer,
                         optimal_antennas, power_thresholds, solve_allocation)
@@ -25,13 +24,13 @@ from .experiments import ExperimentSpec, place_users, run_experiment
 
 __all__ = [
     "Allocation", "BandwidthSolution", "ConfigError", "DEFAULT_CONFIG_TEXT",
-    "ExperimentSpec", "GainThreshold", "PowerInfeasibleError", "QosBudget",
+    "ExperimentSpec", "PowerInfeasibleError", "QosBudget",
     "QosInfeasibleError", "QueueState", "SimPolicy", "SimReport",
-    "SnrRequirementCoeffs", "SystemConfig", "UserProfile", "YFunction",
-    "achievable_rate", "allocate_bandwidth", "build_y_functions",
-    "channel_dispersion", "drop_bound_F", "effective_bandwidth",
-    "find_bandwidth_minimizer", "inv_gaussian_q", "load_config",
-    "mean_tx_power", "optimal_antennas", "parse_config_text",
-    "path_loss_gain", "place_users", "power_thresholds", "run_experiment",
-    "run_simulation", "snr_coeffs", "solve_allocation", "validate_config",
+    "SystemConfig", "UserProfile", "YFunction", "achievable_rate",
+    "allocate_bandwidth", "build_y_functions", "channel_dispersion",
+    "drop_bound_F", "effective_bandwidth", "find_bandwidth_minimizer",
+    "inv_gaussian_q", "load_config", "mean_tx_power", "optimal_antennas",
+    "parse_config_text", "path_loss_gain", "place_users", "power_thresholds",
+    "run_experiment", "run_simulation", "snr_coeffs", "solve_allocation",
+    "validate_config",
 ]

@@ -55,8 +55,9 @@ CASE_LIMITED = "BandwidthLimited"
 
 @dataclass(frozen=True)
 class YFunction:
-    """Objective kernel for one user: required-SNR coefficients plus the
-    large-scale gain that weights the user in the power objective."""
+    """Objective kernel for one user: the required-SNR coefficients (l, v)
+    of ``rate.snr_coeffs`` plus the large-scale gain alpha that weights the
+    user in the power objective."""
 
     l: float
     v: float
@@ -362,7 +363,7 @@ def power_thresholds(sol: BandwidthSolution, n: int, cfg: SystemConfig,
     """
     if n < 2:
         raise ValueError("antenna count must be at least 2")
-    g_th = solve_gain_threshold(n, eps_h).g_th
+    g_th = solve_gain_threshold(n, eps_h)
     caps = [cfg.noise_psd * w * gamma / (f.alpha * g_th)
             for w, gamma, f in zip(sol.bandwidths, sol.snr_targets, users)]
     return g_th, caps
@@ -371,11 +372,8 @@ def power_thresholds(sol: BandwidthSolution, n: int, cfg: SystemConfig,
 def build_y_functions(cfg: SystemConfig, qos: QosBudget,
                       users: list[UserProfile]) -> list[YFunction]:
     """Objective kernels for a validated user list."""
-    out = []
-    for usr in users:
-        coeffs = snr_coeffs(qos.eps_c, qos.eps_q, usr.arrival_rate, cfg, qos)
-        out.append(YFunction(l=coeffs.l, v=coeffs.v, alpha=usr.gain))
-    return out
+    return [YFunction(*snr_coeffs(qos, usr.arrival_rate, cfg), alpha=usr.gain)
+            for usr in users]
 
 
 def mean_total_power(weighted_y: float, n: int, cfg: SystemConfig,
@@ -422,8 +420,8 @@ def solve_allocation(cfg: SystemConfig, users: list[UserProfile],
                      antenna_cap: int = 512) -> Allocation:
     """End-to-end solve: bandwidths, antenna count, power caps, mean power.
 
-    With ``n_antennas`` set the antenna count is held fixed (no feasibility
-    loop); otherwise the count starts at its closed-form optimum and is
+    With ``n_antennas`` set the antenna count is held fixed (at least 2);
+    otherwise the count starts at its closed-form optimum and is
     incremented until the summed power caps fit the BS budget; a closed-form
     optimum past ``antenna_cap`` starts the loop at the cap (see
     ``optimal_antennas``).  Deterministic: identical inputs give identical
@@ -440,26 +438,22 @@ def solve_allocation(cfg: SystemConfig, users: list[UserProfile],
     qos, yfuncs, sol = _prologue(cfg, tuple(users), eps_c, eps_q, eps_h)
     weighted_y = sol.objective
 
-    if n_antennas is None:
-        n = optimal_antennas(weighted_y, cfg, qos.eps_h, antenna_cap)
-        while True:
-            g_th, caps = power_thresholds(sol, n, cfg, yfuncs, qos.eps_h)
-            if sum(caps) <= cfg.max_bs_power:
-                break
-            n += 1
-            if n > antenna_cap:
-                raise PowerInfeasibleError(
-                    f"transmit-power budget {cfg.max_bs_power:.3g} W not "
-                    f"reachable within {antenna_cap} antennas")
-    else:
-        if n_antennas < 2:
-            raise ValueError("antenna count must be at least 2")
-        n = n_antennas
+    fixed = n_antennas is not None
+    n = n_antennas if fixed else optimal_antennas(weighted_y, cfg, qos.eps_h,
+                                                  antenna_cap)
+    while True:
         g_th, caps = power_thresholds(sol, n, cfg, yfuncs, qos.eps_h)
-        if sum(caps) > cfg.max_bs_power:
+        if sum(caps) <= cfg.max_bs_power:
+            break
+        if fixed:
             raise PowerInfeasibleError(
                 f"fixed antenna count {n} needs {sum(caps):.3g} W of "
                 f"power caps, budget is {cfg.max_bs_power:.3g} W")
+        n += 1
+        if n > antenna_cap:
+            raise PowerInfeasibleError(
+                f"transmit-power budget {cfg.max_bs_power:.3g} W not "
+                f"reachable within {antenna_cap} antennas")
 
     mean_powers = [mean_tx_power(w, g, f.alpha, n, qos.eps_h, cfg)
                    for w, g, f in zip(sol.bandwidths, sol.snr_targets,

@@ -7,15 +7,14 @@ never sees decibels.  The full key list lives in the README.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from .model import ConfigError, SystemConfig, UserProfile, dbm_to_watts
 
-_SCALAR_KEYS = {
-    "frame_duration", "dl_fraction", "e2e_delay", "backhaul_delay",
-    "noise_psd", "noise_psd_dbm_hz", "total_bandwidth",
-    "max_bs_power", "max_bs_power_dbm", "circuit_power_per_antenna",
-    "fixed_circuit_power", "amplifier_efficiency", "packet_bits",
-    "loss_budget", "nodes_per_user", "node_packet_rate_hz",
-}
+_FIELDS = tuple(f.name for f in fields(SystemConfig))
+# besides the fields: the dBm forms of two of them and the users' node traffic
+_SCALAR_KEYS = {*_FIELDS, "noise_psd_dbm_hz", "max_bs_power_dbm",
+                "nodes_per_user", "node_packet_rate_hz"}
 _LIST_KEYS = {"user_distances_m", "user_gains", "user_arrival_rates_pps"}
 _INT_KEYS = {"packet_bits", "nodes_per_user"}
 # keys that give one quantity in two forms; a file may set only one of each
@@ -84,16 +83,8 @@ def parse_config_text(text: str) -> tuple[SystemConfig, list[UserProfile]]:
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
 
-    kwargs: dict[str, float] = {}
-    for name in ("frame_duration", "dl_fraction", "e2e_delay",
-                 "backhaul_delay", "noise_psd", "total_bandwidth",
-                 "max_bs_power", "circuit_power_per_antenna",
-                 "fixed_circuit_power", "amplifier_efficiency",
-                 "loss_budget"):
-        if name in scalars:
-            kwargs[name] = scalars[name]
-    if "packet_bits" in scalars:
-        kwargs["packet_bits"] = int(scalars["packet_bits"])
+    kwargs = {name: int(scalars[name]) if name in _INT_KEYS else scalars[name]
+              for name in _FIELDS if name in scalars}
     for name in ("noise_psd", "max_bs_power"):
         key = _SAME_QUANTITY[name]  # the dBm form
         if key in scalars:
@@ -113,25 +104,19 @@ def parse_config_text(text: str) -> tuple[SystemConfig, list[UserProfile]]:
         raise ConfigError("user list is empty")
 
     rates_pps = lists.get("user_arrival_rates_pps")
-    if rates_pps is not None and len(rates_pps) != count:
+    if rates_pps is None:
+        node_rate = scalars.get("node_packet_rate_hz", 0.0)
+        if node_rate <= 0:
+            raise ConfigError("need node_packet_rate_hz (with nodes_per_user) "
+                              "or user_arrival_rates_pps")
+        rates_pps = [int(scalars.get("nodes_per_user", 1)) * node_rate] * count
+    elif len(rates_pps) != count:
         raise ConfigError("user_arrival_rates_pps length does not match users")
-    nodes = int(scalars.get("nodes_per_user", 1))
-    node_rate = scalars.get("node_packet_rate_hz", 0.0)
-    users = []
-    for i in range(count):
-        if rates_pps is not None:
-            lam = rates_pps[i] * cfg.frame_duration
-        else:
-            if node_rate <= 0:
-                raise ConfigError(
-                    "need node_packet_rate_hz (with nodes_per_user) or "
-                    "user_arrival_rates_pps")
-            lam = nodes * node_rate * cfg.frame_duration
-        users.append(UserProfile(
-            arrival_rate=lam,
-            distance=distances[i] if distances is not None else None,
-            large_scale_gain=gains[i] if gains is not None else None,
-        ))
+    users = [UserProfile(
+        arrival_rate=cfg.packets_per_frame(rate),
+        distance=distances[i] if distances is not None else None,
+        large_scale_gain=gains[i] if gains is not None else None,
+    ) for i, rate in enumerate(rates_pps)]
     return cfg, users
 
 

@@ -62,34 +62,25 @@ def place_users(k: int, cfg: SystemConfig, scheme: str = "grid",
             for d in dists]
 
 
-def bandwidth_minimizer_for_rate(cfg: SystemConfig, eps_c: float,
-                                 service_rate: float = 1.0) -> float:
-    """Minimizer of the bandwidth-SNR kernel at a fixed nominal service rate
-    (packets/frame), independent of any user's channel gain."""
-    coeffs = _coeffs_at_rate(service_rate, eps_c, cfg)
-    return find_bandwidth_minimizer(YFunction(l=coeffs.l, v=coeffs.v,
-                                              alpha=1.0))
-
-
 def table_wth_rows(cfg: SystemConfig, eps_list: list[float],
                    service_rate: float = 1.0) -> list[tuple[float, float]]:
-    """(eps_c, W_th in Hz) rows at a fixed nominal service rate."""
-    return [(eps, bandwidth_minimizer_for_rate(cfg, eps, service_rate))
+    """(eps_c, W_th in Hz) rows: the minimizer of the bandwidth-SNR kernel
+    at a fixed nominal service rate (packets/frame), independent of any
+    user's channel gain."""
+    return [(eps, find_bandwidth_minimizer(
+                YFunction(*_coeffs_at_rate(service_rate, eps, cfg), 1.0)))
             for eps in eps_list]
 
 
 def antenna_sweep_rows(cfg: SystemConfig, users: list[UserProfile],
-                       nt_values: list[int],
-                       eps_c: float | None = None,
-                       eps_q: float | None = None,
-                       eps_h: float | None = None):
+                       nt_values: list[int]):
     """Mean total power across antenna counts with the bandwidth split fixed.
 
     Returns (rows, locus): rows are (n_t, power_w, feasible) where
     feasibility means the per-user power caps fit the BS budget; the locus
     is (n_t*, power*) over the feasible rows.
     """
-    qos, yfuncs, sol = _prologue(cfg, tuple(users), eps_c, eps_q, eps_h)
+    qos, yfuncs, sol = _prologue(cfg, tuple(users), None, None, None)
     rows = []
     best = None
     for nt in nt_values:
@@ -213,6 +204,8 @@ class ExperimentSpec:
             raise ConfigError("user counts must be at least 1")
         if min((*self.fixed_nts, *self.nt_values), default=2) < 2:
             raise ConfigError("antenna counts must be at least 2")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
 
 def run_experiment(spec: ExperimentSpec) -> dict:
@@ -224,7 +217,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     spec.validate()
     cfg, users = load_config(spec.config_path)
     if spec.kind in ("table_drop", "sweep_antennas", "sweep_users"):
-        lam = NODES_PER_USER * NODE_PACKET_RATE_HZ * cfg.frame_duration
+        lam = cfg.packets_per_frame(NODES_PER_USER * NODE_PACKET_RATE_HZ)
         if any(usr.arrival_rate != lam for usr in users):
             raise ConfigError(
                 f"{spec.kind} places its own users, each {NODES_PER_USER} "

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from .model import SystemConfig
 
@@ -135,17 +134,8 @@ def _bisect(fn, arg, target: float, lo: float, hi: float,
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class GainThreshold:
-    """Gain threshold solving drop_bound_F(g_th, antennas) = eps_target."""
-
-    g_th: float
-    antennas: int
-    eps_target: float
-
-
-def solve_gain_threshold(n: int, eps_target: float) -> GainThreshold:
-    """Invert the dropping bound: find g_th with F(g_th, n) = eps_target.
+def solve_gain_threshold(n: int, eps_target: float) -> float:
+    """Invert the dropping bound: the g_th with F(g_th, n) = eps_target.
 
     F is continuous, 0 at 0+ and increasing to 1, so bisection always
     terminates.  The bracket is tightened far beyond the 1e-3 relative
@@ -161,11 +151,10 @@ def solve_gain_threshold(n: int, eps_target: float) -> GainThreshold:
 # A sweep asks for the same few (n, eps) pairs hundreds of times.  The
 # public solver stays a plain function that validates and then calls this.
 @functools.lru_cache(maxsize=1024, typed=True)
-def _gain_threshold(n: int, eps_target: float) -> GainThreshold:
+def _gain_threshold(n: int, eps_target: float) -> float:
     key = (n, eps_target)
     hi = _grow(_threshold_bound, key, eps_target, 1e-9, 2.0)
-    g_th = _bisect(_threshold_bound, key, eps_target, 0.0, hi, 1e-14)
-    return GainThreshold(g_th=g_th, antennas=n, eps_target=eps_target)
+    return _bisect(_threshold_bound, key, eps_target, 0.0, hi, 1e-14)
 
 
 def _threshold_bound(g_th: float, key: tuple[int, float]) -> float:

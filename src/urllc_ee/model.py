@@ -87,6 +87,10 @@ class SystemConfig:
     def frames_per_second(self) -> float:
         return 1.0 / self.frame_duration
 
+    def packets_per_frame(self, rate_hz: float) -> float:
+        """A packet rate in Hz (packets/s) in packets/frame."""
+        return rate_hz * self.frame_duration
+
 
 @dataclass(frozen=True)
 class UserProfile:
@@ -113,7 +117,7 @@ class UserProfile:
     def from_nodes(distance: float, node_count: int,
                    node_packet_rate_hz: float, cfg: SystemConfig) -> "UserProfile":
         """Build a user whose traffic aggregates ``node_count`` nodes."""
-        lam = node_count * node_packet_rate_hz * cfg.frame_duration
+        lam = cfg.packets_per_frame(node_count * node_packet_rate_hz)
         return UserProfile(arrival_rate=lam, distance=distance)
 
 

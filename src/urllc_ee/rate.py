@@ -3,15 +3,14 @@
 The rate model is the normal approximation for finite-blocklength coding:
 Shannon term minus a dispersion penalty scaled by the inverse Gaussian
 Q-function of the decoding-error target.  ``snr_coeffs`` folds the
-queueing constraint (service rate >= effective bandwidth) into two
-coefficients l (Hz) and v (Hz^1/2) so that downstream optimization only ever
+queueing constraint (service rate >= effective bandwidth) into the pair
+(l, v), l in Hz and v in Hz^1/2, so that downstream optimization only ever
 sees gamma(W) = exp(l/W + v/sqrt(W)) - 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .model import ConfigError, QosBudget, SystemConfig
 from .traffic import effective_bandwidth
@@ -80,24 +79,6 @@ def channel_dispersion(snr: float) -> float:
     return snr * (2.0 + snr) / ((1.0 + snr) * (1.0 + snr))
 
 
-@dataclass(frozen=True)
-class SnrRequirementCoeffs:
-    """Coefficients of the required-SNR exponent.
-
-    ``l`` (Hz) carries the queueing constraint via the effective bandwidth;
-    ``v`` (Hz^1/2) carries the finite-blocklength dispersion penalty.
-    """
-
-    l: float
-    v: float
-
-    def __post_init__(self):
-        if self.l <= 0:
-            raise ValueError("l must be positive")
-        if self.v < 0:
-            raise ValueError("v must be non-negative")
-
-
 def achievable_rate(tx_power: float, bandwidth: float, alpha: float, g: float,
                     eps_c: float, cfg: SystemConfig) -> float:
     """Finite-blocklength achievable rate in packets/frame.
@@ -116,27 +97,28 @@ def achievable_rate(tx_power: float, bandwidth: float, alpha: float, g: float,
     return (blocklength / (cfg.packet_bits * LN2)) * (math.log1p(snr) - penalty)
 
 
-def snr_coeffs(eps_c: float, eps_q: float, lam: float, cfg: SystemConfig,
-               qos: QosBudget) -> SnrRequirementCoeffs:
-    """Required-SNR coefficients for one user.
+def snr_coeffs(qos: QosBudget, lam: float,
+               cfg: SystemConfig) -> tuple[float, float]:
+    """Required-SNR coefficients (l, v) for one user.
 
-    ``lam`` is the aggregate arrival rate in packets/frame.  l equals
-    (effective bandwidth) * u * ln2 / phi and v equals Qinv(eps_c)/sqrt(phi).
+    ``lam`` is the aggregate arrival rate in packets/frame.  l (Hz) equals
+    (effective bandwidth) * u * ln2 / phi and v (Hz^1/2) equals
+    Qinv(eps_c)/sqrt(phi), with eps_c and eps_q from ``qos``.
     """
-    if not (0.0 < eps_c < 1.0 and 0.0 < eps_q < 1.0):
+    if not (0.0 < qos.eps_c < 1.0 and 0.0 < qos.eps_q < 1.0):
         raise ValueError("probabilities must lie in (0, 1)")
     if lam <= 0:
         raise ValueError("arrival rate must be positive")
-    eb = effective_bandwidth(lam, eps_q, qos.queue_delay_frames)
+    eb = effective_bandwidth(lam, qos.eps_q, qos.queue_delay_frames)
     if not eb > 0.0:
         raise ConfigError(f"arrival rate {lam:.3g} packets/frame is too "
                           "small: its effective bandwidth underflows to 0")
-    return _coeffs_at_rate(eb, eps_c, cfg)
+    return _coeffs_at_rate(eb, qos.eps_c, cfg)
 
 
 def _coeffs_at_rate(service_rate: float, eps_c: float,
-                    cfg: SystemConfig) -> SnrRequirementCoeffs:
-    """Required-SNR coefficients at a constant rate in packets/frame."""
+                    cfg: SystemConfig) -> tuple[float, float]:
+    """Required-SNR coefficients (l, v) at a constant rate in packets/frame."""
     l = service_rate * cfg.packet_bits * LN2 / cfg.dl_fraction
     v = inv_gaussian_q(eps_c) / math.sqrt(cfg.dl_fraction) if eps_c < 0.5 else 0.0
-    return SnrRequirementCoeffs(l=l, v=v)
+    return l, v

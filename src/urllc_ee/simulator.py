@@ -415,15 +415,15 @@ def _draw(rng: np.random.Generator, antennas: int, up: UserPolicy, n: int,
 
 
 def _run_streams(policy: SimPolicy, cfg: SystemConfig, jobs: list,
-                 seed: int, trace_rows: list | None = None) -> list:
+                 seed: int, trace=None) -> list:
     """Simulate every user of each ``(stream, frames)`` job; returns, per
     job, the per-user tallies.
 
     One loop walks every (stream, user, chunk) of the jobs in order while
-    a helper thread makes the draws of the next one.
+    a helper thread makes the draws of the next one.  ``trace``, a
+    ``csv.writer``, gets one row per frame as the walk makes it.
     """
     dq = policy.queue_delay_frames
-    trace = trace_rows is not None
     chunks = []
     for s, nf in jobs:
         for u, up in enumerate(policy.users):
@@ -437,7 +437,8 @@ def _run_streams(policy: SimPolicy, cfg: SystemConfig, jobs: list,
     with ThreadPoolExecutor(max_workers=1) as helper:
         def draw(chunk):
             u, up, rng, done, n = chunk
-            return helper.submit(_draw, rng, policy.antennas, up, n, trace)
+            return helper.submit(_draw, rng, policy.antennas, up, n,
+                                 trace is not None)
 
         ahead = draw(chunks[0])
         for chunk, nxt in zip(chunks, chunks[1:]):
@@ -453,13 +454,12 @@ def _run_streams(policy: SimPolicy, cfg: SystemConfig, jobs: list,
                 state = QueueState()
                 power_sum = power_c = 0.0
             power_sum, power_c = _kahan(power_sum, power_c, power_chunk)
-            if trace:
+            if trace is not None:
                 for i in range(n):
                     srv, drp = _advance(state, gains[i], int(a[i]), up, dq,
                                         done + i, cfg)
-                    trace_rows.append((done + i, u, gains[i],
-                                       float(power[i]), int(a[i]), srv, drp,
-                                       state.queue))
+                    trace.writerow((done + i, u, gains[i], float(power[i]),
+                                    int(a[i]), srv, drp, state.queue))
             else:
                 _walk_chunk(state, a, fades, gains, up, dq, done, cfg)
             if nxt is None or nxt[3] == 0:  # the pair's last chunk
@@ -518,7 +518,8 @@ def run_simulation(policy: SimPolicy, cfg: SystemConfig,
     independent substreams (each restarts from an empty queue); ``workers``
     caps the worker processes, at most one per stream, and never changes
     the result.  Each process draws on one helper thread that ends with
-    the call.
+    the call.  ``trace_path`` (one stream only) gets a CSV row per frame as
+    the walk makes it; a run that raises leaves the rows written so far.
     """
     if frames < 1:
         raise ValueError("frames must be at least 1")
@@ -530,19 +531,24 @@ def run_simulation(policy: SimPolicy, cfg: SystemConfig,
     base, extra = divmod(frames, streams)
     stream_frames = [base + (1 if s < extra else 0) for s in range(streams)]
 
-    trace_rows: list | None = [] if trace_path else None
     if trace_path and (streams > 1):
         raise ValueError("per-frame tracing supports a single stream only")
 
     jobs = [(s, nf) for s, nf in enumerate(stream_frames) if nf > 0]
-    if workers > 1 and trace_rows is None:
+    if trace_path:
+        with open(trace_path, "w", newline="") as fh:
+            trace = csv.writer(fh)
+            trace.writerow(["frame", "user", "gain", "tx_power_w", "arrivals",
+                            "served", "dropped", "queue_after"])
+            results = _run_streams(policy, cfg, jobs, seed, trace)
+    elif workers > 1:
         # a forked pool starts every worker at its first submit
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             futures = [pool.submit(_run_streams, policy, cfg, [job], seed)
                        for job in jobs]
             results = [f.result()[0] for f in futures]
     else:
-        results = _run_streams(policy, cfg, jobs, seed, trace_rows)
+        results = _run_streams(policy, cfg, jobs, seed)
 
     per_user = results[0]
     for u, agg in enumerate(per_user):
@@ -556,7 +562,7 @@ def run_simulation(policy: SimPolicy, cfg: SystemConfig,
     arrivals = sum(pu["arrivals"] for pu in per_user)
     dropped = sum(pu["dropped"] for pu in per_user)
     violations = sum(pu["delay_violations"] for pu in per_user)
-    report = SimReport(
+    return SimReport(
         frames_run=frames,
         achieved_eps_h=dropped / arrivals if arrivals else 0.0,
         empirical_mean_tx_power=sum(pu["power_sum"] for pu in per_user) / frames,
@@ -574,12 +580,3 @@ def run_simulation(policy: SimPolicy, cfg: SystemConfig,
         final_queue=sum(pu["final_queue"] for pu in per_user),
         per_user=per_user,
     )
-
-    if trace_path:
-        with open(trace_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["frame", "user", "gain", "tx_power_w", "arrivals",
-                        "served", "dropped", "queue_after"])
-            for row in trace_rows:
-                w.writerow(row)
-    return report

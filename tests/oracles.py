@@ -78,10 +78,9 @@ def drop_prob_B(g_th: float, gamma: float, n: int) -> float:
     return max(0.0, float(val))
 
 
-def required_snr(bandwidth: float, coeffs) -> float:
-    """gamma = exp(l/W + v/sqrt(W)) - 1 for anything with ``l`` and ``v``
-    (``SnrRequirementCoeffs`` or ``YFunction``): the allocator's SNR target."""
-    return allocator._snr_target(bandwidth, coeffs)
+def required_snr(bandwidth: float, l: float, v: float) -> float:
+    """gamma = exp(l/W + v/sqrt(W)) - 1: the allocator's SNR target."""
+    return allocator._snr_target(bandwidth, YFunction(l=l, v=v, alpha=1.0))
 
 
 def achievable_rate_max_dispersion(tx_power: float, bandwidth: float,

@@ -8,6 +8,7 @@ tolerance and runtime budget.
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -357,7 +358,7 @@ def test_criterion_11_byte_identical_reruns(tmp_path):
                 argv = [out if a is None else a for a in args]
                 res = runner.invoke(cli_main, argv)
                 assert res.exit_code == 0, (name, res.output)
-                blobs.append(open(out, "rb").read())
+                blobs.append(Path(out).read_bytes())
             assert blobs[0] == blobs[1], name
             pairs.append(name)
     _report(11, t.elapsed, f"identical outputs for {', '.join(pairs)}")

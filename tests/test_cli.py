@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -35,7 +36,7 @@ class TestSolve:
         res = runner.invoke(main, ["solve", "--config", config_file,
                                    "--out", out])
         assert res.exit_code == 0, res.output
-        data = json.loads(open(out).read())
+        data = json.loads(Path(out).read_text())
         assert data["antennas"] == 4
         assert data["bandwidths_hz"][0] == pytest.approx(3.1544646939557137e6)
         assert data["case_tag"] == "SufficientBandwidth"
@@ -102,7 +103,7 @@ class TestSolve:
                                     "--out", out1]).exit_code == 0
         assert runner.invoke(main, ["solve", "--config", config_file,
                                     "--out", out2]).exit_code == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 class TestTableWth:
@@ -111,7 +112,7 @@ class TestTableWth:
         res = runner.invoke(main, ["table-wth", "--config", config_file,
                                    "--out", out])
         assert res.exit_code == 0, res.output
-        lines = [l for l in open(out).read().splitlines()
+        lines = [l for l in Path(out).read_text().splitlines()
                  if not l.startswith("#")]
         assert lines[0] == "eps_c,w_th_hz"
         rows = [l.split(",") for l in lines[1:]]
@@ -134,7 +135,7 @@ class TestTableWth:
         res = runner.invoke(main, ["table-wth", "--config", config_file,
                                    "--out", out, "--eps", "1e-7,0.4999"])
         assert res.exit_code == 0, res.output
-        lines = [l for l in open(out).read().splitlines()
+        lines = [l for l in Path(out).read_text().splitlines()
                  if not l.startswith("#")][1:]
         w_tight = float(lines[0].split(",")[1])
         w_loose = float(lines[1].split(",")[1])
@@ -146,7 +147,7 @@ class TestTableWth:
             out = os.fspath(tmp_path / name)
             assert runner.invoke(main, ["table-wth", "--config", config_file,
                                         "--out", out]).exit_code == 0
-            outs.append(open(out, "rb").read())
+            outs.append(Path(out).read_bytes())
         assert outs[0] == outs[1]
 
 
@@ -158,7 +159,7 @@ class TestSimulate:
                                    "--seed", "3", "--streams", "2",
                                    "--eps-h", "1e-2"])
         assert res.exit_code == 0, res.output
-        data = json.loads(open(out).read())
+        data = json.loads(Path(out).read_text())
         assert data["frames_run"] == 200000
         assert data["achieved_eps_h"] <= 1e-2
 
@@ -179,7 +180,7 @@ class TestSimulate:
                                        "--seed", "9", "--streams", "2",
                                        "--eps-h", "1e-2"])
             assert res.exit_code == 0
-            outs.append(open(out, "rb").read())
+            outs.append(Path(out).read_bytes())
         assert outs[0] == outs[1]
 
     def test_trace_flag(self, runner, config_file, tmp_path):
@@ -188,7 +189,7 @@ class TestSimulate:
                                    "--frames", "300", "--seed", "4",
                                    "--streams", "1", "--trace", trace])
         assert res.exit_code == 0, res.output
-        lines = open(trace).read().splitlines()
+        lines = Path(trace).read_text().splitlines()
         assert len(lines) == 301
         assert lines[0].startswith("frame,user,gain")
 
@@ -201,7 +202,7 @@ class TestTableDrop:
                                    "--frames", "300000", "--seed", "2",
                                    "--streams", "2"])
         assert res.exit_code == 0, res.output
-        lines = [l for l in open(out).read().splitlines()
+        lines = [l for l in Path(out).read_text().splitlines()
                  if not l.startswith("#")]
         assert lines[0].startswith("required_eps_h,achieved_eps_h")
         first = lines[1].split(",")
@@ -217,7 +218,7 @@ class TestSweepAntennas:
                                    "--out", out, "--k-values", "5,10",
                                    "--nt-max", "40"])
         assert res.exit_code == 0, res.output
-        lines = [l for l in open(out).read().splitlines()
+        lines = [l for l in Path(out).read_text().splitlines()
                  if not l.startswith("#")]
         rows = [l.split(",") for l in lines[1:]]
         sweep5 = [(int(r[1]), float(r[2])) for r in rows
@@ -239,7 +240,7 @@ class TestSweepAntennas:
         from urllc_ee.config_io import load_config
         from urllc_ee.experiments import place_users
         cfg, _ = load_config(config_file)
-        lines = [l for l in open(out).read().splitlines()
+        lines = [l for l in Path(out).read_text().splitlines()
                  if not l.startswith("#")]
         for k in (1, 5):
             alloc = solve_allocation(cfg, place_users(k, cfg))
@@ -255,7 +256,7 @@ class TestSweepUsers:
                                    "--out", out, "--k-min", "1",
                                    "--k-max", "6", "--fixed-nt", "8,16"])
         assert res.exit_code == 0, res.output
-        lines = [l for l in open(out).read().splitlines()
+        lines = [l for l in Path(out).read_text().splitlines()
                  if not l.startswith("#")]
         assert lines[0] == "k,ee_joint,ee_nt8,ee_nt16"
         for line in lines[1:]:
@@ -323,12 +324,22 @@ class TestExperimentSpec:
         (["table-wth", "--eps", "0.1,y"], None),
         (["sweep-users", "--k-max", "2", "--fixed-nt", "8,x"], None),
         (["sweep-antennas", "--k-values", "5,x"], None),
+        # numpy refuses a negative seed; a grid sweep, which ignores the
+        # seed, refuses it too
+        (["simulate", "--seed", "-1", "--frames", "1000"], None),
+        (["table-drop", "--seed", "-1", "--frames", "1000"], None),
+        (["sweep-users", "--k-max", "2", "--fixed-nt", "8", "--placement",
+          "uniform", "--seed", "-1"], None),
+        (["sweep-antennas", "--k-values", "2", "--placement", "uniform",
+          "--seed", "-1"], None),
     ], ids=["rate-zero", "rate-nan", "streams-zero", "workers-zero",
             "distance-negative", "noise-nan", "fixed-nt-one", "nt-min-one",
             "trace-multi-stream", "sweep-users-node-rate",
             "sweep-antennas-node-count", "table-drop-user-rates",
             "table-drop-eps-list", "table-wth-eps-list",
-            "sweep-users-fixed-nt-list", "sweep-antennas-k-list"])
+            "sweep-users-fixed-nt-list", "sweep-antennas-k-list",
+            "simulate-seed-negative", "table-drop-seed-negative",
+            "sweep-users-seed-negative", "sweep-antennas-seed-negative"])
     def test_bad_inputs_exit_3(self, runner, tmp_path, args, edit):
         # ``edit`` is a (line, replacement) pair for the default config
         path = tmp_path / "cell.cfg"

@@ -138,7 +138,7 @@ class TestIncompleteGammaAgainstScipy:
     def test_gain_threshold_equals_scipy_oracle(self, eps):
         # loose budgets at few antennas, and large arrays, reach x >= 0.6 a
         for n in range(2, 513):
-            assert (_gain_threshold.__wrapped__(n, eps).g_th
+            assert (_gain_threshold.__wrapped__(n, eps)
                     == oracles.gain_threshold(n, eps)), n
 
 
@@ -185,17 +185,17 @@ class TestDropProb:
 class TestGainThreshold:
     def test_two_antenna_reference(self):
         th = solve_gain_threshold(2, 1e-7)
-        assert th.g_th == pytest.approx(2e-7, rel=1e-5)
+        assert th == pytest.approx(2e-7, rel=1e-5)
 
     def test_roundtrip(self):
         for n in (2, 4, 16):
             for eps in (1e-7, 1e-4, 1e-2):
                 th = solve_gain_threshold(n, eps)
-                assert drop_bound_F(th.g_th, n) == pytest.approx(
+                assert drop_bound_F(th, n) == pytest.approx(
                     eps, rel=1e-3)
 
     def test_monotone_in_antennas(self):
-        ths = [solve_gain_threshold(n, 1e-7).g_th for n in (2, 4, 8, 16)]
+        ths = [solve_gain_threshold(n, 1e-7) for n in (2, 4, 8, 16)]
         assert all(b > a for a, b in zip(ths, ths[1:]))
 
     def test_rejects_bad_args(self):
@@ -259,7 +259,7 @@ class TestMeanTxPower:
         cfg = SystemConfig()
         w, alpha = 5e6, 3e-13
         for n, eps, gamma in ((2, 1e-4, 1.3), (4, 1e-7, 0.77), (16, 1e-2, 2.0)):
-            g_th = solve_gain_threshold(n, eps).g_th
+            g_th = solve_gain_threshold(n, eps)
             p_th = cfg.noise_psd * w * gamma / (alpha * g_th)
             capped, _ = quad(lambda g: p_th * gain_pdf(g, n), 0, g_th,
                              epsabs=1e-16, limit=300)

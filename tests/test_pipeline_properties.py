@@ -23,7 +23,6 @@ from urllc_ee.allocator import CASE_LIMITED, CASE_SUFFICIENT, build_y_functions
 from urllc_ee.cli import main
 from urllc_ee.config_io import (_LIST_KEYS, _SCALAR_KEYS,
                                 DEFAULT_CONFIG_TEXT)
-from urllc_ee.rate import SnrRequirementCoeffs
 
 from oracles import achievable_rate_max_dispersion, required_snr
 
@@ -83,8 +82,7 @@ def test_randomized_scenarios_hold_contracts():
 
         for i, (usr, f) in enumerate(zip(users, yfuncs)):
             # published SNR target is the required SNR at the bandwidth
-            gamma = required_snr(alloc.bandwidths[i],
-                                 SnrRequirementCoeffs(l=f.l, v=f.v))
+            gamma = required_snr(alloc.bandwidths[i], f.l, f.v)
             assert alloc.snr_targets[i] == pytest.approx(gamma, rel=1e-12)
             # the cap and threshold encode the same inversion policy
             p_at_threshold = cfg.noise_psd * alloc.bandwidths[i] * gamma / \

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from urllc_ee import (SnrRequirementCoeffs, achievable_rate,
-                      channel_dispersion, effective_bandwidth,
+from urllc_ee import (YFunction, achievable_rate, channel_dispersion,
+                      effective_bandwidth, find_bandwidth_minimizer,
                       inv_gaussian_q, snr_coeffs, validate_config)
 from urllc_ee.rate import LN2
 
@@ -113,10 +114,9 @@ class TestAchievableRate:
         # closed loop: at the required SNR with the dispersion pinned at 1
         # the rate equals the nominal service rate exactly
         qos = validate_config(cfg, [single_user])
-        coeffs = snr_coeffs(qos.eps_c, qos.eps_q, single_user.arrival_rate,
-                            cfg, qos)
+        coeffs = snr_coeffs(qos, single_user.arrival_rate, cfg)
         for w in (2e6, 5e6, 9e6):
-            gamma = required_snr(w, coeffs)
+            gamma = required_snr(w, *coeffs)
             alpha, g = 3e-13, 1.7
             p = gamma * cfg.noise_psd * w / (alpha * g)
             eb = effective_bandwidth(single_user.arrival_rate, qos.eps_q,
@@ -130,7 +130,7 @@ class TestAchievableRate:
         # frozen value computed at the unit-service-rate operating point
         l = 160 * LN2 / 0.5e-4
         v = inv_gaussian_q(1e-7) / math.sqrt(0.5e-4)
-        gamma = required_snr(7.42e6, SnrRequirementCoeffs(l=l, v=v))
+        gamma = required_snr(7.42e6, l, v)
         alpha, g = 2.8e-13, 1.0
         p = gamma * cfg.noise_psd * 7.42e6 / (alpha * g)
         exact = achievable_rate(p, 7.42e6, alpha, g, 1e-7, cfg)
@@ -150,11 +150,10 @@ class TestAchievableRate:
 class TestSnrCoeffs:
     def test_l_matches_effective_bandwidth(self, cfg, single_user):
         qos = validate_config(cfg, [single_user])
-        coeffs = snr_coeffs(qos.eps_c, qos.eps_q, single_user.arrival_rate,
-                            cfg, qos)
+        l, _ = snr_coeffs(qos, single_user.arrival_rate, cfg)
         eb = effective_bandwidth(single_user.arrival_rate, qos.eps_q,
                                  qos.queue_delay_frames)
-        assert coeffs.l == pytest.approx(
+        assert l == pytest.approx(
             eb * cfg.packet_bits * LN2 / cfg.dl_fraction, rel=1e-12)
 
     def test_unit_rate_l(self):
@@ -163,41 +162,42 @@ class TestSnrCoeffs:
 
     def test_v_reference(self, cfg, single_user):
         qos = validate_config(cfg, [single_user])
-        coeffs = snr_coeffs(1e-7, qos.eps_q, single_user.arrival_rate, cfg, qos)
-        assert coeffs.v == pytest.approx(735.30, rel=1e-4)
+        _, v = snr_coeffs(dataclasses.replace(qos, eps_c=1e-7),
+                          single_user.arrival_rate, cfg)
+        assert v == pytest.approx(735.30, rel=1e-4)
 
     def test_v_vanishes_at_half(self, cfg, single_user):
         qos = validate_config(cfg, [single_user])
-        coeffs = snr_coeffs(0.5, qos.eps_q, single_user.arrival_rate, cfg, qos)
-        assert coeffs.v == 0.0
+        _, v = snr_coeffs(dataclasses.replace(qos, eps_c=0.5),
+                          single_user.arrival_rate, cfg)
+        assert v == 0.0
 
     def test_coeff_invariants(self):
         with pytest.raises(ValueError):
-            SnrRequirementCoeffs(l=-1.0, v=0.0)
+            find_bandwidth_minimizer(YFunction(l=-1.0, v=0.0, alpha=1.0))
         with pytest.raises(ValueError):
-            SnrRequirementCoeffs(l=1.0, v=-1.0)
+            find_bandwidth_minimizer(YFunction(l=1.0, v=-1.0, alpha=1.0))
 
 
 class TestRequiredSnr:
     def test_vanishes_at_wide_bandwidth(self):
-        c = SnrRequirementCoeffs(l=2.2181e6, v=735.30)
-        assert required_snr(1e20, c) == pytest.approx(0.0, abs=1e-7)
+        c = (2.2181e6, 735.30)
+        assert required_snr(1e20, *c) == pytest.approx(0.0, abs=1e-7)
 
     def test_reference_point(self):
-        c = SnrRequirementCoeffs(l=160 * LN2 / 0.5e-4,
-                                 v=inv_gaussian_q(1e-7) / math.sqrt(0.5e-4))
-        assert required_snr(7.42e6, c) == pytest.approx(0.7663, rel=1e-4)
+        c = (160 * LN2 / 0.5e-4, inv_gaussian_q(1e-7) / math.sqrt(0.5e-4))
+        assert required_snr(7.42e6, *c) == pytest.approx(0.7663, rel=1e-4)
 
     def test_unit_snr_when_exponent_is_ln2(self):
-        c = SnrRequirementCoeffs(l=1e6, v=0.0)
-        assert required_snr(1e6 / LN2, c) == pytest.approx(1.0, rel=1e-12)
+        c = (1e6, 0.0)
+        assert required_snr(1e6 / LN2, *c) == pytest.approx(1.0, rel=1e-12)
 
     def test_strictly_decreasing_in_bandwidth(self):
-        c = SnrRequirementCoeffs(l=2.2181e6, v=735.30)
-        vals = [required_snr(w, c) for w in np.logspace(5.5, 8, 60)]
+        c = (2.2181e6, 735.30)
+        vals = [required_snr(w, *c) for w in np.logspace(5.5, 8, 60)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_rejects_nonpositive_bandwidth(self):
-        c = SnrRequirementCoeffs(l=1.0, v=0.0)
+        c = (1.0, 0.0)
         with pytest.raises(ValueError):
-            required_snr(0.0, c)
+            required_snr(0.0, *c)
