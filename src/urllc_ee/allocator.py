@@ -38,7 +38,7 @@ import copy
 import functools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .fading import _bisect, _grow, mean_tx_power, solve_gain_threshold
 from .model import (Allocation, ConfigError, PowerInfeasibleError,
@@ -51,6 +51,9 @@ MAX_EXPONENT = 700.0
 
 CASE_SUFFICIENT = "SufficientBandwidth"
 CASE_LIMITED = "BandwidthLimited"
+
+# The most antennas a solve may use.
+ANTENNA_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -332,14 +335,14 @@ def allocate_bandwidth(users: list[YFunction], w_max: float) -> BandwidthSolutio
                              kkt_residual=max(stat, balance))
 
 
-def optimal_antennas(weighted_y: float, cfg: SystemConfig, eps_h: float,
-                     antenna_cap: int = 512) -> int:
+def optimal_antennas(weighted_y: float, cfg: SystemConfig,
+                     eps_h: float) -> int:
     """Antenna count minimizing mean total power for a given bandwidth split.
 
     Ceiling of the positive root of the circuit-vs-transmit tradeoff,
     clamped to the minimum of 2 the power model requires.  A root that is
-    not finite or lies past ``antenna_cap`` (a tiny amplifier efficiency
-    times circuit power) gives ``antenna_cap``: mean total power is convex
+    not finite or lies past ``ANTENNA_CAP`` (a tiny amplifier efficiency
+    times circuit power) gives ``ANTENNA_CAP``: mean total power is convex
     in the count, so the cap is then the best count within it.
     """
     if weighted_y < 0:
@@ -347,8 +350,8 @@ def optimal_antennas(weighted_y: float, cfg: SystemConfig, eps_h: float,
     load = 4.0 * cfg.noise_psd * (1.0 - eps_h) * weighted_y
     den = cfg.amplifier_efficiency * cfg.circuit_power_per_antenna
     root = 0.5 * (1.0 + math.sqrt(1.0 + load / den)) if den > 0 else math.inf
-    if not root <= antenna_cap:
-        return antenna_cap
+    if not root <= ANTENNA_CAP:
+        return ANTENNA_CAP
     return max(2, math.ceil(root))
 
 
@@ -361,8 +364,6 @@ def power_thresholds(sol: BandwidthSolution, n: int, cfg: SystemConfig,
     P_k = N0 W_k gamma_k / (alpha_k g_th), with gamma_k from
     ``sol.snr_targets``.
     """
-    if n < 2:
-        raise ValueError("antenna count must be at least 2")
     g_th = solve_gain_threshold(n, eps_h)
     caps = [cfg.noise_psd * w * gamma / (f.alpha * g_th)
             for w, gamma, f in zip(sol.bandwidths, sol.snr_targets, users)]
@@ -390,11 +391,9 @@ def mean_total_power(weighted_y: float, n: int, cfg: SystemConfig,
 # traceback, and ``_prologue`` raises a fresh copy of it on every call.
 @functools.lru_cache(maxsize=16, typed=True)
 def _cached_prologue(cfg: SystemConfig, users: tuple[UserProfile, ...],
-                     eps_c: float | None, eps_q: float | None,
                      eps_h: float | None):
     try:
-        qos = validate_config(cfg, users, eps_c=eps_c, eps_q=eps_q,
-                              eps_h=eps_h)
+        qos = validate_config(cfg, users, eps_h=eps_h)
         yfuncs = build_y_functions(cfg, qos, users)
         sol = allocate_bandwidth(yfuncs, cfg.total_bandwidth)
     except (ConfigError, QosInfeasibleError) as exc:
@@ -403,31 +402,32 @@ def _cached_prologue(cfg: SystemConfig, users: tuple[UserProfile, ...],
 
 
 def _prologue(cfg: SystemConfig, users: tuple[UserProfile, ...],
-              eps_c: float | None, eps_q: float | None, eps_h: float | None
+              eps_h: float | None
               ) -> tuple[QosBudget, list[YFunction], BandwidthSolution]:
     """(qos, yfuncs, split): validation, objective kernels and the optimal
     bandwidth split of a solve, none of which depend on the antenna count."""
-    result, error = _cached_prologue(cfg, users, eps_c, eps_q, eps_h)
+    result, error = _cached_prologue(cfg, users, eps_h)
     if error is not None:
         raise copy.copy(error)
     return result
 
 
 def solve_allocation(cfg: SystemConfig, users: list[UserProfile],
-                     eps_c: float | None = None, eps_q: float | None = None,
                      eps_h: float | None = None,
-                     n_antennas: int | None = None,
-                     antenna_cap: int = 512) -> Allocation:
+                     n_antennas: int | None = None) -> Allocation:
     """End-to-end solve: bandwidths, antenna count, power caps, mean power.
 
-    With ``n_antennas`` set the antenna count is held fixed (at least 2);
-    otherwise the count starts at its closed-form optimum and is
-    incremented until the summed power caps fit the BS budget; a closed-form
-    optimum past ``antenna_cap`` starts the loop at the cap (see
-    ``optimal_antennas``).  Deterministic: identical inputs give identical
-    outputs bit for bit.  The validation, kernels and bandwidth split are
-    memoized per (cfg, users, eps_c, eps_q, eps_h), failures included, so a
-    user set solved at several antenna counts computes them once.
+    The loss budget splits in equal thirds (``validate_config``); ``eps_h``
+    replaces the dropping third, and the resolved budget is returned as
+    ``extras["qos"]``.  With ``n_antennas`` set the antenna count is held
+    fixed (at least 2); otherwise the count starts at its closed-form
+    optimum and is incremented until the summed power caps fit the BS
+    budget, up to ``ANTENNA_CAP``; a closed-form optimum past the cap
+    starts the loop at the cap (see ``optimal_antennas``).  Deterministic:
+    identical inputs give identical outputs bit for bit.  The validation,
+    kernels and bandwidth split are memoized per (cfg, users, eps_h),
+    failures included, so a user set solved at several antenna counts
+    computes them once.
 
     Raises:
         ConfigError: on invalid inputs.
@@ -435,12 +435,11 @@ def solve_allocation(cfg: SystemConfig, users: list[UserProfile],
         PowerInfeasibleError: when no allowed antenna count fits the power
             budget (fixed ``n_antennas``, or the cap is exceeded).
     """
-    qos, yfuncs, sol = _prologue(cfg, tuple(users), eps_c, eps_q, eps_h)
-    weighted_y = sol.objective
+    qos, yfuncs, sol = _prologue(cfg, tuple(users), eps_h)
 
     fixed = n_antennas is not None
-    n = n_antennas if fixed else optimal_antennas(weighted_y, cfg, qos.eps_h,
-                                                  antenna_cap)
+    n = n_antennas if fixed else optimal_antennas(sol.objective, cfg,
+                                                  qos.eps_h)
     while True:
         g_th, caps = power_thresholds(sol, n, cfg, yfuncs, qos.eps_h)
         if sum(caps) <= cfg.max_bs_power:
@@ -450,10 +449,10 @@ def solve_allocation(cfg: SystemConfig, users: list[UserProfile],
                 f"fixed antenna count {n} needs {sum(caps):.3g} W of "
                 f"power caps, budget is {cfg.max_bs_power:.3g} W")
         n += 1
-        if n > antenna_cap:
+        if n > ANTENNA_CAP:
             raise PowerInfeasibleError(
                 f"transmit-power budget {cfg.max_bs_power:.3g} W not "
-                f"reachable within {antenna_cap} antennas")
+                f"reachable within {ANTENNA_CAP} antennas")
 
     mean_powers = [mean_tx_power(w, g, f.alpha, n, qos.eps_h, cfg)
                    for w, g, f in zip(sol.bandwidths, sol.snr_targets,
@@ -476,8 +475,5 @@ def solve_allocation(cfg: SystemConfig, users: list[UserProfile],
         energy_efficiency=delivered / total,
         case_tag=sol.case_tag,
         kkt_multiplier=sol.kkt_multiplier,
-        extras={"weighted_y": weighted_y,
-                "qos": {"queue_delay_frames": qos.queue_delay_frames,
-                        "eps_c": qos.eps_c, "eps_q": qos.eps_q,
-                        "eps_h": qos.eps_h}},
+        extras={"qos": asdict(qos)},
     )

@@ -19,8 +19,8 @@ from .allocator import (_prologue, find_bandwidth_minimizer,
                         mean_total_power, power_thresholds, solve_allocation,
                         YFunction)
 from .config_io import load_config
-from .model import (ConfigError, PowerInfeasibleError, QosBudget,
-                    QosInfeasibleError, SystemConfig, UserProfile)
+from .model import (ConfigError, PowerInfeasibleError, QosInfeasibleError,
+                    SystemConfig, UserProfile, validate_config)
 from .rate import _coeffs_at_rate
 from .simulator import SimPolicy, run_simulation
 
@@ -66,10 +66,15 @@ def table_wth_rows(cfg: SystemConfig, eps_list: list[float],
                    service_rate: float = 1.0) -> list[tuple[float, float]]:
     """(eps_c, W_th in Hz) rows: the minimizer of the bandwidth-SNR kernel
     at a fixed nominal service rate (packets/frame), independent of any
-    user's channel gain."""
-    return [(eps, find_bandwidth_minimizer(
+    user's channel gain.  W_th grows like the rate to the 4/3, so a huge
+    but finite rate overflows it: that is a ``ConfigError``."""
+    rows = [(eps, find_bandwidth_minimizer(
                 YFunction(*_coeffs_at_rate(service_rate, eps, cfg), 1.0)))
             for eps in eps_list]
+    if not all(math.isfinite(w_th) for _, w_th in rows):
+        raise ConfigError(f"W_th at service_rate {service_rate:g} "
+                          "packets/frame is not finite")
+    return rows
 
 
 def antenna_sweep_rows(cfg: SystemConfig, users: list[UserProfile],
@@ -80,7 +85,7 @@ def antenna_sweep_rows(cfg: SystemConfig, users: list[UserProfile],
     feasibility means the per-user power caps fit the BS budget; the locus
     is (n_t*, power*) over the feasible rows.
     """
-    qos, yfuncs, sol = _prologue(cfg, tuple(users), None, None, None)
+    qos, yfuncs, sol = _prologue(cfg, tuple(users), None)
     rows = []
     best = None
     for nt in nt_values:
@@ -136,8 +141,7 @@ def drop_table_rows(cfg: SystemConfig, eps_h_list: list[float],
     rows = []
     for eps_h in eps_h_list:
         alloc = solve_allocation(cfg, [user], eps_h=eps_h)
-        policy = SimPolicy.from_allocation(alloc, cfg, [user],
-                                           QosBudget(**alloc.extras["qos"]))
+        policy = SimPolicy.from_allocation(alloc, cfg, [user])
         report = run_simulation(policy, cfg, [user], frames=frames,
                                 seed=seed, streams=streams, workers=workers)
         rows.append({
@@ -232,8 +236,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
 
     if spec.kind == "simulate":
         alloc = solve_allocation(cfg, users, eps_h=spec.eps_h)
-        policy = SimPolicy.from_allocation(alloc, cfg, users,
-                                           QosBudget(**alloc.extras["qos"]))
+        policy = SimPolicy.from_allocation(alloc, cfg, users)
         report = run_simulation(policy, cfg, users, frames=spec.frames,
                                 seed=spec.seed, streams=spec.streams,
                                 workers=spec.workers,
@@ -244,6 +247,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         return {"kind": spec.kind, "allocation": alloc, "report": report}
 
     if spec.kind == "table_wth":
+        validate_config(cfg, users)
         for eps in spec.eps_list:
             if not (0.0 < eps < 0.5):
                 raise ConfigError(f"eps_c {eps} outside (0, 0.5)")

@@ -132,15 +132,15 @@ class QosBudget:
 
 
 def validate_config(cfg: SystemConfig, users: list[UserProfile],
-                    eps_c: float | None = None, eps_q: float | None = None,
                     eps_h: float | None = None) -> QosBudget:
     """Check every shared invariant and resolve the QoS budget.
 
     The queueing budget is the end-to-end budget minus one uplink and one
     downlink frame (the reserved backhaul frame is absorbed into that
     allowance), floored to whole frames.  The loss budget splits equally
-    across the transmission-error, delay-violation and dropping components
-    unless individual overrides are given.
+    across the transmission-error, delay-violation and dropping components;
+    ``eps_h`` replaces the dropping third (a dropping-probability sweep may
+    relax it past the split).
 
     Raises:
         ConfigError: with one entry per violated invariant.
@@ -179,19 +179,11 @@ def validate_config(cfg: SystemConfig, users: list[UserProfile],
         except ConfigError:
             v.append(f"user {i}: needs distance or large_scale_gain")
 
-    overridden = any(e is not None for e in (eps_c, eps_q, eps_h))
     third = cfg.loss_budget / 3.0
-    eps_c = third if eps_c is None else eps_c
-    eps_q = third if eps_q is None else eps_q
     eps_h = third if eps_h is None else eps_h
-    for name, e in (("eps_c", eps_c), ("eps_q", eps_q), ("eps_h", eps_h)):
+    for name, e in (("eps_c", third), ("eps_q", third), ("eps_h", eps_h)):
         if not (0 < e < 1):
             v.append(f"{name} must be in (0, 1)")
-    # Explicit overrides may deliberately relax one component past the
-    # equal-split budget (e.g. a dropping-probability sweep); the sum
-    # constraint binds only the default split.
-    if not overridden and eps_c + eps_q + eps_h > cfg.loss_budget * (1 + 1e-12):
-        v.append("eps_c + eps_q + eps_h exceeds loss_budget")
 
     dq = 0
     if cfg.frame_duration > 0:
@@ -203,7 +195,7 @@ def validate_config(cfg: SystemConfig, users: list[UserProfile],
 
     if v:
         raise ConfigError(v)
-    return QosBudget(queue_delay_frames=dq, eps_c=eps_c, eps_q=eps_q,
+    return QosBudget(queue_delay_frames=dq, eps_c=third, eps_q=third,
                      eps_h=eps_h)
 
 
@@ -213,7 +205,9 @@ class Allocation:
 
     Per-user lists are aligned with the input user order.  ``gain_threshold``
     repeats the common threshold for convenience; it depends only on the
-    antenna count and the dropping budget.
+    antenna count and the dropping budget.  ``extras["qos"]`` is the
+    solve's ``QosBudget`` as a dict, which ``SimPolicy.from_allocation``
+    reads.
     """
 
     bandwidths: list[float]

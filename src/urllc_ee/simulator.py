@@ -78,10 +78,11 @@ class SimPolicy:
 
     @staticmethod
     def from_allocation(alloc: Allocation, cfg: SystemConfig,
-                        users: list[UserProfile],
-                        qos: QosBudget) -> "SimPolicy":
+                        users: list[UserProfile]) -> "SimPolicy":
+        """The policy of a solve, with the QoS budget the solve resolved."""
         if len(users) != len(alloc.bandwidths):
             raise ValueError("allocation and user list disagree on K")
+        qos = QosBudget(**alloc.extras["qos"])
         ups = []
         for k, usr in enumerate(users):
             ups.append(UserPolicy(

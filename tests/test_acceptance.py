@@ -275,8 +275,7 @@ def test_criterion_09_simulator_matches_closed_forms():
     with Timer() as t:
         user = UserProfile.from_nodes(250.0, 20, 10.0, CFG)
         alloc = solve_allocation(CFG, [user])
-        qos = validate_config(CFG, [user])
-        policy = SimPolicy.from_allocation(alloc, CFG, [user], qos)
+        policy = SimPolicy.from_allocation(alloc, CFG, [user])
         frames = 10_000_000
         rep = run_simulation(policy, CFG, [user], frames=frames, seed=20260808,
                              streams=8, workers=2)
@@ -330,9 +329,8 @@ def test_criterion_11_byte_identical_reruns(tmp_path):
         b = solve_allocation(CFG, [user]).to_json()
         assert a == b
 
-        qos = validate_config(CFG, [user])
         policy = SimPolicy.from_allocation(solve_allocation(CFG, [user]),
-                                           CFG, [user], qos)
+                                           CFG, [user])
         ra = run_simulation(policy, CFG, [user], frames=500_000, seed=5,
                             streams=4, workers=1)
         rb = run_simulation(policy, CFG, [user], frames=500_000, seed=5,

@@ -307,9 +307,10 @@ class TestOptimalAntennas:
         # efficiency times the circuit power underflows
         tiny = replace(cfg, amplifier_efficiency=eff,
                        circuit_power_per_antenna=pc)
-        wy = solve_allocation(cfg, [single_user]).extras["weighted_y"]
+        yfuncs = build_y_functions(cfg, validate_config(cfg, [single_user]),
+                                   [single_user])
+        wy = allocate_bandwidth(yfuncs, cfg.total_bandwidth).objective
         assert optimal_antennas(wy, tiny, eps_h) == 512
-        assert optimal_antennas(wy, tiny, eps_h, antenna_cap=64) == 64
         # mean total power still falls at the cap, the best count within it
         assert (mean_total_power(wy, 512, tiny, eps_h)
                 < mean_total_power(wy, 511, tiny, eps_h))
@@ -449,8 +450,9 @@ class TestSolveAllocation:
             solve_allocation(cfg, [single_user], n_antennas=2)
 
     def test_antenna_cap_reported(self, cfg, single_user):
-        with pytest.raises(PowerInfeasibleError):
-            solve_allocation(cfg, [single_user], antenna_cap=3)
+        with pytest.raises(PowerInfeasibleError,
+                           match="not reachable within 512 antennas"):
+            solve_allocation(replace(cfg, max_bs_power=1e-6), [single_user])
 
     def test_qos_infeasible_reported(self, single_user):
         cfg = SystemConfig(total_bandwidth=100.0)

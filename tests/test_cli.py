@@ -332,6 +332,12 @@ class TestExperimentSpec:
           "uniform", "--seed", "-1"], None),
         (["sweep-antennas", "--k-values", "2", "--placement", "uniform",
           "--seed", "-1"], None),
+        # table-wth validates its config like solve does
+        (["table-wth"], ("dl_fraction = 0.5e-4", "dl_fraction = 0")),
+        (["table-wth"], ("dl_fraction = 0.5e-4", "dl_fraction = -1e-4")),
+        (["table-wth"], ("packet_bits = 160", "packet_bits = 0")),
+        # W_th grows like the rate to the 4/3 and overflows
+        (["table-wth", "--service-rate", "1e300"], None),
     ], ids=["rate-zero", "rate-nan", "streams-zero", "workers-zero",
             "distance-negative", "noise-nan", "fixed-nt-one", "nt-min-one",
             "trace-multi-stream", "sweep-users-node-rate",
@@ -339,7 +345,9 @@ class TestExperimentSpec:
             "table-drop-eps-list", "table-wth-eps-list",
             "sweep-users-fixed-nt-list", "sweep-antennas-k-list",
             "simulate-seed-negative", "table-drop-seed-negative",
-            "sweep-users-seed-negative", "sweep-antennas-seed-negative"])
+            "sweep-users-seed-negative", "sweep-antennas-seed-negative",
+            "table-wth-dl-fraction-zero", "table-wth-dl-fraction-negative",
+            "table-wth-packet-bits-zero", "table-wth-w-th-overflow"])
     def test_bad_inputs_exit_3(self, runner, tmp_path, args, edit):
         # ``edit`` is a (line, replacement) pair for the default config
         path = tmp_path / "cell.cfg"
@@ -352,6 +360,7 @@ class TestExperimentSpec:
         res = runner.invoke(main, args)
         assert res.exit_code == 3, res.output
         assert "config error" in res.output
+        assert not (tmp_path / "t.csv").exists()
 
     def test_cli_import_leaves_out_quadrature(self):
         # scipy serves only the tests' oracles and the dropping bound's

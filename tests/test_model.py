@@ -89,10 +89,6 @@ class TestValidateConfig:
         assert qos.eps_h == 1e-4
         assert qos.eps_c == pytest.approx(1e-7)
 
-    def test_default_split_over_budget_rejected(self, cfg, single_user):
-        with pytest.raises(ConfigError):
-            validate_config(cfg, [single_user], eps_c=0.5, eps_q=2.0)
-
     def test_bad_user_rejected(self, cfg):
         with pytest.raises(ConfigError):
             validate_config(cfg, [UserProfile(arrival_rate=-1.0, distance=100.0)])

@@ -12,7 +12,7 @@ import re
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from urllc_ee import (PowerInfeasibleError, QosInfeasibleError, SystemConfig,
@@ -177,10 +177,15 @@ def _numbers(obj):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(text=config_texts(), frames=st.integers(1, 2000),
        streams=st.integers(1, 3))
+# table-wth divides by the downlink time
+@example(text=DEFAULT_CONFIG_TEXT.replace("dl_fraction = 0.5e-4",
+                                          "dl_fraction = 0"),
+         frames=1, streams=1)
 def test_any_config_text_ends_in_a_named_outcome(text, frames, streams):
-    # config text -> parse -> validate -> solve -> short simulate, through
-    # the CLI: a solution (0), a named infeasibility (2) or a config error
-    # (3), never a traceback, and only finite numbers in what is written
+    # config text -> parse -> validate -> solve -> short simulate, and
+    # table-wth, through the CLI: a solution (0), a named infeasibility (2)
+    # or a config error (3), never a traceback, and only finite numbers in
+    # what is written
     runner = CliRunner()
     with runner.isolated_filesystem():
         with open("cell.cfg", "w") as fh:
@@ -202,3 +207,13 @@ def test_any_config_text_ends_in_a_named_outcome(text, frames, streams):
             codes.append(res.exit_code)
         assert codes[0] == codes[1], (text, codes)
         event(f"exit {codes[0]}")
+        # table-wth makes no allocation, so it has no infeasible outcome:
+        # it writes its table (0) or names a config error (3)
+        res = runner.invoke(main, ["table-wth", "--out", "wth.csv",
+                                   "--config", "cell.cfg"])
+        assert res.exit_code in (0, 3), (text, res.output)
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        if res.exit_code == 0:
+            with open("wth.csv") as fh:
+                table = fh.read()
+            assert not re.search(r"\b(nan|inf)\b", table, re.I), text

@@ -13,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from urllc_ee import (SimPolicy, run_simulation, solve_allocation,
-                      validate_config)
+from urllc_ee import SimPolicy, run_simulation, solve_allocation
 from urllc_ee import simulator
 from urllc_ee.config_io import DEFAULT_CONFIG_TEXT, parse_config_text
 from urllc_ee.simulator import (QueueState, UserPolicy, _advance,
@@ -27,14 +26,12 @@ from oracles import drop_prob_B, gain_cdf
 @pytest.fixture
 def solved(cfg, single_user):
     alloc = solve_allocation(cfg, [single_user])
-    qos = validate_config(cfg, [single_user])
-    return SimPolicy.from_allocation(alloc, cfg, [single_user], qos), alloc
+    return SimPolicy.from_allocation(alloc, cfg, [single_user]), alloc
 
 
 def relaxed_policy(cfg, user, eps_h):
     alloc = solve_allocation(cfg, [user], eps_h=eps_h)
-    qos = validate_config(cfg, [user], eps_h=eps_h)
-    return SimPolicy.from_allocation(alloc, cfg, [user], qos), alloc
+    return SimPolicy.from_allocation(alloc, cfg, [user]), alloc
 
 
 class TestChannelDraws:
@@ -357,8 +354,7 @@ class TestRecordedOutputs:
             "user_distances_m = 100, 150, 200, 250\n"
             "user_arrival_rates_pps = 20000, 20000, 5000, 20000"))
         alloc = solve_allocation(cfg, users)
-        qos = validate_config(cfg, users)
-        policy = SimPolicy.from_allocation(alloc, cfg, users, qos)
+        policy = SimPolicy.from_allocation(alloc, cfg, users)
         rep = run_simulation(policy, cfg, users, frames=20_000, seed=1,
                              streams=2)
         assert (rep.busy_frames, rep.departed_count) == (29321, 130590)
@@ -374,10 +370,10 @@ class TestRecordedOutputs:
                                 "73535018fd2d8e3617ca302255242637")
 
     def test_scaled_point_with_delay_violations(self, cfg, single_user):
-        kw = {"eps_c": 1e-2, "eps_q": 1e-2, "eps_h": 1e-2}
-        alloc = solve_allocation(cfg, [single_user], **kw)
-        qos = validate_config(cfg, [single_user], **kw)
-        policy = SimPolicy.from_allocation(alloc, cfg, [single_user], qos)
+        # 0.03 / 3 is 0.01 exactly: eps_c = eps_q = eps_h = 1e-2
+        scaled = replace(cfg, loss_budget=3e-2)
+        alloc = solve_allocation(scaled, [single_user])
+        policy = SimPolicy.from_allocation(alloc, scaled, [single_user])
         rep = run_simulation(policy, cfg, [single_user], frames=200_000,
                              seed=13, streams=2)
         assert (rep.delay_violation_count, rep.drop_events) == (14, 5)
@@ -600,11 +596,9 @@ class TestRunSimulation:
 
     def test_delay_violation_within_budget(self, cfg, single_user):
         # scaled operating point where violations are measurable
-        alloc = solve_allocation(cfg, [single_user], eps_c=1e-2, eps_q=1e-2,
-                                 eps_h=1e-2)
-        qos = validate_config(cfg, [single_user], eps_c=1e-2, eps_q=1e-2,
-                              eps_h=1e-2)
-        policy = SimPolicy.from_allocation(alloc, cfg, [single_user], qos)
+        scaled = replace(cfg, loss_budget=3e-2)
+        alloc = solve_allocation(scaled, [single_user])
+        policy = SimPolicy.from_allocation(alloc, scaled, [single_user])
         rep = run_simulation(policy, cfg, [single_user], frames=2_000_000,
                              seed=13, streams=2)
         assert rep.arrival_count > 10_000
@@ -615,8 +609,7 @@ class TestRunSimulation:
         users = [UserProfile.from_nodes(d, 20, 10.0, cfg)
                  for d in (250.0, 120.0)]
         alloc = solve_allocation(cfg, users, eps_h=1e-2)
-        qos = validate_config(cfg, users, eps_h=1e-2)
-        policy = SimPolicy.from_allocation(alloc, cfg, users, qos)
+        policy = SimPolicy.from_allocation(alloc, cfg, users)
         rep = run_simulation(policy, cfg, users, frames=200_000, seed=3,
                              streams=2)
         assert len(rep.per_user) == 2
@@ -678,7 +671,5 @@ class TestPolicyConstruction:
 
     def test_user_count_mismatch_rejected(self, cfg, single_user, solved):
         policy, alloc = solved
-        qos = validate_config(cfg, [single_user])
         with pytest.raises(ValueError):
-            SimPolicy.from_allocation(alloc, cfg, [single_user, single_user],
-                                      qos)
+            SimPolicy.from_allocation(alloc, cfg, [single_user, single_user])
