@@ -164,8 +164,10 @@ def validate_config(cfg: SystemConfig, users: list[UserProfile],
         v.append("amplifier_efficiency must be in (0, 1]")
     if not (0 < cfg.packet_bits < math.inf):
         v.append("packet_bits must be positive and finite")
-    if not (0 < cfg.loss_budget < 1):
-        v.append("loss_budget must be in (0, 1)")
+    # the budget splits in thirds, so a third that underflows is no budget
+    third = cfg.loss_budget / 3.0
+    if not (0 < third and cfg.loss_budget < 1):
+        v.append("loss_budget must be in (0, 1) with a positive third")
 
     if not users:
         v.append("at least one user is required")
@@ -179,11 +181,10 @@ def validate_config(cfg: SystemConfig, users: list[UserProfile],
         except ConfigError:
             v.append(f"user {i}: needs distance or large_scale_gain")
 
-    third = cfg.loss_budget / 3.0
-    eps_h = third if eps_h is None else eps_h
-    for name, e in (("eps_c", third), ("eps_q", third), ("eps_h", eps_h)):
-        if not (0 < e < 1):
-            v.append(f"{name} must be in (0, 1)")
+    if eps_h is None:
+        eps_h = third
+    elif not (0 < eps_h < 1):
+        v.append("eps_h must be in (0, 1)")
 
     dq = 0
     if cfg.frame_duration > 0:

@@ -19,17 +19,17 @@ chunk ahead on a helper thread: while the walk runs a chunk, the helper
 draws the next chunk of the run (numpy's samplers release the GIL).  The
 chunk size ``_CHUNK`` and the draw order (per (stream, user) pair, each
 chunk's gains, then its arrivals) are part of the output bytes; another
-chunking draws other numbers.  The walk splits each chunk at its deep
-fades (about one frame in a million): the deep-fade frames go through the
-frame-by-frame reference ``_advance``, and the runs of frames between them
-through ``_serve``, an arrival-only loop that keeps the queue state in
-local variables and runs ``_advance``'s float operations in the same
-order, so its tallies are bit-identical.
+chunking draws other numbers.  One loop, ``_walk``, keeps the queue state
+in local variables and visits arrival, backlog and deep-fade frames in
+order; a deep fade (about one frame in a million) runs ``_step``, the
+one-frame recursion with its drop, and every other frame the nominal-rate
+service written inline.  ``simulate --trace`` takes its rows from
+``_step`` and its tallies from the same walk.
 Pending packets are kept as one entry per arrival frame, since packets of
-one frame share their queueing delay.  ``_serve`` settles departures only
+one frame share their queueing delay.  The walk settles departures only
 where a packet can be late: from the frame at which the oldest pending
 arrival frame reaches age ``dq``, when the queue empties and at the end of
-its run.  Most busy spells end before that age, so most frames skip the
+its window.  Most busy spells end before that age, so most frames skip the
 departure loop.  A cumulative-sum (Lindley) form of the queue would round
 in a different order and so cannot reproduce these bytes.
 """
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import csv
 import json
+from bisect import bisect_left
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -109,8 +110,8 @@ class QueueState:
     empty; ``inflow`` is the number the next arrival gets.  ``pending``
     holds one ``[arrival_frame, next_index, end_index]`` entry per frame
     with arrivals, in FIFO order, for the packets that have not departed.
-    Between ``_advance`` and ``_serve`` calls it is exact; inside
-    ``_serve`` it may still hold packets that departed on time.
+    Between ``_walk`` calls it is exact; inside ``_walk`` it may still hold
+    packets that departed on time.
     """
 
     queue: float = 0.0
@@ -145,89 +146,40 @@ def _deep_fade_rate(g: float, up: UserPolicy, cfg: SystemConfig) -> float:
     return s if s > 0.0 else 0.0
 
 
-def _advance(state: QueueState, g: float, a: int, up: UserPolicy,
-             dq: int, frame: int, cfg: SystemConfig) -> tuple[float, float]:
-    """One frame of the queue recursion; returns (served, dropped).
+def _step(q: float, g: float, a: int, up: UserPolicy,
+          cfg: SystemConfig) -> tuple[float, float, float]:
+    """One frame of the queue recursion from backlog ``q`` at gain ``g``
+    with ``a`` arrivals; returns (served, dropped, backlog after).
 
-    A frame with empty queue, no arrivals and no deep fade leaves the state
-    untouched, which is what lets the simulator skip such frames wholesale.
+    In a deep fade (``g < up.gain_threshold``) the queue is served at the
+    finite-blocklength rate at the power cap, and the shortfall versus the
+    nominal rate is dropped, at most the backlog.  The cap rate can exceed
+    the nominal one just below the threshold, in which case nothing is
+    dropped.  With 0 <= dropped <= q and a non-negative rate, the backlog
+    after is non-negative exactly in floats.
     """
-    q = state.queue
-    if q > 0.0:
-        state.busy_frames += 1
-    if a:
-        state.arrivals += a
     eb = up.service_rate_nominal
     d = 0.0
     if g < up.gain_threshold:
-        state.deep_fades += 1
         capacity = _deep_fade_rate(g, up, cfg)
         if q > 0.0:
-            # shortfall versus the nominal rate is discarded; the cap rate
-            # can exceed the nominal one just below the threshold, in which
-            # case nothing needs dropping
             d = eb - capacity
             if d > q:
                 d = q
             if d < 0.0:
                 d = 0.0
-        if d > 0.0:
-            state.drop_events += 1
-            state.dropped, state._dropped_c = _kahan(
-                state.dropped, state._dropped_c, d)
     else:
         capacity = eb
     avail = q + a - d
     served = capacity if capacity < avail else avail
-    if served > 0.0:
-        state.served, state._served_c = _kahan(
-            state.served, state._served_c, served)
-    state.queue = avail - served
-    if state.queue < 0.0:
-        state.queue = 0.0
-
-    # Queueing delay is the WAITING time until a packet's transmission
-    # starts (its own transmission frame is budgeted separately), so a
-    # packet leaves the tally once the cumulative outflow covers the work
-    # queued ahead of it.  Packets of one arrival frame share their delay,
-    # so each is tested on its own number but tallied with its frame.
-    state.outflow += served + d
-    pend = state.pending
-    if a:
-        pend.append([frame, state.inflow, state.inflow + a])
-        state.inflow += a
-    while pend:
-        entry = pend[0]
-        arr, start, end = entry
-        nxt = start
-        while nxt < end and state.outflow > nxt - 1e-9:
-            nxt += 1
-        state.departed += nxt - start
-        if frame - arr > dq:
-            state.delay_violations += nxt - start
-        if nxt < end:
-            entry[1] = nxt
-            break
-        pend.popleft()
-    if state.queue == 0.0:
-        # queue emptied: flush stragglers and reset the flow baselines so
-        # the float counters never accumulate drift
-        while pend:
-            arr, start, end = pend.popleft()
-            state.departed += end - start
-            if frame - arr > dq:
-                state.delay_violations += end - start
-        state.inflow = 0
-        state.outflow = 0.0
-    return served, d
+    return served, d, avail - served
 
 
 def _settle(pend: deque, outflow: float, frame: int,
             late: int) -> tuple[int, int]:
     """Release the pending packets that ``outflow`` covers, oldest first,
     and return their (departed, delay_violations) counts; a packet of
-    arrival frame t is late when ``frame - t > late``.  ``_advance`` keeps
-    its own copy of this loop as the oracle.
+    arrival frame t is late when ``frame - t > late``.
     """
     departed = violations = 0
     while pend:
@@ -251,42 +203,39 @@ def _settle(pend: deque, outflow: float, frame: int,
 def _walk_chunk(state: QueueState, a: np.ndarray, fades: list,
                 gains: list, up: UserPolicy, dq: int, base_frame: int,
                 cfg: SystemConfig) -> None:
-    """``_advance`` over every frame of a chunk, skipping the frames that
-    leave the state untouched (empty queue, no arrival, no deep fade).
-    ``fades`` lists the chunk's deep-fade frames (``g < up.gain_threshold``)
-    in order and ``gains`` their channel gains.
-
-    Each deep fade goes through ``_advance`` itself and each run of frames
-    between them through ``_serve``, at most ``_WINDOW`` frames at a time.
-    Both leave the state exact, so the split keeps the tallies of the
-    frame-by-frame oracle.
+    """The queue recursion over every frame of a chunk, ``_WINDOW`` frames
+    at a time.  ``fades`` lists the chunk's deep-fade frames
+    (``g < up.gain_threshold``) in order and ``gains`` their channel gains.
     """
-    eb = up.service_rate_nominal
-    start = 0
-    for f, g in zip([*fades, len(a)], [*gains, None]):
-        for w in range(start, f, _WINDOW):
-            _serve(state, a[w:min(w + _WINDOW, f)], eb, dq, base_frame + w)
-        if g is not None:
-            _advance(state, g, int(a[f]), up, dq, base_frame + f, cfg)
-        start = f + 1
+    i = 0
+    for w in range(0, len(a), _WINDOW):
+        j = bisect_left(fades, w + _WINDOW, i)
+        _walk(state, a[w:w + _WINDOW], [f - w for f in fades[i:j]],
+              gains[i:j], up, dq, base_frame + w, cfg)
+        i = j
 
 
-def _serve(state: QueueState, a: np.ndarray, eb: float, dq: int,
-           base_frame: int) -> None:
-    """``_advance`` over a run of frames without a deep fade, at the
-    nominal service rate ``eb``, skipping the frames with an empty queue
-    and no arrival.
+def _walk(state: QueueState, a: np.ndarray, fades: list, gains: list,
+          up: UserPolicy, dq: int, base_frame: int,
+          cfg: SystemConfig) -> None:
+    """``_step`` over a window of frames with arrivals ``a`` and deep fades
+    at ``fades`` (gains ``gains``), skipping the frames that leave the
+    state untouched: an empty queue, no arrival and no deep fade.
 
-    The state lives in local variables for the whole run.  A visited frame
-    runs with the float operations of ``_advance`` in the same order, so
-    the tallies stay bit-identical to the frame-by-frame oracle.
+    The state lives in local variables for the whole window.  A frame at
+    the nominal rate runs ``_step``'s float operations without the fade's
+    ``- d`` and ``+ d``, exact no-ops there; a deep fade runs ``_step``.
 
-    Departures are settled lazily.  ``_settle`` runs on every frame from
+    Queueing delay is the waiting time until a packet's transmission
+    starts (its own transmission frame is budgeted separately), so a
+    packet departs once the cumulative outflow, dropped work included,
+    covers the work queued ahead of it.  Departures are settled lazily.  ``_settle`` runs on every frame from
     ``due``, the frame at which the oldest pending arrival frame reaches
-    age ``dq``, and once at the end of the run, so the returned state
+    age ``dq``, and once at the end of the window, so the returned state
     (``pending`` included) is exact.  A queue that empties by ``due``
     releases all its packets on time, and ``inflow - pend[0][1]`` counts
-    them.  The tallies stay those of ``_advance``:
+    them.  The tallies stay those of releasing every covered packet on
+    every frame:
 
     - ``outflow`` never decreases within a busy spell, so "packet i has
       departed by frame f" is the same as ``outflow > i - 1e-9`` at f;
@@ -299,26 +248,33 @@ def _serve(state: QueueState, a: np.ndarray, eb: float, dq: int,
     arr_frames = np.flatnonzero(a)
     counts = a[arr_frames].tolist()
     arr_frames = arr_frames.tolist()
-    arr_frames.append(n)  # sentinel: the next arrival is past the run
+    arr_frames.append(n)  # sentinel: the next arrival is past the window
+    fades = [*fades, n]  # sentinel: the next deep fade is past the window
 
+    eb = up.service_rate_nominal
     pend = state.pending
     q = state.queue
     arrivals = state.arrivals
     served_sum = state.served
     served_c = state._served_c
+    dropped = state.dropped
+    dropped_c = state._dropped_c
+    drop_events = state.drop_events
+    deep_fades = state.deep_fades
     busy = state.busy_frames
     departed = state.departed
     violations = state.delay_violations
     inflow = state.inflow
     outflow = state.outflow
-    # a packet of arrival frame t departing at run frame f is late when
-    # f - t > late, i.e. when base_frame + f - t > dq; ``due`` is the run
-    # frame pend[0][0] + late from which the head can be late (n when
-    # nothing is pending)
+    # a packet of arrival frame t departing at window frame f is late when
+    # f - t > late, i.e. when base_frame + f - t > dq; ``due`` is the
+    # window frame pend[0][0] + late from which the head can be late (n
+    # when nothing is pending)
     late = dq - base_frame
     due = pend[0][0] + late if pend else n
-    ai = 0
+    ai = fi = 0
     next_arr = arr_frames[0]
+    next_fade = fades[0]
     f = -1
     while True:
         if q > 0.0:
@@ -327,7 +283,7 @@ def _serve(state: QueueState, a: np.ndarray, eb: float, dq: int,
                 break
             busy += 1
         else:
-            f = next_arr
+            f = next_arr if next_arr < next_fade else next_fade
             if f >= n:
                 break
         if f == next_arr:
@@ -337,19 +293,29 @@ def _serve(state: QueueState, a: np.ndarray, eb: float, dq: int,
         else:
             k = 0
 
-        # _advance with d = 0.0: its "- d" and "+ d" are exact no-ops on
-        # these non-negative values, and avail - served >= 0 exactly
-        avail = q + k
-        served = eb if eb < avail else avail
-        if served > 0.0:
-            # _kahan written out: a call per visited frame would cost more
-            # than the sum itself
-            y = served - served_c
-            t = served_sum + y
-            served_c = (t - served_sum) - y
-            served_sum = t
-        q = avail - served
-        outflow += served
+        if f == next_fade:
+            served, d, q = _step(q, gains[fi], k, up, cfg)
+            fi += 1
+            next_fade = fades[fi]
+            deep_fades += 1
+            if d > 0.0:
+                drop_events += 1
+                dropped, dropped_c = _kahan(dropped, dropped_c, d)
+            if served > 0.0:
+                served_sum, served_c = _kahan(served_sum, served_c, served)
+            outflow += served + d
+        else:
+            avail = q + k
+            served = eb if eb < avail else avail
+            if served > 0.0:
+                # _kahan written out: a call per visited frame would cost
+                # more than the sum itself
+                y = served - served_c
+                t = served_sum + y
+                served_c = (t - served_sum) - y
+                served_sum = t
+            q = avail - served
+            outflow += served
         if k:
             arrivals += k
             if not pend:
@@ -357,8 +323,7 @@ def _serve(state: QueueState, a: np.ndarray, eb: float, dq: int,
             pend.append([base_frame + f, inflow, inflow + k])
             inflow += k
         if q == 0.0:
-            # every pending packet departs; _advance releases the covered
-            # ones first, which tallies the same, and by due none is late
+            # every pending packet departs, and by due none is late
             if pend:
                 if f > due:
                     for t_arr, start, end in pend:
@@ -369,6 +334,8 @@ def _serve(state: QueueState, a: np.ndarray, eb: float, dq: int,
                     departed += inflow - pend[0][1]
                 pend.clear()
                 due = n
+            # reset the flow baselines so the float counters never
+            # accumulate drift
             inflow = 0
             outflow = 0.0
             continue
@@ -384,6 +351,8 @@ def _serve(state: QueueState, a: np.ndarray, eb: float, dq: int,
         violations += vio
     state.queue, state.arrivals, state.busy_frames = q, arrivals, busy
     state.served, state._served_c = served_sum, served_c
+    state.dropped, state._dropped_c = dropped, dropped_c
+    state.drop_events, state.deep_fades = drop_events, deep_fades
     state.departed, state.delay_violations = departed, violations
     state.inflow, state.outflow = inflow, outflow
 
@@ -456,13 +425,13 @@ def _run_streams(policy: SimPolicy, cfg: SystemConfig, jobs: list,
                 power_sum = power_c = 0.0
             power_sum, power_c = _kahan(power_sum, power_c, power_chunk)
             if trace is not None:
+                q = state.queue
                 for i in range(n):
-                    srv, drp = _advance(state, gains[i], int(a[i]), up, dq,
-                                        done + i, cfg)
+                    srv, drp, q = _step(q, gains[i], int(a[i]), up, cfg)
                     trace.writerow((done + i, u, gains[i], float(power[i]),
-                                    int(a[i]), srv, drp, state.queue))
-            else:
-                _walk_chunk(state, a, fades, gains, up, dq, done, cfg)
+                                    int(a[i]), srv, drp, q))
+                gains = [gains[f] for f in fades]
+            _walk_chunk(state, a, fades, gains, up, dq, done, cfg)
             if nxt is None or nxt[3] == 0:  # the pair's last chunk
                 out[-1].append({
                     "arrivals": state.arrivals,

@@ -22,7 +22,9 @@ from urllc_ee.allocator import (CASE_LIMITED, CASE_SUFFICIENT, MAX_EXPONENT,
                                 _checked_exponent, _exponent,
                                 find_bandwidth_minimizer)
 from urllc_ee.fading import _bisect, _grow
-from urllc_ee.model import QosInfeasibleError
+from urllc_ee.model import QosInfeasibleError, SystemConfig
+from urllc_ee.simulator import (QueueState, UserPolicy, _deep_fade_rate,
+                                _kahan)
 
 
 def gain_pdf(g: float, n: int) -> float:
@@ -204,3 +206,80 @@ def allocate_bandwidth(users: list[YFunction],
                              case_tag=CASE_LIMITED, objective=obj,
                              kkt_multiplier=nu,
                              kkt_residual=max(stat, balance))
+
+
+def _advance(state: QueueState, g: float, a: int, up: UserPolicy,
+             dq: int, frame: int, cfg: SystemConfig) -> tuple[float, float]:
+    """One frame of the queue recursion; returns (served, dropped).
+
+    A frame with empty queue, no arrivals and no deep fade leaves the state
+    untouched, which is what lets the simulator skip such frames wholesale.
+    """
+    q = state.queue
+    if q > 0.0:
+        state.busy_frames += 1
+    if a:
+        state.arrivals += a
+    eb = up.service_rate_nominal
+    d = 0.0
+    if g < up.gain_threshold:
+        state.deep_fades += 1
+        capacity = _deep_fade_rate(g, up, cfg)
+        if q > 0.0:
+            # shortfall versus the nominal rate is discarded; the cap rate
+            # can exceed the nominal one just below the threshold, in which
+            # case nothing needs dropping
+            d = eb - capacity
+            if d > q:
+                d = q
+            if d < 0.0:
+                d = 0.0
+        if d > 0.0:
+            state.drop_events += 1
+            state.dropped, state._dropped_c = _kahan(
+                state.dropped, state._dropped_c, d)
+    else:
+        capacity = eb
+    avail = q + a - d
+    served = capacity if capacity < avail else avail
+    if served > 0.0:
+        state.served, state._served_c = _kahan(
+            state.served, state._served_c, served)
+    state.queue = avail - served
+    if state.queue < 0.0:
+        state.queue = 0.0
+
+    # Queueing delay is the WAITING time until a packet's transmission
+    # starts (its own transmission frame is budgeted separately), so a
+    # packet leaves the tally once the cumulative outflow covers the work
+    # queued ahead of it.  Packets of one arrival frame share their delay,
+    # so each is tested on its own number but tallied with its frame.
+    state.outflow += served + d
+    pend = state.pending
+    if a:
+        pend.append([frame, state.inflow, state.inflow + a])
+        state.inflow += a
+    while pend:
+        entry = pend[0]
+        arr, start, end = entry
+        nxt = start
+        while nxt < end and state.outflow > nxt - 1e-9:
+            nxt += 1
+        state.departed += nxt - start
+        if frame - arr > dq:
+            state.delay_violations += nxt - start
+        if nxt < end:
+            entry[1] = nxt
+            break
+        pend.popleft()
+    if state.queue == 0.0:
+        # queue emptied: flush stragglers and reset the flow baselines so
+        # the float counters never accumulate drift
+        while pend:
+            arr, start, end = pend.popleft()
+            state.departed += end - start
+            if frame - arr > dq:
+                state.delay_violations += end - start
+        state.inflow = 0
+        state.outflow = 0.0
+    return served, d

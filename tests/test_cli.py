@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -404,6 +405,9 @@ SMALL_COMMANDS = [
     # x = 0.6 a, where scipy serves the incomplete gamma
     ["sweep-antennas", "--k-values", "2"],
     ["sweep-users", "--k-max", "2", "--fixed-nt", "8"],
+    # seven users on the default grid are bandwidth-limited, which reaches
+    # the exact split
+    ["sweep-users", "--k-min", "7", "--k-max", "7"],
 ]
 
 
@@ -417,17 +421,49 @@ def run_fresh(code: str, *args: str) -> str:
                           capture_output=True, text=True, check=True).stdout
 
 
-def test_every_public_function_runs_in_a_command(runner, config_file,
-                                                 tmp_path):
-    # a public function that none of the six commands reaches is dead API:
-    # test-only references belong in tests/oracles.py
-    layers = (cli, config_io, model, rate, traffic, fading, allocator,
-              simulator, experiments)
-    public = {fn.__code__: f"{mod.__name__}.{name}"
-              for mod in layers for name, fn in vars(mod).items()
-              if inspect.isfunction(fn) and not name.startswith("_")
-              and fn.__module__ == mod.__name__}
-    out = os.fspath(tmp_path / "out")
+LAYERS = (cli, config_io, model, rate, traffic, fading, allocator, simulator,
+          experiments)
+
+
+def layer_functions(private: bool) -> dict:
+    """The functions the layers define, public or private, by qualified
+    name: module-level functions (memoized ones unwrapped) and, for
+    private, the methods of the private classes too."""
+    found = {}
+    for mod in LAYERS:
+        for name, obj in vars(mod).items():
+            if name.startswith("_") != private:
+                continue
+            fn = inspect.unwrap(obj)
+            if inspect.isfunction(fn) and fn.__module__ == mod.__name__:
+                found[f"{mod.__name__}.{name}"] = fn
+            elif (private and inspect.isclass(obj)
+                    and obj.__module__ == mod.__name__):
+                # dataclass dunders are generated, with no code in the file
+                found.update({
+                    f"{mod.__name__}.{name}.{meth}": fn
+                    for meth, fn in vars(obj).items()
+                    if inspect.isfunction(fn)
+                    and fn.__code__.co_filename == mod.__file__})
+    return found
+
+
+def codes(code):
+    """``code`` and every code object nested in it."""
+    yield code
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            yield from codes(const)
+
+
+@pytest.fixture(scope="module")
+def commands_reach(tmp_path_factory):
+    """The code objects that SMALL_COMMANDS run, the helper thread's
+    included."""
+    tmp = tmp_path_factory.mktemp("reach")
+    config_file = tmp / "cell.cfg"
+    config_file.write_text(DEFAULT_CONFIG_TEXT)
+    out = os.fspath(tmp / "out")
     # memoized results would hide the calls behind them
     allocator._cached_prologue.cache_clear()
     fading._gain_threshold.cache_clear()
@@ -437,17 +473,42 @@ def test_every_public_function_runs_in_a_command(runner, config_file,
         if event == "call":
             called.add(frame.f_code)
 
+    runner = CliRunner()
     previous = sys.getprofile()
+    # the draws run on a helper thread that each simulation starts
+    threading.setprofile(record)
     sys.setprofile(record)
     try:
-        results = [runner.invoke(main, args + ["--config", config_file,
+        results = [runner.invoke(main, args + ["--config",
+                                               os.fspath(config_file),
                                                "--out", out])
                    for args in SMALL_COMMANDS]
     finally:
         sys.setprofile(previous)
+        threading.setprofile(None)
     for args, res in zip(SMALL_COMMANDS, results):
         assert res.exit_code == 0, (args, res.output)
-    assert sorted(public[code] for code in public.keys() - called) == []
+    return called
+
+
+def unreached(functions: dict, called: set) -> list:
+    """The names of ``functions`` none of whose code ran: a function counts
+    as reached when its code or a code nested in it runs, so a decorator
+    applied at import counts once its wrapper runs."""
+    return sorted(name for name, fn in functions.items()
+                  if called.isdisjoint(codes(fn.__code__)))
+
+
+def test_every_public_function_runs_in_a_command(commands_reach):
+    # a public function that none of the six commands reaches is dead API:
+    # test-only references belong in tests/oracles.py
+    assert unreached(layer_functions(private=False), commands_reach) == []
+
+
+def test_every_private_helper_runs_in_a_command(commands_reach):
+    # the same for the private helpers: one that only tests reach belongs
+    # in tests/oracles.py as well
+    assert unreached(layer_functions(private=True), commands_reach) == []
 
 
 def test_commands_leave_out_scipy(config_file, tmp_path):

@@ -77,7 +77,9 @@ class TestValidateConfig:
         for bad in ({"total_bandwidth": -1.0, "amplifier_efficiency": 1.5},
                     {"noise_psd": math.nan}, {"max_bs_power": math.nan},
                     {"circuit_power_per_antenna": math.inf},
-                    {"total_bandwidth": math.inf}):
+                    {"total_bandwidth": math.inf},
+                    # the budget splits in thirds, and 5e-324 / 3 is 0.0
+                    {"loss_budget": 5e-324}, {"loss_budget": 0.0}):
             with pytest.raises(ConfigError) as err:
                 validate_config(SystemConfig(**bad), [single_user])
             joined = " ".join(err.value.violations)

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import math
 import os
@@ -16,11 +17,11 @@ from scipy import stats
 from urllc_ee import SimPolicy, run_simulation, solve_allocation
 from urllc_ee import simulator
 from urllc_ee.config_io import DEFAULT_CONFIG_TEXT, parse_config_text
-from urllc_ee.simulator import (QueueState, UserPolicy, _advance,
-                                _run_streams, _walk_chunk)
+from urllc_ee.simulator import (QueueState, UserPolicy, _run_streams, _step,
+                                _walk_chunk)
 
 from conftest import DEFAULT_CFG
-from oracles import drop_prob_B, gain_cdf
+from oracles import _advance, drop_prob_B, gain_cdf
 
 
 @pytest.fixture
@@ -57,6 +58,14 @@ class TestChannelDraws:
         assert pvalue > 1e-4
 
 
+def walk(state, g, a, up, dq, base_frame, cfg):
+    """The walk over a chunk of draws, handed its deep fades as the
+    simulator hands them."""
+    fades = np.flatnonzero(g < up.gain_threshold)
+    _walk_chunk(state, a, fades.tolist(), g[fades].tolist(), up, dq,
+                base_frame, cfg)
+
+
 class TestQueueTransition:
     def _policy_user(self, cfg, g_th=1.0, eb=0.4, p_th=1.0):
         return UserPolicy(bandwidth=3e6, gain_threshold=g_th,
@@ -68,44 +77,41 @@ class TestQueueTransition:
         up = self._policy_user(cfg, g_th=1e-9)
         state = QueueState()
         rng = np.random.default_rng(1)
-        for frame in range(5000):
-            g = 1.0 + float(rng.random())
-            a = int(rng.poisson(0.1))
-            _advance(state, g, a, up, 8, frame, cfg)
+        g, a = zip(*[(1.0 + float(rng.random()), int(rng.poisson(0.1)))
+                     for _ in range(5000)])
+        walk(state, np.array(g), np.array(a), up, 8, 0, cfg)
         assert state.drop_events == 0
         assert state.dropped == 0.0
 
     def test_good_frame_serves_nominal_rate(self, cfg):
         up = self._policy_user(cfg, eb=0.4)
-        state = QueueState()
-        _advance(state, 2.0, 1, up, 8, 0, cfg)
-        assert state.served == pytest.approx(0.4)
-        assert state.queue == pytest.approx(0.6)
+        served, _, queue = _step(0.0, 2.0, 1, up, cfg)
+        assert served == pytest.approx(0.4)
+        assert queue == pytest.approx(0.6)
 
     def test_deep_frame_drops_shortfall(self, cfg):
         # power cap so small the deep-fade rate clamps to zero: the whole
         # nominal service amount is dropped, bounded by the queue content
         up = self._policy_user(cfg, g_th=5.0, eb=0.4, p_th=1e-20)
         state = QueueState(queue=0.25)
-        _advance(state, 0.01, 0, up, 8, 0, cfg)
+        _walk_chunk(state, np.array([0]), [0], [0.01], up, 8, 0, cfg)
         assert state.drop_events == 1
         assert state.dropped == pytest.approx(0.25)
         assert state.queue == 0.0
 
     def test_deep_frame_without_backlog_drops_nothing(self, cfg):
         up = self._policy_user(cfg, g_th=5.0, eb=0.4, p_th=1e-20)
-        state = QueueState()
-        _advance(state, 0.01, 2, up, 8, 0, cfg)
-        assert state.dropped == 0.0
-        assert state.queue == pytest.approx(2.0)
+        _, dropped, queue = _step(0.0, 0.01, 2, up, cfg)
+        assert dropped == 0.0
+        assert queue == pytest.approx(2.0)
 
     def test_conservation_identity(self, cfg):
         up = self._policy_user(cfg, g_th=0.8, eb=0.3, p_th=1e-3)
         state = QueueState()
         rng = np.random.default_rng(9)
-        for frame in range(20000):
-            _advance(state, float(rng.standard_gamma(4)),
-                     int(rng.poisson(0.2)), up, 8, frame, cfg)
+        g, a = zip(*[(float(rng.standard_gamma(4)), int(rng.poisson(0.2)))
+                     for _ in range(20000)])
+        walk(state, np.array(g), np.array(a), up, 8, 0, cfg)
         resid = state.arrivals - state.served - state.dropped - state.queue
         assert abs(resid) < 1e-9
 
@@ -114,10 +120,11 @@ class TestQueueTransition:
         up = policy.users[0]
         state = QueueState()
         rng = np.random.default_rng(2)
-        for frame in range(2000):
-            g = float(rng.standard_gamma(policy.antennas))
-            a = int(rng.poisson(up.arrival_rate))
-            _advance(state, g, a, up, policy.queue_delay_frames, frame, cfg)
+        g, a = zip(*[(float(rng.standard_gamma(policy.antennas)),
+                      int(rng.poisson(up.arrival_rate)))
+                     for _ in range(2000)])
+        walk(state, np.array(g), np.array(a), up, policy.queue_delay_frames,
+             0, cfg)
         assert state.arrivals > 0
         assert state.queue >= 0.0
 
@@ -135,14 +142,6 @@ def assert_states_equal(fast, slow):
     assert fast.inflow == slow.inflow
     assert fast.outflow == slow.outflow
     assert list(fast.pending) == list(slow.pending)
-
-
-def walk(state, g, a, up, dq, base_frame, cfg):
-    """The walk over a chunk of draws, handed its deep fades as the
-    simulator hands them."""
-    fades = np.flatnonzero(g < up.gain_threshold)
-    _walk_chunk(state, a, fades.tolist(), g[fades].tolist(), up, dq,
-                base_frame, cfg)
 
 
 def frame_by_frame(state, g, a, up, dq, base_frame, cfg):
@@ -191,9 +190,8 @@ class TestFastPathEquivalence:
 
     def test_deep_fades_inside_busy_spells(self, cfg):
         # a rare deep fade (~1 frame in 300) with a starved cap lands in
-        # long busy spells fed by multi-packet arrivals, so the walk hands
-        # a backlogged state with several pending arrival frames to
-        # ``_advance`` and takes it back
+        # long busy spells fed by multi-packet arrivals, so the walk steps
+        # deep fades with a backlog and several pending arrival frames
         up = UserPolicy(bandwidth=3e6, gain_threshold=0.35,
                         power_cap=1e-18, service_rate_nominal=2.2,
                         alpha=3e-13, arrival_rate=2.0, eps_c=1e-7,
@@ -214,7 +212,7 @@ class TestFastPathEquivalence:
         # hand-built fades, walked in windows of 8 frames: at a window's
         # first frame (empty queue and backlogged), at its last frame, on
         # adjacent frames (across a window edge too) and inside the backlog
-        # of a burst, so the walk's runs between fades are empty or short
+        # of a burst, so fades follow each other or an idle jump
         a = np.tile([3, 0, 4, 0, 0, 2, 6, 0], 6)
         a[8:12] = 6
         for fades in ([0, 8, 16], [7, 15, 47], [9, 10, 11], [23, 24],
@@ -630,6 +628,41 @@ class TestRunSimulation:
         plain = run_simulation(policy, cfg, [single_user], frames=500, seed=9,
                                streams=1)
         assert plain.to_json() == rep.to_json()
+
+    def test_trace_rows_hold_the_oracle_values(self, cfg, single_user,
+                                               tmp_path, monkeypatch):
+        # at a relaxed dropping budget deep fades drop packets; with a small
+        # chunk the rows cross chunks, and every row must hold the values
+        # of the frame-by-frame oracle over the same Philox draws
+        chunk, frames, seed = 4096, 30_000, 9
+        policy, _ = relaxed_policy(cfg, single_user, eps_h=5e-2)
+        up = policy.users[0]
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=seed, spawn_key=(0, 0))))
+        state = QueueState()
+        want = []
+        for done in range(0, frames, chunk):
+            n = min(chunk, frames - done)
+            g = rng.standard_gamma(policy.antennas, size=n)
+            a = rng.poisson(up.arrival_rate, size=n)
+            for i in range(n):
+                served, dropped = _advance(state, float(g[i]), int(a[i]), up,
+                                           policy.queue_delay_frames,
+                                           done + i, cfg)
+                want.append((done + i, float(g[i]), int(a[i]), served,
+                             dropped, state.queue))
+
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
+        path = tmp_path / "trace.csv"
+        rep = run_simulation(policy, cfg, [single_user], frames=frames,
+                             seed=seed, streams=1, trace_path=os.fspath(path))
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        got = [(int(r[0]), float(r[2]), int(r[4]), float(r[5]), float(r[6]),
+                float(r[7])) for r in rows]
+        assert got == want
+        assert sum(row[4] > 0.0 for row in want) > 5
+        assert got[-1][5] == rep.final_queue
 
     def test_trace_rows_are_written_as_they_are_made(
             self, cfg, single_user, solved, tmp_path, monkeypatch):
