@@ -498,13 +498,13 @@ def run_simulation(policy: SimPolicy, cfg: SystemConfig,
     if len(users) != len(policy.users):
         raise ValueError("policy and user list disagree on K")
 
-    base, extra = divmod(frames, streams)
-    stream_frames = [base + (1 if s < extra else 0) for s in range(streams)]
-
     if trace_path and (streams > 1):
         raise ValueError("per-frame tracing supports a single stream only")
 
-    jobs = [(s, nf) for s, nf in enumerate(stream_frames) if nf > 0]
+    # streams past the frame count get no frame, so they make no job
+    base, extra = divmod(frames, streams)
+    jobs = [(s, base + (1 if s < extra else 0))
+            for s in range(min(streams, frames))]
     if trace_path:
         with open(trace_path, "w", newline="") as fh:
             trace = csv.writer(fh)

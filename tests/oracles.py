@@ -6,6 +6,8 @@ differential tests hold the fast form to ``==`` against it, so the two must
 take the same float operations in the same order; only the amount of work
 may differ.  Where a reference shares a formula with the runtime, it calls
 the runtime's private kernel, so the tests still exercise that kernel.
+The mpmath references are the exception: they hold a float result to a
+stated relative bound, not to ``==``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 from unittest import mock
 
+import mpmath
 from scipy.integrate import quad
 from scipy.special import gammainc
 
@@ -78,6 +81,21 @@ def drop_prob_B(g_th: float, gamma: float, n: int) -> float:
 
     val, _ = quad(integrand, 0.0, g_th, epsabs=1e-13, epsrel=1e-11, limit=200)
     return max(0.0, float(val))
+
+
+def q_inverse_error(p: float, x: float) -> float:
+    """Relative error of ``x`` as Q^-1(p), against a reference to about 40
+    digits: one Newton step in mpmath from ``x`` on Q(x) = erfc(x/sqrt(2))/2.
+
+    A step squares the start's relative error (times about x^2 / 2), so
+    from a start good to 1e-15 the reference lies far below the float
+    resolution.  At p = 1/2 the reference is 0 and the error is |x|.
+    """
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        residual = mpmath.erfc(x / mpmath.sqrt(2)) / 2 - mpmath.mpf(p)
+        ref = x + residual / mpmath.npdf(x)
+        return float(abs(x - ref) / abs(ref) if ref else abs(x))
 
 
 def required_snr(bandwidth: float, l: float, v: float) -> float:

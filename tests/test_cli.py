@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -141,6 +142,19 @@ class TestTableWth:
         w_tight = float(lines[0].split(",")[1])
         w_loose = float(lines[1].split(",")[1])
         assert w_loose > 50 * w_tight
+
+    def test_subnormal_eps_writes_a_finite_row(self, runner, config_file,
+                                               tmp_path):
+        out = os.fspath(tmp_path / "wth.csv")
+        res = runner.invoke(main, ["table-wth", "--config", config_file,
+                                   "--out", out, "--eps", "1e-320"])
+        assert res.exit_code == 0, res.output
+        lines = [l for l in Path(out).read_text().splitlines()
+                 if not l.startswith("#")]
+        assert len(lines) == 2
+        eps, w_th = map(float, lines[1].split(","))
+        assert eps == 1e-320
+        assert 0.0 < w_th < math.inf
 
     def test_byte_identical_reruns(self, runner, config_file, tmp_path):
         outs = []

@@ -181,6 +181,10 @@ def _numbers(obj):
 @example(text=DEFAULT_CONFIG_TEXT.replace("dl_fraction = 0.5e-4",
                                           "dl_fraction = 0"),
          frames=1, streams=1)
+# a subnormal third of the loss budget: Q^-1 of it must stay finite
+@example(text=DEFAULT_CONFIG_TEXT.replace("loss_budget = 3e-7",
+                                          "loss_budget = 1e-310"),
+         frames=1, streams=1)
 def test_any_config_text_ends_in_a_named_outcome(text, frames, streams):
     # config text -> parse -> validate -> solve -> short simulate, and
     # table-wth, through the CLI: a solution (0), a named infeasibility (2)

@@ -9,7 +9,8 @@ from urllc_ee import (YFunction, achievable_rate, channel_dispersion,
                       inv_gaussian_q, snr_coeffs, validate_config)
 from urllc_ee.rate import LN2
 
-from oracles import achievable_rate_max_dispersion, required_snr
+from oracles import (achievable_rate_max_dispersion, q_inverse_error,
+                     required_snr)
 
 
 def q_of(x: float) -> float:
@@ -52,6 +53,15 @@ class TestInvGaussianQ:
         for p in (0.6, 0.9, 0.999, 1 - 1e-9, 1 - 1e-12):
             assert inv_gaussian_q(p) == pytest.approx(
                 -inv_gaussian_q(1.0 - p), rel=1e-9, abs=1e-12)
+
+    def test_within_1e15_of_mpmath_on_both_tails(self):
+        # log-spaced p from the smallest subnormal to 1/2, then the mirrored
+        # upper half up to the largest float below 1
+        lower = np.geomspace(5e-324, 0.5, 2000)
+        upper = 1.0 - np.geomspace(2.0 ** -53, 0.5, 1000)
+        assert lower[0] == 5e-324 and upper.max() == 1.0 - 2.0 ** -53
+        for p in map(float, np.concatenate([lower, upper])):
+            assert q_inverse_error(p, inv_gaussian_q(p)) <= 1e-15, p
 
     def test_rejects_out_of_domain(self):
         for p in (0.0, 1.0, -0.1, 1.1):

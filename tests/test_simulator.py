@@ -375,8 +375,8 @@ class TestRecordedOutputs:
         rep = run_simulation(policy, cfg, [single_user], frames=200_000,
                              seed=13, streams=2)
         assert (rep.delay_violation_count, rep.drop_events) == (14, 5)
-        assert _digest(rep) == ("763aac26f590a18533045309ea2e2558"
-                                "78bd05d55b38ea012cd6245274bb64dd")
+        assert _digest(rep) == ("5b12a33ada74bad3518a295bba0e70f8"
+                                "17297710ada973bde023dc50bbe5802c")
 
 
 class TestRunSimulation:
@@ -680,6 +680,24 @@ class TestRunSimulation:
             tracemalloc.stop()
         assert len(path.read_text().splitlines()) == 12_001
         assert peak < 2_000_000
+
+    def test_streams_past_the_frame_count_cost_nothing(self, cfg,
+                                                       single_user, solved):
+        # a stream with no frame makes no job and takes no memory: 10**6
+        # streams over 3 frames run the same three one-frame streams as 3
+        policy, _ = solved
+        few = run_simulation(policy, cfg, [single_user], frames=3, seed=4,
+                             streams=3)
+        tracemalloc.start()
+        try:
+            many = run_simulation(policy, cfg, [single_user], frames=3,
+                                  seed=4, streams=10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert many.stream_count == 10**6
+        assert replace(many, stream_count=3) == few
 
     def test_trace_requires_single_stream(self, cfg, single_user, solved,
                                           tmp_path):
