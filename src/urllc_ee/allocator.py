@@ -24,7 +24,9 @@ and comparisons with far fewer y' evaluations, so it returns the same bits:
   the budget, and each W_k lies inside its current bracket, so the
   brackets are refined only until their ends settle that question with a
   margin for the rounding of the sums; otherwise every inner bisection
-  runs to its end and the sum itself decides.
+  runs to its end and the sum itself decides;
+* halving ladder: a user keeps y' at W_th/2, W_th/4, ..., so a binary
+  search finds where a new target's start bracket begins.
 
 Given the optimal bandwidths, the best antenna count balances the 1/(n-1)
 transmit-power scaling against per-antenna circuit power in closed form
@@ -121,6 +123,7 @@ def find_bandwidth_minimizer(f: YFunction) -> float:
     Starts the bracket at W = l, where y' < 0 is guaranteed, and doubles
     while y' < 0.  With v = 0 the kernel decreases monotonically towards its
     asymptote and has no finite minimizer; +inf is returned as a sentinel.
+    W_th does not depend on alpha, and it is memoized on (l, v).
     """
     if not f.l > 0:
         raise ValueError("l must be positive")
@@ -128,8 +131,15 @@ def find_bandwidth_minimizer(f: YFunction) -> float:
         raise ValueError("v must be non-negative")
     if f.v == 0.0:
         return math.inf
+    return _minimizer(f.l, f.v)
+
+
+# The public function stays plain, so a tracer that wraps it sees every call.
+@functools.lru_cache(maxsize=1024, typed=True)
+def _minimizer(l: float, v: float) -> float:
+    f = YFunction(l, v, 1.0)
     # y'(l) < 0, so hi >= 2 l and y' is still negative at hi / 2.
-    hi = _grow(_y_prime_clamped, f, 0.0, f.l, 2.0)
+    hi = _grow(_y_prime_clamped, f, 0.0, l, 2.0)
     return _bisect(_y_prime_clamped, f, 0.0, 0.5 * hi, hi, 1e-11)
 
 
@@ -141,23 +151,26 @@ def find_bandwidth_minimizer(f: YFunction) -> float:
 _SLACK_PER_USER = 4.0 * 2.0 ** -53
 
 
-def _memo_y_prime(w: float, memo_f: tuple[dict, YFunction]) -> float:
-    """y'(w) of ``memo_f[1]``, memoized in ``memo_f[0]``."""
-    memo, f = memo_f
-    y = memo.get(w)
-    if y is None:
-        y = memo[w] = _y_prime_clamped(w, f)
-    return y
-
-
-def _neg_memo_y_prime(w: float, memo_f: tuple[dict, YFunction]) -> float:
-    return -_memo_y_prime(w, memo_f)
+def _ladder_rung(xs: list[float], negs: list[float], f: YFunction,
+                 hi: float, target: float) -> float:
+    """``_grow(-y', f, target, hi / 2, 1 / 2)`` read off the rungs hi 2**-j
+    in ``xs`` and the running max of -y' over them in ``negs``, which first
+    reaches target where -y' does.  Rung 0, hi with max -inf, keys them."""
+    if not xs or xs[0] != hi:
+        xs[:], negs[:] = [hi], [-math.inf]
+    x, neg = xs[-1], negs[-1]
+    while neg < target:
+        x *= 0.5
+        neg = max(neg, -_y_prime_clamped(x, f))
+        xs.append(x)
+        negs.append(neg)
+    return xs[bisect_left(negs, target)]
 
 
 class _NuSplit:
     """W_k(nu), the root of y_k'(W)/alpha_k = -nu on (0, W_th,k], for every
     user: the bracket search and bisection of ``fading._grow`` and
-    ``fading._bisect`` (relative stop 1e-13), with two exact shortcuts.
+    ``fading._bisect`` (relative stop 1e-13), with three exact shortcuts.
 
     Path replay: from a fixed start bracket the bisection is a fixed tree
     of midpoints, and a target takes the branch y'(mid) < target at each.
@@ -166,8 +179,10 @@ class _NuSplit:
     and min y' (branches down) that a target must lie between to follow
     the walk that far.  Both bounds are monotone along the walk, so two
     binary searches find the node where a new target turns off, and y' is
-    called only past it.  The bracket search memoizes y' at its points,
-    and a new start bracket drops the walk.
+    called only past it.  A new start bracket drops the walk.
+
+    Halving ladder: each user keeps y' at W_th / 2, W_th / 4, ..., where its
+    start brackets begin, and ``_ladder_rung`` reads a lower end off them.
 
     Early decision: the outer bisection needs only whether sum(W_k(nu))
     exceeds w_max, and each W_k lies inside its user's current bracket.
@@ -183,10 +198,10 @@ class _NuSplit:
         self.w_ths = w_ths
         self.w_max = w_max
         self.slack = (len(users) + 1) * _SLACK_PER_USER
-        # per user: y' memo of the bracket search; per node of the last
-        # walk its bracket ends and y'; per branch the running max of y'
-        # over branches up and of -y' over branches down
-        self.paths = [(({}, f), [], [], [], [], []) for f in users]
+        # per user: its ladder's rungs and running max of -y'; per node of
+        # the last walk its bracket ends and y'; per branch the running max
+        # of y' over branches up and of -y' over branches down
+        self.paths = [([], [], [], [], [], [], []) for _ in users]
 
     def over(self, nu: float) -> bool:
         """sum(self.solve(nu)) > w_max, mostly without finishing solve."""
@@ -204,13 +219,13 @@ class _NuSplit:
             lo = hi = w_th
             d = 0
             if not t >= 0.0:
-                memo_f, lows, highs, ys, up_max, down_max = path
+                xs, negs, lows, highs, ys, up_max, down_max = path
                 if math.isinf(hi):
                     # v = 0: y' rises towards 0-, so a finite right end exists
-                    hi = _grow(_memo_y_prime, memo_f, t, f.l, 2.0)
-                lo = _grow(_neg_memo_y_prime, memo_f, -t, hi * 0.5, 0.5)
+                    hi = _grow(_y_prime_clamped, f, t, f.l, 2.0)
+                lo = _ladder_rung(xs, negs, f, hi, -t)
                 if not (lows and lows[0] == lo and highs[0] == hi):
-                    for part in path[1:]:
+                    for part in path[2:]:
                         part.clear()
                 else:
                     # start at the first node where t leaves the stored
@@ -239,7 +254,7 @@ class _NuSplit:
                 t = targets[i]
                 d = depths[i]
                 mid = 0.5 * (lo + hi)
-                _, lows, highs, ys, up_max, down_max = self.paths[i]
+                _, _, lows, highs, ys, up_max, down_max = self.paths[i]
                 if d < len(ys) and lows[d] == lo and highs[d] == hi:
                     y = ys[d]
                 else:

@@ -8,6 +8,7 @@ timestamp).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -42,8 +43,8 @@ def place_users(k: int, cfg: SystemConfig, scheme: str = "grid",
     """Deterministic user placement on the 50-250 m annulus.
 
     ``grid`` respreads K users evenly (midpoints of K equal sub-intervals);
-    ``uniform`` draws each user's distance from its own seeded substream, so
-    prefixes are stable: user i keeps its position as K grows.
+    ``uniform`` draws user i's distance once per seed (memoized) from its own
+    substream, so prefixes are stable: user i keeps its position as K grows.
     """
     if k < 1:
         raise ValueError("at least one user is required")
@@ -51,15 +52,18 @@ def place_users(k: int, cfg: SystemConfig, scheme: str = "grid",
     if scheme == "grid":
         dists = [PLACEMENT_NEAR_M + span * (i + 0.5) / k for i in range(k)]
     elif scheme == "uniform":
-        dists = []
-        for i in range(k):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-            dists.append(PLACEMENT_NEAR_M + span * float(rng.random()))
+        dists = [PLACEMENT_NEAR_M + span * _uniform_draw(seed, i)
+                 for i in range(k)]
     else:
         raise ValueError(f"unknown placement scheme {scheme!r}")
     return [UserProfile.from_nodes(d, NODES_PER_USER, NODE_PACKET_RATE_HZ, cfg)
             for d in dists]
+
+
+@functools.lru_cache(maxsize=1024, typed=True)
+def _uniform_draw(seed: int, i: int) -> float:
+    return float(np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(i,))).random())
 
 
 def table_wth_rows(cfg: SystemConfig, eps_list: list[float],

@@ -40,7 +40,7 @@ import csv
 import json
 from bisect import bisect_left
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -512,6 +512,7 @@ def run_simulation(policy: SimPolicy, cfg: SystemConfig,
                             "served", "dropped", "queue_after"])
             results = _run_streams(policy, cfg, jobs, seed, trace)
     elif workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # off start-up
         # a forked pool starts every worker at its first submit
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             futures = [pool.submit(_run_streams, policy, cfg, [job], seed)

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from urllc_ee import (DEFAULT_CONFIG_TEXT, ConfigError, QosInfeasibleError,
@@ -13,7 +13,7 @@ from urllc_ee import (DEFAULT_CONFIG_TEXT, ConfigError, QosInfeasibleError,
                       find_bandwidth_minimizer, mean_tx_power,
                       optimal_antennas, parse_config_text, power_thresholds,
                       solve_allocation, solve_gain_threshold, validate_config)
-from urllc_ee import allocator, fading
+from urllc_ee import allocator, experiments, fading
 from urllc_ee.allocator import CASE_LIMITED, CASE_SUFFICIENT, mean_total_power
 from urllc_ee.experiments import (antenna_sweep_rows, place_users,
                                   user_sweep_rows)
@@ -618,6 +618,55 @@ class TestSplitReuse:
                     values.append(1.0)
             assert solve_allocation(cfg, users, **kw).to_json() == want
 
+    SWEEP_K = list(range(1, 41))
+    SWEEP_NTS = [8, 16, 32, 64]
+
+    def sweep(self, cfg):
+        """The benchmark's EE-vs-K sweep on placement seed 1."""
+        return user_sweep_rows(cfg, self.SWEEP_K, self.SWEEP_NTS,
+                               scheme="uniform", seed=1)
+
+    @staticmethod
+    def clear_memos():
+        allocator._cached_prologue.cache_clear()
+        allocator._minimizer.cache_clear()
+        experiments._uniform_draw.cache_clear()
+
+    def test_sweep_rows_equal_with_cold_and_warm_memos(self, cfg):
+        self.clear_memos()
+        cold = self.sweep(cfg)
+        # W_th and the placement draws warm, every split computed again
+        allocator._cached_prologue.cache_clear()
+        assert self.sweep(cfg) == cold
+        # every memo warm
+        assert self.sweep(cfg) == cold
+
+    def test_each_minimizer_and_draw_once_per_sweep(self, cfg, monkeypatch):
+        calls = []
+        builds = []
+        plain_minimizer = allocator.find_bandwidth_minimizer
+        plain_rng = np.random.default_rng
+
+        def counted_minimizer(f):
+            calls.append(f)
+            return plain_minimizer(f)
+
+        def counted_rng(*args, **kwargs):
+            builds.append(args)
+            return plain_rng(*args, **kwargs)
+
+        self.clear_memos()
+        monkeypatch.setattr(allocator, "find_bandwidth_minimizer",
+                            counted_minimizer)
+        monkeypatch.setattr(np.random, "default_rng", counted_rng)
+        self.sweep(cfg)
+        # a tracer that wraps the plain functions still sees every call
+        assert len(calls) == sum(self.SWEEP_K)
+        assert inspect.isfunction(plain_minimizer)
+        assert inspect.isfunction(experiments.place_users)
+        assert allocator._minimizer.cache_info().misses <= 40
+        assert len(builds) <= 40
+
     def test_gain_threshold_memo(self):
         first = [solve_gain_threshold(n, 1e-7) for n in (2, 8, 64)]
         again = [solve_gain_threshold(n, 1e-7) for n in (2, 8, 64)]
@@ -658,6 +707,23 @@ def split_inputs(draw):
     return users, scale * sum(f.l for f in users)
 
 
+@st.composite
+def ladder_inputs(draw):
+    """One user, at v = 0 in about a fifth of the draws, and a run of
+    targets t < 0 from -1e-3 to -inf: those past about -1e304 lie where y'
+    is clamped to -inf, and each run mixes lookups on the rungs made so far
+    with ones that must grow the ladder."""
+    eps_c = draw(st.sampled_from([0.5, None, None, None, None]))
+    if eps_c is None:
+        eps_c = 10.0 ** draw(st.floats(-9, -0.4))
+    l, v = _coeffs_at_rate(draw(st.floats(1e-3, 5.0)), eps_c, DEFAULT_CFG)
+    f = YFunction(l=l, v=v, alpha=path_loss_gain(draw(st.floats(50.0, 250.0))))
+    exponents = st.floats(-3.0, 308.0)
+    targets = draw(st.lists(exponents.map(lambda e: -(10.0 ** e))
+                            | st.just(-math.inf), min_size=1, max_size=30))
+    return f, targets
+
+
 class TestSplitAgainstOracle:
     """``allocate_bandwidth`` against the split that solves every user in
     full at every trial multiplier (``oracles.allocate_bandwidth``)."""
@@ -665,6 +731,9 @@ class TestSplitAgainstOracle:
     @settings(max_examples=30, deadline=None, derandomize=True,
               database=None)
     @given(split_inputs())
+    # one lookup here must grow its ladder by more than one rung
+    @example(([YFunction(l=2993650.0648651524, v=485.23738419647475,
+                         alpha=6.823986436948994e-11)], 94667.5272248469))
     def test_bit_identical_to_the_full_split(self, inputs):
         users, w_max = inputs
         assert (split_outcome(allocate_bandwidth, users, w_max)
@@ -683,6 +752,19 @@ class TestSplitAgainstOracle:
                                         20e6)
         for fn in (allocate_bandwidth, oracles.allocate_bandwidth):
             assert split_outcome(fn, [f, f], 200.0) is QosInfeasibleError
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(ladder_inputs())
+    def test_ladder_matches_the_halving_scan(self, inputs):
+        f, targets = inputs
+        xs, negs = [], []
+        for t in targets:
+            hi = find_bandwidth_minimizer(f)
+            if math.isinf(hi):
+                hi = fading._grow(oracles._y_prime, f, t, f.l, 2.0)
+            want = fading._grow(oracles._neg_y_prime, f, -t, hi * 0.5, 0.5)
+            assert allocator._ladder_rung(xs, negs, f, hi, -t) == want
 
     def test_a_tenth_of_the_oracles_y_prime_calls(self, cfg, monkeypatch):
         users = place_users(40, cfg, scheme="uniform", seed=1)

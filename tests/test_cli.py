@@ -418,7 +418,9 @@ SMALL_COMMANDS = [
     # the default N_t range 2..64, whose threshold searches bracket past
     # x = 0.6 a, where scipy serves the incomplete gamma
     ["sweep-antennas", "--k-values", "2"],
-    ["sweep-users", "--k-max", "2", "--fixed-nt", "8"],
+    # the placement the benchmark's sweep uses, whose draws are memoized
+    ["sweep-users", "--k-max", "2", "--fixed-nt", "8",
+     "--placement", "uniform"],
     # seven users on the default grid are bandwidth-limited, which reaches
     # the exact split
     ["sweep-users", "--k-min", "7", "--k-max", "7"],
@@ -433,6 +435,25 @@ def run_fresh(code: str, *args: str) -> str:
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, check=True).stdout
+
+
+def test_one_process_runs_leave_out_multiprocessing(config_file, tmp_path):
+    # the process pool, and with it multiprocessing, is imported only by a
+    # run with workers > 1
+    code = textwrap.dedent("""\
+        import sys
+        from click.testing import CliRunner
+        from urllc_ee.cli import main
+        config, out = sys.argv[1:3]
+        print("multiprocessing" in sys.modules)
+        res = CliRunner().invoke(main, ["simulate", "--frames", "20000",
+                                        "--streams", "2", "--workers", "1",
+                                        "--config", config, "--out", out])
+        assert res.exit_code == 0, res.output
+        print("multiprocessing" in sys.modules)
+    """)
+    out = run_fresh(code, config_file, os.fspath(tmp_path / "out"))
+    assert out.split() == ["False", "False"]
 
 
 LAYERS = (cli, config_io, model, rate, traffic, fading, allocator, simulator,
@@ -480,6 +501,8 @@ def commands_reach(tmp_path_factory):
     out = os.fspath(tmp / "out")
     # memoized results would hide the calls behind them
     allocator._cached_prologue.cache_clear()
+    allocator._minimizer.cache_clear()
+    experiments._uniform_draw.cache_clear()
     fading._gain_threshold.cache_clear()
     called = set()
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import hashlib
 import math
@@ -428,7 +429,9 @@ class TestRunSimulation:
                 return future
 
         policy, _ = relaxed_policy(cfg, single_user, eps_h=1e-2)
-        monkeypatch.setattr(simulator, "ProcessPoolExecutor", InlinePool)
+        # run_simulation imports the pool class at its workers > 1 branch
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
         many = run_simulation(policy, cfg, [single_user], frames=100_000,
                               seed=5, streams=2, workers=10_000)
         one = run_simulation(policy, cfg, [single_user], frames=100_000,
