@@ -49,24 +49,12 @@ def gain_cdf(g: float, n: int) -> float:
     return float(gammainc(n, g))
 
 
-def drop_bound_F(g_th: float, n: int) -> float:
-    """``fading.drop_bound_F`` with every incomplete gamma from scipy."""
-    m = n - 1
-    return float(gammainc(m, g_th) - (m / g_th) * gammainc(m + 1, g_th))
-
-
-def gain_threshold(n: int, eps_target: float) -> float:
-    """g_th by ``fading._gain_threshold``'s bracket and bisection, run on the
-    scipy form of the dropping bound."""
-    hi = _grow(drop_bound_F, n, eps_target, 1e-9, 2.0)
-    return _bisect(drop_bound_F, n, eps_target, 0.0, hi, 1e-14)
-
-
 def drop_prob_B(g_th: float, gamma: float, n: int) -> float:
     """Dropping-probability approximation via adaptive quadrature.
 
     Integrates [1 - ln(1 + g*gamma/g_th)/ln(1 + gamma)] f_n(g) over
-    [0, g_th]; absolute error <= 1e-12.  Bounded above by drop_bound_F.
+    [0, g_th]; absolute error <= 1e-12.  Bounded above by
+    ``fading.drop_bound_F``.
     """
     if g_th <= 0:
         raise ValueError("g_th must be positive")
@@ -96,6 +84,37 @@ def q_inverse_error(p: float, x: float) -> float:
         residual = mpmath.erfc(x / mpmath.sqrt(2)) / 2 - mpmath.mpf(p)
         ref = x + residual / mpmath.npdf(x)
         return float(abs(x - ref) / abs(ref) if ref else abs(x))
+
+
+def drop_bound_reference(g_th: float, n: int) -> mpmath.mpf:
+    """The dropping bound F(g_th, n) to about 40 digits, by mpmath's
+    incomplete gammas: P(m, G) - (m/G) P(m+1, G) with m = n - 1.
+
+    The subtraction cancels about log10(n) digits (at small G, F is about
+    P(m, G) / (m + 1)), so the difference stays far below the float
+    resolution.
+    """
+    with mpmath.workdps(40):
+        g, m = mpmath.mpf(g_th), n - 1
+        return (mpmath.gammainc(m, 0, g, regularized=True)
+                - m / g * mpmath.gammainc(m + 1, 0, g, regularized=True))
+
+
+def drop_bound_error(value: float, g_th: float, n: int) -> float:
+    """Relative error of ``value`` as F(g_th, n), against
+    ``drop_bound_reference``."""
+    with mpmath.workdps(40):
+        ref = drop_bound_reference(g_th, n)
+        return float(abs(value - ref) / ref)
+
+
+def gain_threshold_error(x: float, n: int, eps_target: float) -> float:
+    """Relative error of ``x`` as the root g_th of F(g_th, n) = eps_target,
+    against ``mpmath.findroot`` on ``drop_bound_reference`` from ``x``."""
+    with mpmath.workdps(40):
+        ref = mpmath.findroot(
+            lambda g: drop_bound_reference(g, n) - eps_target, mpmath.mpf(x))
+        return float(abs(x - ref) / ref)
 
 
 def required_snr(bandwidth: float, l: float, v: float) -> float:

@@ -2,15 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import gammainc, gammaln
 
 from urllc_ee import (SystemConfig, drop_bound_F, mean_tx_power,
                       solve_gain_threshold)
-from urllc_ee.fading import (_bisect, _gain_threshold, _gammainc, _grow,
-                             _igam, _lgam)
+from urllc_ee.fading import _bisect, _gain_threshold, _grow
 
 import oracles
 from oracles import drop_prob_B, gain_cdf, gain_pdf
@@ -69,10 +65,17 @@ class TestDropBound:
         assert drop_bound_F(1e7, 32) == pytest.approx(1.0, abs=4e-6)
         assert drop_bound_F(4e2, 32) == pytest.approx(1.0 - 31.0 / 4e2,
                                                       rel=1e-3)
+        for n in (2, 3, 512, 10**6):
+            assert drop_bound_F(1e300, n) == 1.0
 
     def test_small_threshold_leading_order(self):
         # F ~ G/2 for two antennas
         assert drop_bound_F(2e-7, 2) == pytest.approx(1e-7, rel=1e-6)
+        # also where P(2, G) underflows, so that P(1, G) - P(2, G)/G would
+        # read G; at 512 antennas F itself underflows
+        assert oracles.drop_bound_error(
+            drop_bound_F(1e-300, 2), 1e-300, 2) <= 1e-12
+        assert drop_bound_F(1e-300, 512) == 0.0
 
     def test_matches_quadrature_on_grid(self):
         for n in UPPER_BOUND_GRID_N:
@@ -87,59 +90,43 @@ class TestDropBound:
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            drop_bound_F(0.0, 2)
+        # NaN fails every comparison, so it must not reach a series loop
+        for g_th in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                drop_bound_F(g_th, 2)
         with pytest.raises(ValueError):
             drop_bound_F(0.1, 1)
+        assert drop_bound_F(math.inf, 2) == 1.0
+        assert drop_bound_F(math.inf, 512) == 1.0
 
 
-class TestIncompleteGammaAgainstScipy:
-    """Below x = 0.6 a the incomplete gamma is cephes's series, transcribed;
-    it must give scipy's bits, so every comparison here is ``==``."""
+class TestDropBoundAgainstMpmath:
+    """Two-sided bounds against the 40-digit references in ``oracles``."""
 
-    def test_lgam_equals_gammaln(self):
-        for a in range(1, 4097):
-            assert _lgam(a) == float(gammaln(a)), a
-        # past 1e8 cephes keeps only the leading Stirling terms
-        for a in (10**8, 10**8 + 1, 10**12, 10**300):
-            assert _lgam(a) == float(gammaln(float(a))), a
+    NS = (2, 3, 4, 5, 6, 7, 8, 16, 32, 64, 128, 256, 512)
 
-    @settings(max_examples=1000, deadline=None, derandomize=True,
-              database=None)
-    @given(a=st.integers(1, 4096), u=st.floats(0.0, 1.0),
-           log_uniform=st.booleans())
-    def test_series_equals_scipy(self, a, u, log_uniform):
-        # log-uniform x from 1e-300 mostly lands where the prefactor
-        # underflows to 0; uniform x covers the rest of [0, 0.6 a)
-        top = 0.6 * a
-        if log_uniform:
-            lo = math.log(1e-300)
-            x = math.exp(lo + u * (math.log(top) - lo))
-        else:
-            x = u * top
-        assume(0.0 < x < a and abs(a - x) > 0.4 * a)
-        assert _igam(a, x) == float(gammainc(a, x))
+    @pytest.mark.parametrize("eps", [1e-9, 1e-7, 1e-5, 1e-4, 1e-2, 5e-2,
+                                     0.3])
+    def test_bound_near_the_threshold(self, eps):
+        for n in self.NS:
+            g_th = _gain_threshold.__wrapped__(n, eps)
+            for scale in (0.25, 0.5, 0.9, 1.0, 1.1, 2.0):
+                g = scale * g_th
+                assert oracles.drop_bound_error(
+                    drop_bound_F(g, n), g, n) <= 1e-12, (n, scale)
 
-    def test_branch_edge(self):
-        # x = 0.6 a and x = a - 0.4 a, and their float neighbours, fall on
-        # both sides of cephes's test |a - x| > 0.4 a
-        for a in range(1, 4097):
-            for edge in (0.6 * a, a - 0.4 * a):
-                for x in (math.nextafter(edge, 0.0), edge,
-                          math.nextafter(edge, math.inf)):
-                    assert _gammainc(a, x) == float(gammainc(a, x)), (a, x)
-        for n in range(2, 513):
-            for edge in (0.6 * (n - 1), 0.6 * n):
-                for x in (math.nextafter(edge, 0.0), edge,
-                          math.nextafter(edge, math.inf)):
-                    assert drop_bound_F(x, n) == oracles.drop_bound_F(x, n)
+    def test_bound_at_and_past_the_mode(self):
+        # the branch switch at G = n - 1, and G far out where F -> 1
+        for n in self.NS:
+            for g in (n - 1.0, float(n), 1.5 * n, 10.0 * n, 1e6):
+                assert oracles.drop_bound_error(
+                    drop_bound_F(g, n), g, n) <= 1e-12, (n, g)
 
     @pytest.mark.parametrize("eps", [1e-9, 1e-7, 1e-5, 1e-4, 1e-2, 0.3])
-    def test_gain_threshold_equals_scipy_oracle(self, eps):
-        # loose budgets at few antennas, and large arrays, reach x >= 0.6 a
-        for n in range(2, 513):
-            assert (_gain_threshold.__wrapped__(n, eps)
-                    == oracles.gain_threshold(n, eps)), n
+    def test_gain_threshold_near_the_root(self, eps):
+        for n in (2, 3, 4, 8, 16, 64, 128, 512):
+            x = _gain_threshold.__wrapped__(n, eps)
+            assert oracles.gain_threshold_error(x, n, eps) <= 5e-14, n
 
 
 class TestDropProb:
