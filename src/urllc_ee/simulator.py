@@ -26,19 +26,16 @@ one-frame recursion with its drop, and every other frame the nominal-rate
 service written inline.  ``simulate --trace`` takes its rows from
 ``_step`` and its tallies from the same walk.
 Pending packets are kept as one entry per arrival frame, since packets of
-one frame share their queueing delay.  The walk settles departures only
-where a packet can be late: from the frame at which the oldest pending
-arrival frame reaches age ``dq``, when the queue empties and at the end of
-its window.  Most busy spells end before that age, so most frames skip the
-departure loop.  A cumulative-sum (Lindley) form of the queue would round
-in a different order and so cannot reproduce these bytes.
+one frame share their queueing delay; the walk looks at an entry once, on
+its deadline frame, and most busy spells end before it.  A cumulative-sum
+(Lindley) form of the queue would round in a different order and so
+cannot reproduce these bytes.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from bisect import bisect_left
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -108,10 +105,10 @@ class QueueState:
 
     Packets are numbered from 0 in arrival order since the queue was last
     empty; ``inflow`` is the number the next arrival gets.  ``pending``
-    holds one ``[arrival_frame, next_index, end_index]`` entry per frame
-    with arrivals, in FIFO order, for the packets that have not departed.
-    Between ``_walk`` calls it is exact; inside ``_walk`` it may still hold
-    packets that departed on time.
+    holds one ``(deadline, start, end)`` entry per arrival frame of the
+    busy spell, in FIFO order, whose deadline frame (arrival frame plus the
+    queueing budget) the walk has not reached yet; packets ``start`` to
+    ``end - 1`` arrived on that frame.
     """
 
     queue: float = 0.0
@@ -175,82 +172,45 @@ def _step(q: float, g: float, a: int, up: UserPolicy,
     return served, d, avail - served
 
 
-def _settle(pend: deque, outflow: float, frame: int,
-            late: int) -> tuple[int, int]:
-    """Release the pending packets that ``outflow`` covers, oldest first,
-    and return their (departed, delay_violations) counts; a packet of
-    arrival frame t is late when ``frame - t > late``.
-    """
-    departed = violations = 0
-    while pend:
-        entry = pend[0]
-        start = nxt = entry[1]
-        end = entry[2]
-        while nxt < end and outflow > nxt - 1e-9:
-            nxt += 1
-        if nxt == start:
-            break
-        departed += nxt - start
-        if frame - entry[0] > late:
-            violations += nxt - start
-        if nxt < end:
-            entry[1] = nxt
-            break
-        pend.popleft()
-    return departed, violations
+def _covered(outflow: float, end: int) -> int:
+    """How many of packets ``0 .. end - 1`` have departed: packet i has
+    departed once ``outflow > i - 1e-9``, which holds on a prefix."""
+    i = int(outflow)  # outflow >= 0, so packet i - 1 has departed
+    while outflow > i - 1e-9:
+        i += 1
+    return i if i < end else end
 
 
-def _walk_chunk(state: QueueState, a: np.ndarray, fades: list,
-                gains: list, up: UserPolicy, dq: int, base_frame: int,
-                cfg: SystemConfig) -> None:
-    """The queue recursion over every frame of a chunk, ``_WINDOW`` frames
-    at a time.  ``fades`` lists the chunk's deep-fade frames
-    (``g < up.gain_threshold``) in order and ``gains`` their channel gains.
-    """
-    i = 0
-    for w in range(0, len(a), _WINDOW):
-        j = bisect_left(fades, w + _WINDOW, i)
-        _walk(state, a[w:w + _WINDOW], [f - w for f in fades[i:j]],
-              gains[i:j], up, dq, base_frame + w, cfg)
-        i = j
+def _late_waiting(pend: deque, inflow: int, outflow: float) -> int:
+    """The packets past their deadline that have not departed yet: those
+    ahead of the first pending entry that ``outflow`` does not cover."""
+    ahead = pend[0][1] if pend else inflow
+    return ahead - _covered(outflow, ahead)
 
 
 def _walk(state: QueueState, a: np.ndarray, fades: list, gains: list,
           up: UserPolicy, dq: int, base_frame: int,
           cfg: SystemConfig) -> None:
-    """``_step`` over a window of frames with arrivals ``a`` and deep fades
-    at ``fades`` (gains ``gains``), skipping the frames that leave the
-    state untouched: an empty queue, no arrival and no deep fade.
-
-    The state lives in local variables for the whole window.  A frame at
-    the nominal rate runs ``_step``'s float operations without the fade's
-    ``- d`` and ``+ d``, exact no-ops there; a deep fade runs ``_step``.
+    """``_step`` over a chunk of frames with arrivals ``a`` and deep fades
+    at the chunk frames ``fades`` (gains ``gains``), ``_WINDOW`` frames at
+    a time, skipping the frames that leave the state untouched: an empty
+    queue, no arrival and no deep fade.  The state lives in local
+    variables for the whole chunk.  A frame at the nominal rate runs
+    ``_step``'s float operations without the fade's ``- d`` and ``+ d``,
+    exact no-ops there; a deep fade runs ``_step``.
 
     Queueing delay is the waiting time until a packet's transmission
     starts (its own transmission frame is budgeted separately), so a
     packet departs once the cumulative outflow, dropped work included,
-    covers the work queued ahead of it.  Departures are settled lazily.  ``_settle`` runs on every frame from
-    ``due``, the frame at which the oldest pending arrival frame reaches
-    age ``dq``, and once at the end of the window, so the returned state
-    (``pending`` included) is exact.  A queue that empties by ``due``
-    releases all its packets on time, and ``inflow - pend[0][1]`` counts
-    them.  The tallies stay those of releasing every covered packet on
-    every frame:
-
-    - ``outflow`` never decreases within a busy spell, so "packet i has
-      departed by frame f" is the same as ``outflow > i - 1e-9`` at f;
-    - a packet that departs late is settled on its own departure frame,
-      because the head is already due by then;
-    - a packet settled after the frame it departed on was on time,
-      because the head was not due yet.
+    covers the work queued ahead of it, or when the queue empties.  The
+    outflow never decreases within a busy spell, so a packet of arrival
+    frame t is late exactly when it has not departed by frame t + dq; a
+    pending entry means a backlog, so the walk visits that frame.  A late
+    packet counts once it departs: the late packets still queued are left
+    out of ``delay_violations`` between calls.
     """
     n = len(a)
-    arr_frames = np.flatnonzero(a)
-    counts = a[arr_frames].tolist()
-    arr_frames = arr_frames.tolist()
-    arr_frames.append(n)  # sentinel: the next arrival is past the window
-    fades = [*fades, n]  # sentinel: the next deep fade is past the window
-
+    fades = [*fades, n]  # sentinel: the next deep fade is past the chunk
     eb = up.service_rate_nominal
     pend = state.pending
     q = state.queue
@@ -262,99 +222,90 @@ def _walk(state: QueueState, a: np.ndarray, fades: list, gains: list,
     drop_events = state.drop_events
     deep_fades = state.deep_fades
     busy = state.busy_frames
-    departed = state.departed
-    violations = state.delay_violations
     inflow = state.inflow
     outflow = state.outflow
-    # a packet of arrival frame t departing at window frame f is late when
-    # f - t > late, i.e. when base_frame + f - t > dq; ``due`` is the
-    # window frame pend[0][0] + late from which the head can be late (n
-    # when nothing is pending)
-    late = dq - base_frame
-    due = pend[0][0] + late if pend else n
-    ai = fi = 0
-    next_arr = arr_frames[0]
+    violations = state.delay_violations + _late_waiting(pend, inflow, outflow)
+    # chunk frame of the head's deadline (the next arrival sets it if none)
+    due = pend[0][0] - base_frame if pend else -1
+    fi = 0
     next_fade = fades[0]
-    f = -1
-    while True:
-        if q > 0.0:
-            f += 1
-            if f >= n:
-                break
-            busy += 1
-        else:
-            f = next_arr if next_arr < next_fade else next_fade
-            if f >= n:
-                break
-        if f == next_arr:
-            k = counts[ai]
-            ai += 1
-            next_arr = arr_frames[ai]
-        else:
-            k = 0
+    for w in range(0, n, _WINDOW):
+        stop = min(w + _WINDOW, n)
+        arr_frames = np.flatnonzero(a[w:stop])
+        arr_frames += w
+        counts = a[arr_frames].tolist()
+        arr_frames = arr_frames.tolist()
+        arr_frames.append(n)  # sentinel: the next arrival is past the chunk
+        ai = 0
+        next_arr = arr_frames[0]
+        f = w - 1
+        while True:
+            if q > 0.0:
+                f += 1
+                if f >= stop:
+                    break
+                busy += 1
+            else:
+                f = next_arr if next_arr < next_fade else next_fade
+                if f >= stop:
+                    break
+            if f == next_arr:
+                k = counts[ai]
+                ai += 1
+                next_arr = arr_frames[ai]
+            else:
+                k = 0
 
-        if f == next_fade:
-            served, d, q = _step(q, gains[fi], k, up, cfg)
-            fi += 1
-            next_fade = fades[fi]
-            deep_fades += 1
-            if d > 0.0:
-                drop_events += 1
-                dropped, dropped_c = _kahan(dropped, dropped_c, d)
-            if served > 0.0:
-                served_sum, served_c = _kahan(served_sum, served_c, served)
-            outflow += served + d
-        else:
-            avail = q + k
-            served = eb if eb < avail else avail
-            if served > 0.0:
-                # _kahan written out: a call per visited frame would cost
-                # more than the sum itself
-                y = served - served_c
-                t = served_sum + y
-                served_c = (t - served_sum) - y
-                served_sum = t
-            q = avail - served
-            outflow += served
-        if k:
-            arrivals += k
-            if not pend:
-                due = f + dq
-            pend.append([base_frame + f, inflow, inflow + k])
-            inflow += k
-        if q == 0.0:
-            # every pending packet departs, and by due none is late
-            if pend:
-                if f > due:
-                    for t_arr, start, end in pend:
-                        departed += end - start
-                        if f - t_arr > late:
-                            violations += end - start
-                else:
-                    departed += inflow - pend[0][1]
+            if f == next_fade:
+                served, d, q = _step(q, gains[fi], k, up, cfg)
+                fi += 1
+                next_fade = fades[fi]
+                deep_fades += 1
+                if d > 0.0:
+                    drop_events += 1
+                    dropped, dropped_c = _kahan(dropped, dropped_c, d)
+                if served > 0.0:
+                    served_sum, served_c = _kahan(served_sum, served_c,
+                                                  served)
+                outflow += served + d
+            else:
+                avail = q + k
+                served = eb if eb < avail else avail
+                if served > 0.0:
+                    # _kahan written out: a call per visited frame would
+                    # cost more than the sum itself
+                    y = served - served_c
+                    t = served_sum + y
+                    served_c = (t - served_sum) - y
+                    served_sum = t
+                q = avail - served
+                outflow += served
+            if k:
+                arrivals += k
+                if not pend:
+                    due = f + dq
+                pend.append((base_frame + f + dq, inflow, inflow + k))
+                inflow += k
+            if q == 0.0:
+                # every pending packet departs; reset the flow baselines
+                # so the float counters never accumulate drift
                 pend.clear()
-                due = n
-            # reset the flow baselines so the float counters never
-            # accumulate drift
-            inflow = 0
-            outflow = 0.0
-            continue
-        if f >= due:
-            dep, vio = _settle(pend, outflow, f, late)
-            departed += dep
-            violations += vio
-            due = pend[0][0] + late if pend else n
+                inflow = 0
+                outflow = 0.0
+                continue
+            if f == due:
+                _, start, end = pend.popleft()
+                c = _covered(outflow, end)
+                violations += end - (start if start > c else c)
+                due = pend[0][0] - base_frame if pend else -1
 
-    if pend:
-        dep, vio = _settle(pend, outflow, n - 1, late)
-        departed += dep
-        violations += vio
     state.queue, state.arrivals, state.busy_frames = q, arrivals, busy
     state.served, state._served_c = served_sum, served_c
     state.dropped, state._dropped_c = dropped, dropped_c
     state.drop_events, state.deep_fades = drop_events, deep_fades
-    state.departed, state.delay_violations = departed, violations
     state.inflow, state.outflow = inflow, outflow
+    state.departed = arrivals - inflow + _covered(outflow, inflow)
+    state.delay_violations = violations - _late_waiting(pend, inflow, outflow)
 
 
 def _draw(rng: np.random.Generator, antennas: int, up: UserPolicy, n: int,
@@ -431,7 +382,7 @@ def _run_streams(policy: SimPolicy, cfg: SystemConfig, jobs: list,
                     trace.writerow((done + i, u, gains[i], float(power[i]),
                                     int(a[i]), srv, drp, q))
                 gains = [gains[f] for f in fades]
-            _walk_chunk(state, a, fades, gains, up, dq, done, cfg)
+            _walk(state, a, fades, gains, up, dq, done, cfg)
             if nxt is None or nxt[3] == 0:  # the pair's last chunk
                 out[-1].append({
                     "arrivals": state.arrivals,

@@ -70,7 +70,7 @@ class TestDropBound:
 
     def test_small_threshold_leading_order(self):
         # F ~ G/2 for two antennas
-        assert drop_bound_F(2e-7, 2) == pytest.approx(1e-7, rel=1e-6)
+        assert drop_bound_F(2e-7, 2) == pytest.approx(1e-7, rel=1e-6, abs=0)
         # also where P(2, G) underflows, so that P(1, G) - P(2, G)/G would
         # read G; at 512 antennas F itself underflows
         assert oracles.drop_bound_error(
@@ -172,14 +172,14 @@ class TestDropProb:
 class TestGainThreshold:
     def test_two_antenna_reference(self):
         th = solve_gain_threshold(2, 1e-7)
-        assert th == pytest.approx(2e-7, rel=1e-5)
+        assert th == pytest.approx(2e-7, rel=1e-5, abs=0)
 
     def test_roundtrip(self):
         for n in (2, 4, 16):
             for eps in (1e-7, 1e-4, 1e-2):
                 th = solve_gain_threshold(n, eps)
                 assert drop_bound_F(th, n) == pytest.approx(
-                    eps, rel=1e-3)
+                    eps, rel=1e-3, abs=0)
 
     def test_monotone_in_antennas(self):
         ths = [solve_gain_threshold(n, 1e-7) for n in (2, 4, 8, 16)]

@@ -10,16 +10,20 @@ from urllc_ee.model import dbm_to_watts
 
 class TestPathLoss:
     def test_one_meter_leaves_constant_term(self):
-        assert path_loss_gain(1.0) == pytest.approx(10 ** -3.53, rel=1e-12)
+        assert path_loss_gain(1.0) == pytest.approx(
+            10 ** -3.53, rel=1e-12, abs=0)
 
     def test_cell_edge(self):
         # direct evaluation of the log-distance formula at 250 m
         expected = 10 ** (-(35.3 + 37.6 * math.log10(250.0)) / 10)
-        assert path_loss_gain(250.0) == pytest.approx(expected, rel=1e-12)
-        assert path_loss_gain(250.0) == pytest.approx(2.8428e-13, rel=1e-4)
+        assert path_loss_gain(250.0) == pytest.approx(
+            expected, rel=1e-12, abs=0)
+        assert path_loss_gain(250.0) == pytest.approx(
+            2.8428e-13, rel=1e-4, abs=0)
 
     def test_ten_meters(self):
-        assert path_loss_gain(10.0) == pytest.approx(10 ** -7.29, rel=1e-12)
+        assert path_loss_gain(10.0) == pytest.approx(
+            10 ** -7.29, rel=1e-12, abs=0)
 
     def test_attenuation_below_one(self):
         for d in (1.0, 5.0, 50.0, 500.0):
@@ -40,7 +44,8 @@ class TestUnitConversions:
 
     def test_reference_values(self):
         assert dbm_to_watts(40.0) == pytest.approx(10.0, rel=1e-12)
-        assert dbm_to_watts(-173.0) == pytest.approx(10 ** -20.3, rel=1e-12)
+        assert dbm_to_watts(-173.0) == pytest.approx(
+            10 ** -20.3, rel=1e-12, abs=0)
 
 
 class TestValidateConfig:
@@ -51,7 +56,8 @@ class TestValidateConfig:
 
     def test_equal_split(self, cfg, single_user):
         qos = validate_config(cfg, [single_user])
-        assert qos.eps_c == qos.eps_q == qos.eps_h == pytest.approx(1e-7)
+        assert qos.eps_c == qos.eps_q == qos.eps_h == pytest.approx(
+            1e-7, abs=0)
         assert qos.eps_c + qos.eps_q + qos.eps_h \
             <= cfg.loss_budget * (1 + 1e-12)
 
@@ -89,7 +95,7 @@ class TestValidateConfig:
     def test_component_override(self, cfg, single_user):
         qos = validate_config(cfg, [single_user], eps_h=1e-4)
         assert qos.eps_h == 1e-4
-        assert qos.eps_c == pytest.approx(1e-7)
+        assert qos.eps_c == pytest.approx(1e-7, abs=0)
 
     def test_bad_user_rejected(self, cfg):
         with pytest.raises(ConfigError):
@@ -99,7 +105,7 @@ class TestValidateConfig:
 class TestUserProfile:
     def test_gain_from_distance(self):
         u = UserProfile(arrival_rate=0.02, distance=250.0)
-        assert u.gain == pytest.approx(path_loss_gain(250.0), rel=1e-15)
+        assert u.gain == pytest.approx(path_loss_gain(250.0), rel=1e-15, abs=0)
 
     def test_explicit_gain_wins(self):
         u = UserProfile(arrival_rate=0.02, distance=250.0,
@@ -116,7 +122,7 @@ class TestConfigFile:
         from urllc_ee import DEFAULT_CONFIG_TEXT
         cfg, users = parse_config_text(DEFAULT_CONFIG_TEXT)
         assert cfg.total_bandwidth == 20e6
-        assert cfg.noise_psd == pytest.approx(10 ** -20.3, rel=1e-12)
+        assert cfg.noise_psd == pytest.approx(10 ** -20.3, rel=1e-12, abs=0)
         assert cfg.max_bs_power == pytest.approx(10.0, rel=1e-12)
         assert len(users) == 1
         assert users[0].arrival_rate == pytest.approx(0.02, rel=1e-12)

@@ -19,7 +19,7 @@ from urllc_ee import SimPolicy, run_simulation, solve_allocation
 from urllc_ee import simulator
 from urllc_ee.config_io import DEFAULT_CONFIG_TEXT, parse_config_text
 from urllc_ee.simulator import (QueueState, UserPolicy, _run_streams, _step,
-                                _walk_chunk)
+                                _walk)
 
 from conftest import DEFAULT_CFG
 from oracles import _advance, drop_prob_B, gain_cdf
@@ -63,8 +63,8 @@ def walk(state, g, a, up, dq, base_frame, cfg):
     """The walk over a chunk of draws, handed its deep fades as the
     simulator hands them."""
     fades = np.flatnonzero(g < up.gain_threshold)
-    _walk_chunk(state, a, fades.tolist(), g[fades].tolist(), up, dq,
-                base_frame, cfg)
+    _walk(state, a, fades.tolist(), g[fades].tolist(), up, dq, base_frame,
+          cfg)
 
 
 class TestQueueTransition:
@@ -95,7 +95,7 @@ class TestQueueTransition:
         # nominal service amount is dropped, bounded by the queue content
         up = self._policy_user(cfg, g_th=5.0, eb=0.4, p_th=1e-20)
         state = QueueState(queue=0.25)
-        _walk_chunk(state, np.array([0]), [0], [0.01], up, 8, 0, cfg)
+        _walk(state, np.array([0]), [0], [0.01], up, 8, 0, cfg)
         assert state.drop_events == 1
         assert state.dropped == pytest.approx(0.25)
         assert state.queue == 0.0
@@ -130,7 +130,7 @@ class TestQueueTransition:
         assert state.queue >= 0.0
 
 
-def assert_states_equal(fast, slow):
+def assert_states_equal(fast, slow, dq, next_frame):
     assert fast.arrivals == slow.arrivals
     assert fast.served == slow.served
     assert fast.dropped == slow.dropped
@@ -142,7 +142,12 @@ def assert_states_equal(fast, slow):
     assert fast.queue == slow.queue
     assert fast.inflow == slow.inflow
     assert fast.outflow == slow.outflow
-    assert list(fast.pending) == list(slow.pending)
+    # the walk keeps an arrival frame's entry, as it arrived, until its
+    # deadline; the oracle keeps its packets until they depart
+    c = slow.pending[0][1] if slow.pending else slow.inflow
+    assert ([(t + dq, s, e) for t, s, e in slow.pending
+             if t + dq >= next_frame]
+            == [(d, max(s, c), e) for d, s, e in fast.pending if e > c])
 
 
 def frame_by_frame(state, g, a, up, dq, base_frame, cfg):
@@ -173,7 +178,7 @@ class TestFastPathEquivalence:
         walk(fast, g, a, up, policy.queue_delay_frames, 0, cfg)
         slow = QueueState()
         frame_by_frame(slow, g, a, up, policy.queue_delay_frames, 0, cfg)
-        assert_states_equal(fast, slow)
+        assert_states_equal(fast, slow, policy.queue_delay_frames, len(g))
 
     def test_walk_matches_under_dense_events(self, cfg):
         # the walk must never skip wrongly when both branches are busy
@@ -187,7 +192,7 @@ class TestFastPathEquivalence:
         frame_by_frame(slow, g, a, up, 8, 0, cfg)
         assert slow.drop_events > 1000  # both branches heavily exercised
         assert slow.delay_violations > 0
-        assert_states_equal(fast, slow)
+        assert_states_equal(fast, slow, 8, len(g))
 
     def test_deep_fades_inside_busy_spells(self, cfg):
         # a rare deep fade (~1 frame in 300) with a starved cap lands in
@@ -208,11 +213,11 @@ class TestFastPathEquivalence:
         assert 100 < slow.deep_fades == int(deep.sum())
         assert slow.drop_events > 100
         assert slow.delay_violations > 1000
-        assert_states_equal(fast, slow)
+        assert_states_equal(fast, slow, 3, len(g))
 
-        # hand-built fades, walked in windows of 8 frames: at a window's
+        # hand-built fades, walked in chunks of 8 frames: at a chunk's
         # first frame (empty queue and backlogged), at its last frame, on
-        # adjacent frames (across a window edge too) and inside the backlog
+        # adjacent frames (across a chunk edge too) and inside the backlog
         # of a burst, so fades follow each other or an idle jump
         a = np.tile([3, 0, 4, 0, 0, 2, 6, 0], 6)
         a[8:12] = 6
@@ -225,7 +230,7 @@ class TestFastPathEquivalence:
                 ga, aa = g[base:base + 8], a[base:base + 8]
                 walk(fast, ga, aa, up, 3, base, cfg)
                 frame_by_frame(slow, ga, aa, up, 3, base, cfg)
-                assert_states_equal(fast, slow)
+                assert_states_equal(fast, slow, 3, base + 8)
             assert slow.deep_fades == len(fades)
             assert slow.drop_events > 0 and slow.delay_violations > 0
 
@@ -282,10 +287,11 @@ class TestFastPathEquivalence:
            seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_walk_matches_on_random_windows(self, dq, eb, load, g_th, seed,
                                             data):
-        # lazily settled departures must leave every tally and the pending
-        # entries as the frame-by-frame oracle does, after every window:
-        # spells that straddle windows, heads that come due at a window's
-        # first frame and queues that empty exactly when due all occur
+        # violations counted at each arrival frame's deadline must leave
+        # every tally and the pending entries as the frame-by-frame oracle
+        # does, after every call: spells that straddle calls, deadlines at
+        # a call's first frame and queues that empty exactly on a deadline
+        # all occur
         up = UserPolicy(bandwidth=3e6, gain_threshold=g_th,
                         power_cap=1e-18, service_rate_nominal=eb,
                         alpha=3e-13, arrival_rate=load * eb, eps_c=1e-7,
@@ -301,14 +307,14 @@ class TestFastPathEquivalence:
             walk(fast, g[base:end], a[base:end], up, dq, base, DEFAULT_CFG)
             frame_by_frame(slow, g[base:end], a[base:end], up, dq, base,
                            DEFAULT_CFG)
-            assert_states_equal(fast, slow)
+            assert_states_equal(fast, slow, dq, end)
             base = end
 
     def test_departures_settle_only_where_a_packet_can_be_late(
             self, cfg, monkeypatch):
         # lambda = 2 against eb = 2.89 with dq = 8: most busy spells end
-        # before their first packet comes due, so the departure loop must
-        # run on only a small share of the visited frames
+        # before their first packet comes due, so the departures must be
+        # counted on only a small share of the visited frames
         up = UserPolicy(bandwidth=3e6, gain_threshold=0.05,
                         power_cap=1e-18, service_rate_nominal=2.89,
                         alpha=3e-13, arrival_rate=2.0, eps_c=1e-7,
@@ -318,14 +324,14 @@ class TestFastPathEquivalence:
         a = rng.poisson(up.arrival_rate, size=100_000)
         deep = g < up.gain_threshold
         calls = 0
-        settle = simulator._settle
+        covered = simulator._covered
 
-        def counting_settle(*args):
+        def counting_covered(*args):
             nonlocal calls
             calls += 1
-            return settle(*args)
+            return covered(*args)
 
-        monkeypatch.setattr(simulator, "_settle", counting_settle)
+        monkeypatch.setattr(simulator, "_covered", counting_covered)
         fast = QueueState()
         walk(fast, g, a, up, 8, 0, cfg)
         slow = QueueState()
@@ -333,8 +339,38 @@ class TestFastPathEquivalence:
         for i in range(len(g)):
             visited += bool(slow.queue > 0.0 or a[i] or deep[i])
             _advance(slow, float(g[i]), int(a[i]), up, 8, i, cfg)
-        assert_states_equal(fast, slow)
+        assert_states_equal(fast, slow, 8, len(g))
         assert 0 < calls <= visited / 5
+
+    def test_late_packets_still_queued_at_a_chunk_end(self, cfg,
+                                                      monkeypatch):
+        # a load above the service rate keeps one busy spell over many
+        # small chunks, so packets past their deadline are still queued at
+        # each chunk end; they count as late only once they depart
+        chunk, frames, seed, stream = 512, 6000, 43, 0
+        up = UserPolicy(bandwidth=3e6, gain_threshold=0.35,
+                        power_cap=1e-18, service_rate_nominal=2.05,
+                        alpha=3e-13, arrival_rate=2.1, eps_c=1e-7,
+                        inversion_coeff=1e-7)
+        policy = SimPolicy(users=(up,), antennas=3, queue_delay_frames=3)
+        dq = policy.queue_delay_frames
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=seed, spawn_key=(stream, 0))))
+        slow = QueueState()
+        late_waiting = 0
+        for done in range(0, frames, chunk):
+            n = min(chunk, frames - done)
+            g = rng.standard_gamma(policy.antennas, size=n)
+            a = rng.poisson(up.arrival_rate, size=n)
+            frame_by_frame(slow, g, a, up, dq, done, cfg)
+            late_waiting += any(t + dq < done + n for t, _, _ in slow.pending)
+        assert late_waiting >= 5
+
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
+        ((fast,),) = _run_streams(policy, cfg, [(stream, frames)], seed)
+        assert slow.delay_violations > 0
+        assert (fast["delay_violations"], fast["departed"]) == (
+            slow.delay_violations, slow.departed)
 
 
 def _digest(report):
@@ -510,16 +546,16 @@ class TestRunSimulation:
             pass
 
         calls = 0
-        walk_chunk = simulator._walk_chunk
+        real_walk = simulator._walk
 
         def failing_walk(*args):
             nonlocal calls
             calls += 1
             if calls == 2:
                 raise WalkFailed
-            return walk_chunk(*args)
+            return real_walk(*args)
 
-        monkeypatch.setattr(simulator, "_walk_chunk", failing_walk)
+        monkeypatch.setattr(simulator, "_walk", failing_walk)
         with pytest.raises(WalkFailed):
             run_simulation(policy, cfg, [single_user], frames=30_000, seed=5,
                            streams=3)
