@@ -18,19 +18,18 @@ from .fading import drop_bound_F, mean_tx_power, solve_gain_threshold
 from .allocator import (BandwidthSolution, YFunction, allocate_bandwidth,
                         build_y_functions, find_bandwidth_minimizer,
                         optimal_antennas, power_thresholds, solve_allocation)
-from .simulator import QueueState, SimPolicy, SimReport, run_simulation
+from .simulator import SimPolicy, SimReport, run_simulation
 from .config_io import DEFAULT_CONFIG_TEXT, load_config, parse_config_text
 from .experiments import ExperimentSpec, place_users, run_experiment
 
 __all__ = [
     "Allocation", "BandwidthSolution", "ConfigError", "DEFAULT_CONFIG_TEXT",
     "ExperimentSpec", "PowerInfeasibleError", "QosBudget",
-    "QosInfeasibleError", "QueueState", "SimPolicy", "SimReport",
-    "SystemConfig", "UserProfile", "YFunction", "achievable_rate",
-    "allocate_bandwidth", "build_y_functions", "channel_dispersion",
-    "drop_bound_F", "effective_bandwidth", "find_bandwidth_minimizer",
-    "inv_gaussian_q", "load_config", "mean_tx_power", "optimal_antennas",
-    "parse_config_text", "path_loss_gain", "place_users", "power_thresholds",
-    "run_experiment", "run_simulation", "snr_coeffs", "solve_allocation",
-    "validate_config",
+    "QosInfeasibleError", "SimPolicy", "SimReport", "SystemConfig",
+    "UserProfile", "YFunction", "achievable_rate", "allocate_bandwidth",
+    "build_y_functions", "channel_dispersion", "drop_bound_F",
+    "effective_bandwidth", "find_bandwidth_minimizer", "inv_gaussian_q",
+    "load_config", "mean_tx_power", "optimal_antennas", "parse_config_text",
+    "path_loss_gain", "place_users", "power_thresholds", "run_experiment",
+    "run_simulation", "snr_coeffs", "solve_allocation", "validate_config",
 ]

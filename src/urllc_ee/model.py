@@ -175,11 +175,14 @@ def validate_config(cfg: SystemConfig, users: list[UserProfile],
         if not (0 < usr.arrival_rate < math.inf):
             v.append(f"user {i}: arrival_rate must be positive and finite")
         try:
-            g = usr.gain
-            if not (0 < g < 1):
+            if not (0 < usr.gain < 1):
                 v.append(f"user {i}: large-scale gain must be in (0, 1)")
         except ConfigError:
             v.append(f"user {i}: needs distance or large_scale_gain")
+        except ValueError:  # path_loss_gain refuses the distance
+            v.append(f"user {i}: distance must be positive")
+        except OverflowError:  # the gain of a distance far below 1 m
+            v.append(f"user {i}: large-scale gain must be in (0, 1)")
 
     if eps_h is None:
         eps_h = third

@@ -19,17 +19,17 @@ chunk ahead on a helper thread: while the walk runs a chunk, the helper
 draws the next chunk of the run (numpy's samplers release the GIL).  The
 chunk size ``_CHUNK`` and the draw order (per (stream, user) pair, each
 chunk's gains, then its arrivals) are part of the output bytes; another
-chunking draws other numbers.  One loop, ``_walk``, keeps the queue state
-in local variables and visits arrival, backlog and deep-fade frames in
-order; a deep fade (about one frame in a million) runs ``_step``, the
-one-frame recursion with its drop, and every other frame the nominal-rate
-service written inline.  ``simulate --trace`` takes its rows from
-``_step`` and its tallies from the same walk.
-Pending packets are kept as one entry per arrival frame, since packets of
-one frame share their queueing delay; the walk looks at an entry once, on
-its deadline frame, and most busy spells end before it.  A cumulative-sum
-(Lindley) form of the queue would round in a different order and so
-cannot reproduce these bytes.
+chunking draws other numbers.  One call of one loop, ``_walk``, walks a
+pair's chunks with the queue state in local variables and visits arrival,
+backlog and deep-fade frames in order; a deep fade (about one frame in a
+million) runs ``_step``, the one-frame recursion with its drop, and every
+other frame the nominal-rate service written inline.  ``simulate --trace``
+filters the chunks on their way to the walk, writing each row from
+``_step``.  Pending packets are kept as one entry per arrival frame, since
+packets of one frame share their queueing delay; the walk looks at an
+entry once, on its deadline frame, and most busy spells end before it.  A
+cumulative-sum (Lindley) form of the queue would round in a different
+order and so cannot reproduce these bytes.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import json
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -99,34 +100,6 @@ class SimPolicy:
                          queue_delay_frames=qos.queue_delay_frames)
 
 
-@dataclass
-class QueueState:
-    """Mutable per-user queue state and tallies for one stream.
-
-    Packets are numbered from 0 in arrival order since the queue was last
-    empty; ``inflow`` is the number the next arrival gets.  ``pending``
-    holds one ``(deadline, start, end)`` entry per arrival frame of the
-    busy spell, in FIFO order, whose deadline frame (arrival frame plus the
-    queueing budget) the walk has not reached yet; packets ``start`` to
-    ``end - 1`` arrived on that frame.
-    """
-
-    queue: float = 0.0
-    arrivals: int = 0
-    served: float = 0.0
-    _served_c: float = 0.0  # Kahan compensation
-    dropped: float = 0.0
-    _dropped_c: float = 0.0
-    drop_events: int = 0
-    deep_fades: int = 0
-    busy_frames: int = 0
-    departed: int = 0
-    delay_violations: int = 0
-    inflow: int = 0
-    outflow: float = 0.0
-    pending: deque = field(default_factory=deque)
-
-
 def _kahan(total: float, comp: float, x: float) -> tuple[float, float]:
     """Compensated ``total + x``; returns the new (total, compensation)."""
     y = x - comp
@@ -181,21 +154,12 @@ def _covered(outflow: float, end: int) -> int:
     return i if i < end else end
 
 
-def _late_waiting(pend: deque, inflow: int, outflow: float) -> int:
-    """The packets past their deadline that have not departed yet: those
-    ahead of the first pending entry that ``outflow`` does not cover."""
-    ahead = pend[0][1] if pend else inflow
-    return ahead - _covered(outflow, ahead)
-
-
-def _walk(state: QueueState, a: np.ndarray, fades: list, gains: list,
-          up: UserPolicy, dq: int, base_frame: int,
-          cfg: SystemConfig) -> None:
-    """``_step`` over a chunk of frames with arrivals ``a`` and deep fades
-    at the chunk frames ``fades`` (gains ``gains``), ``_WINDOW`` frames at
-    a time, skipping the frames that leave the state untouched: an empty
-    queue, no arrival and no deep fade.  The state lives in local
-    variables for the whole chunk.  A frame at the nominal rate runs
+def _walk(chunks, up: UserPolicy, dq: int, cfg: SystemConfig) -> dict:
+    """``_step`` over every frame of one (stream, user) pair, whose chunks
+    ``chunks`` yields in order as an untraced ``_draw`` returns them;
+    returns its tallies.  The walk takes a chunk ``_WINDOW`` frames at a
+    time, skipping the frames that leave the state untouched: an empty
+    queue, no arrival and no deep fade.  A frame at the nominal rate runs
     ``_step``'s float operations without the fade's ``- d`` and ``+ d``,
     exact no-ops there; a deep fade runs ``_step``.
 
@@ -206,119 +170,116 @@ def _walk(state: QueueState, a: np.ndarray, fades: list, gains: list,
     outflow never decreases within a busy spell, so a packet of arrival
     frame t is late exactly when it has not departed by frame t + dq; a
     pending entry means a backlog, so the walk visits that frame.  A late
-    packet counts once it departs: the late packets still queued are left
-    out of ``delay_violations`` between calls.
+    packet counts once it departs: the late packets still queued at the
+    end of the pair are left out of ``delay_violations``.
     """
-    n = len(a)
-    fades = [*fades, n]  # sentinel: the next deep fade is past the chunk
     eb = up.service_rate_nominal
-    pend = state.pending
-    q = state.queue
-    arrivals = state.arrivals
-    served_sum = state.served
-    served_c = state._served_c
-    dropped = state.dropped
-    dropped_c = state._dropped_c
-    drop_events = state.drop_events
-    deep_fades = state.deep_fades
-    busy = state.busy_frames
-    inflow = state.inflow
-    outflow = state.outflow
-    violations = state.delay_violations + _late_waiting(pend, inflow, outflow)
-    # chunk frame of the head's deadline (the next arrival sets it if none)
-    due = pend[0][0] - base_frame if pend else -1
-    fi = 0
-    next_fade = fades[0]
-    for w in range(0, n, _WINDOW):
-        stop = min(w + _WINDOW, n)
-        arr_frames = np.flatnonzero(a[w:stop])
-        arr_frames += w
-        counts = a[arr_frames].tolist()
-        arr_frames = arr_frames.tolist()
-        arr_frames.append(n)  # sentinel: the next arrival is past the chunk
-        ai = 0
-        next_arr = arr_frames[0]
-        f = w - 1
-        while True:
-            if q > 0.0:
-                f += 1
-                if f >= stop:
-                    break
-                busy += 1
-            else:
-                f = next_arr if next_arr < next_fade else next_fade
-                if f >= stop:
-                    break
-            if f == next_arr:
-                k = counts[ai]
-                ai += 1
-                next_arr = arr_frames[ai]
-            else:
-                k = 0
+    # (deadline, start, end) per arrival frame of the busy spell before its
+    # deadline: packets start .. end - 1, numbered since the queue emptied
+    pend = deque()
+    q = served_sum = served_c = dropped = dropped_c = outflow = 0.0
+    power_sum = power_c = 0.0
+    arrivals = drop_events = deep_fades = busy = inflow = violations = 0
+    base = 0  # the pair's frame of the chunk's first frame
+    for a, fades, gains, power_chunk in chunks:
+        power_sum, power_c = _kahan(power_sum, power_c, power_chunk)
+        n = len(a)
+        fades = [*fades, n]  # sentinel: the next deep fade is past the chunk
+        # chunk frame of the head's deadline (the next arrival sets it if none)
+        due = pend[0][0] - base if pend else -1
+        fi = 0
+        next_fade = fades[0]
+        for w in range(0, n, _WINDOW):
+            stop = min(w + _WINDOW, n)
+            arr_frames = np.flatnonzero(a[w:stop])
+            arr_frames += w
+            counts = a[arr_frames].tolist()
+            arr_frames = arr_frames.tolist()
+            arr_frames.append(n)  # sentinel: no later arrival in the chunk
+            ai = 0
+            next_arr = arr_frames[0]
+            f = w - 1
+            while True:
+                if q > 0.0:
+                    f += 1
+                    if f >= stop:
+                        break
+                    busy += 1
+                else:
+                    f = next_arr if next_arr < next_fade else next_fade
+                    if f >= stop:
+                        break
+                if f == next_arr:
+                    k = counts[ai]
+                    ai += 1
+                    next_arr = arr_frames[ai]
+                else:
+                    k = 0
 
-            if f == next_fade:
-                served, d, q = _step(q, gains[fi], k, up, cfg)
-                fi += 1
-                next_fade = fades[fi]
-                deep_fades += 1
-                if d > 0.0:
-                    drop_events += 1
-                    dropped, dropped_c = _kahan(dropped, dropped_c, d)
-                if served > 0.0:
-                    served_sum, served_c = _kahan(served_sum, served_c,
-                                                  served)
-                outflow += served + d
-            else:
-                avail = q + k
-                served = eb if eb < avail else avail
-                if served > 0.0:
-                    # _kahan written out: a call per visited frame would
-                    # cost more than the sum itself
-                    y = served - served_c
-                    t = served_sum + y
-                    served_c = (t - served_sum) - y
-                    served_sum = t
-                q = avail - served
-                outflow += served
-            if k:
-                arrivals += k
-                if not pend:
-                    due = f + dq
-                pend.append((base_frame + f + dq, inflow, inflow + k))
-                inflow += k
-            if q == 0.0:
-                # every pending packet departs; reset the flow baselines
-                # so the float counters never accumulate drift
-                pend.clear()
-                inflow = 0
-                outflow = 0.0
-                continue
-            if f == due:
-                _, start, end = pend.popleft()
-                c = _covered(outflow, end)
-                violations += end - (start if start > c else c)
-                due = pend[0][0] - base_frame if pend else -1
+                if f == next_fade:
+                    served, d, q = _step(q, gains[fi], k, up, cfg)
+                    fi += 1
+                    next_fade = fades[fi]
+                    deep_fades += 1
+                    if d > 0.0:
+                        drop_events += 1
+                        dropped, dropped_c = _kahan(dropped, dropped_c, d)
+                    if served > 0.0:
+                        served_sum, served_c = _kahan(served_sum, served_c,
+                                                      served)
+                    outflow += served + d
+                else:
+                    avail = q + k
+                    served = eb if eb < avail else avail
+                    if served > 0.0:
+                        # _kahan written out: a call per visited frame would
+                        # cost more than the sum itself
+                        y = served - served_c
+                        t = served_sum + y
+                        served_c = (t - served_sum) - y
+                        served_sum = t
+                    q = avail - served
+                    outflow += served
+                if k:
+                    arrivals += k
+                    if not pend:
+                        due = f + dq
+                    pend.append((base + f + dq, inflow, inflow + k))
+                    inflow += k
+                if q == 0.0:
+                    # every pending packet departs; reset the flow baselines
+                    # so the float counters never accumulate drift
+                    pend.clear()
+                    inflow = 0
+                    outflow = 0.0
+                    continue
+                if f == due:
+                    _, start, end = pend.popleft()
+                    c = _covered(outflow, end)
+                    violations += end - (start if start > c else c)
+                    due = pend[0][0] - base if pend else -1
+        base += n
+        # the chunk goes before the next one is taken: with the one drawn
+        # ahead, at most two are live
+        del a, counts, arr_frames
 
-    state.queue, state.arrivals, state.busy_frames = q, arrivals, busy
-    state.served, state._served_c = served_sum, served_c
-    state.dropped, state._dropped_c = dropped, dropped_c
-    state.drop_events, state.deep_fades = drop_events, deep_fades
-    state.inflow, state.outflow = inflow, outflow
-    state.departed = arrivals - inflow + _covered(outflow, inflow)
-    state.delay_violations = violations - _late_waiting(pend, inflow, outflow)
+    late = pend[0][1] if pend else inflow  # packets past their deadline
+    return {"arrivals": arrivals, "served": served_sum, "dropped": dropped,
+            "drop_events": drop_events, "deep_fades": deep_fades,
+            "busy_frames": busy,
+            "departed": arrivals - inflow + _covered(outflow, inflow),
+            "delay_violations": violations - late + _covered(outflow, late),
+            "final_queue": q, "power_sum": power_sum}
 
 
 def _draw(rng: np.random.Generator, antennas: int, up: UserPolicy, n: int,
           trace: bool) -> tuple:
     """One chunk of a (stream, user) pair's draws: ``n`` channel gains,
-    then ``n`` arrival counts.
-
-    Returns the arrival counts, the deep-fade frames, their gains, the
-    transmit powers (None unless tracing) and the sum of the powers.  A
-    traced chunk hands every frame's gain.  The powers overwrite the gains
-    in place; they are the values ``np.where(deep, cap, coeff / g)`` gives,
-    in a contiguous array of the same length, so their pairwise sum is the
-    same too.
+    then ``n`` arrival counts.  Returns the arrival counts, the deep-fade
+    frames, their gains (every frame's gain if ``trace``) and the sum of
+    the transmit powers.  The powers overwrite the gains in place; they are
+    the values ``np.where(deep, cap, coeff / g)`` gives, in a contiguous
+    array of the same length, so their pairwise sum is the same too.
     """
     g = rng.standard_gamma(antennas, size=n)
     deep = g < up.gain_threshold
@@ -326,13 +287,45 @@ def _draw(rng: np.random.Generator, antennas: int, up: UserPolicy, n: int,
     gains = g.tolist() if trace else g[fades].tolist()
     np.divide(up.inversion_coeff, g, out=g)
     np.copyto(g, up.power_cap, where=deep)
-    power = g if trace else None
     power_sum = float(np.sum(g))
     # the gains go before the arrivals are drawn, so the chunk's two large
     # arrays are never live together
     del g, deep
     a = rng.poisson(up.arrival_rate, size=n)
-    return a, fades.tolist(), gains, power, power_sum
+    return a, fades.tolist(), gains, power_sum
+
+
+def _ahead(helper: ThreadPoolExecutor, calls):
+    """``_draw(*call)`` for each of ``calls`` in order, each made on
+    ``helper`` while the caller walks the one before.  The next draw starts
+    once the caller asks for its chunk, by then without the one before, so
+    at most two chunks are live."""
+    calls = iter(calls)
+    ahead = helper.submit(_draw, *next(calls))
+    for call in calls:
+        chunk = ahead.result()
+        ahead = helper.submit(_draw, *call)
+        yield chunk
+    yield ahead.result()
+
+
+def _traced(chunks, u: int, up: UserPolicy, cfg: SystemConfig, trace):
+    """A traced pair's ``chunks``, each passed on with only its deep-fade
+    gains once ``trace`` has its rows: one per frame, from ``_step`` over
+    the filter's own backlog, with the power ``_draw`` sums (the same IEEE
+    division)."""
+    q = 0.0
+    frame = 0
+    for a, fades, gains, power_sum in chunks:
+        for g, k in zip(gains, a.tolist()):
+            served, dropped, q = _step(q, g, k, up, cfg)
+            power = (up.power_cap if g < up.gain_threshold
+                     else up.inversion_coeff / g)
+            trace.writerow((frame, u, g, power, k, served, dropped, q))
+            frame += 1
+        gains = [gains[f] for f in fades]  # frees every frame's gain
+        yield a, fades, gains, power_sum
+        del a  # before the next chunk is taken
 
 
 def _run_streams(policy: SimPolicy, cfg: SystemConfig, jobs: list,
@@ -340,62 +333,33 @@ def _run_streams(policy: SimPolicy, cfg: SystemConfig, jobs: list,
     """Simulate every user of each ``(stream, frames)`` job; returns, per
     job, the per-user tallies.
 
-    One loop walks every (stream, user, chunk) of the jobs in order while
-    a helper thread makes the draws of the next one.  ``trace``, a
-    ``csv.writer``, gets one row per frame as the walk makes it.
+    ``_walk`` walks each (stream, user) pair in one call while a helper
+    thread draws the next chunk, of the same pair or the next one.
+    ``trace``, a ``csv.writer``, gets one row per frame as the chunks reach
+    the walk.
     """
-    dq = policy.queue_delay_frames
-    chunks = []
-    for s, nf in jobs:
-        for u, up in enumerate(policy.users):
-            rng = np.random.Generator(np.random.Philox(
-                np.random.SeedSequence(entropy=seed, spawn_key=(s, u))))
-            chunks += [(u, up, rng, done, min(_CHUNK, nf - done))
-                       for done in range(0, nf, _CHUNK)]
-    chunks.append(None)  # sentinel: nothing left to draw
+    traced = trace is not None
+
+    def calls():
+        for s, nf in jobs:
+            for u, up in enumerate(policy.users):
+                rng = np.random.Generator(np.random.Philox(
+                    np.random.SeedSequence(entropy=seed, spawn_key=(s, u))))
+                for done in range(0, nf, _CHUNK):
+                    yield (rng, policy.antennas, up, min(_CHUNK, nf - done),
+                           traced)
 
     out = []
     with ThreadPoolExecutor(max_workers=1) as helper:
-        def draw(chunk):
-            u, up, rng, done, n = chunk
-            return helper.submit(_draw, rng, policy.antennas, up, n,
-                                 trace is not None)
-
-        ahead = draw(chunks[0])
-        for chunk, nxt in zip(chunks, chunks[1:]):
-            # unpacking frees the last chunk's arrays before the next draw
-            # starts, so at most two chunks are live
-            a, fades, gains, power, power_chunk = ahead.result()
-            if nxt is not None:
-                ahead = draw(nxt)
-            u, up, _, done, n = chunk
-            if done == 0:
-                if u == 0:
-                    out.append([])
-                state = QueueState()
-                power_sum = power_c = 0.0
-            power_sum, power_c = _kahan(power_sum, power_c, power_chunk)
-            if trace is not None:
-                q = state.queue
-                for i in range(n):
-                    srv, drp, q = _step(q, gains[i], int(a[i]), up, cfg)
-                    trace.writerow((done + i, u, gains[i], float(power[i]),
-                                    int(a[i]), srv, drp, q))
-                gains = [gains[f] for f in fades]
-            _walk(state, a, fades, gains, up, dq, done, cfg)
-            if nxt is None or nxt[3] == 0:  # the pair's last chunk
-                out[-1].append({
-                    "arrivals": state.arrivals,
-                    "served": state.served,
-                    "dropped": state.dropped,
-                    "drop_events": state.drop_events,
-                    "deep_fades": state.deep_fades,
-                    "busy_frames": state.busy_frames,
-                    "departed": state.departed,
-                    "delay_violations": state.delay_violations,
-                    "final_queue": state.queue,
-                    "power_sum": power_sum,
-                })
+        draws = _ahead(helper, calls())
+        for _, nf in jobs:
+            out.append([])
+            for u, up in enumerate(policy.users):
+                chunks = islice(draws, -(-nf // _CHUNK))
+                if traced:
+                    chunks = _traced(chunks, u, up, cfg, trace)
+                out[-1].append(_walk(chunks, up, policy.queue_delay_frames,
+                                     cfg))
     return out
 
 
@@ -440,7 +404,7 @@ def run_simulation(policy: SimPolicy, cfg: SystemConfig,
     caps the worker processes, at most one per stream, and never changes
     the result.  Each process draws on one helper thread that ends with
     the call.  ``trace_path`` (one stream only) gets a CSV row per frame as
-    the walk makes it; a run that raises leaves the rows written so far.
+    the draws reach the walk; a run that raises leaves the rows written.
     """
     if frames < 1:
         raise ValueError("frames must be at least 1")

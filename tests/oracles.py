@@ -13,6 +13,8 @@ stated relative bound, not to ``==``.
 from __future__ import annotations
 
 import math
+from collections import deque
+from dataclasses import dataclass, field
 from unittest import mock
 
 import mpmath
@@ -26,8 +28,7 @@ from urllc_ee.allocator import (CASE_LIMITED, CASE_SUFFICIENT, MAX_EXPONENT,
                                 find_bandwidth_minimizer)
 from urllc_ee.fading import _bisect, _grow
 from urllc_ee.model import QosInfeasibleError, SystemConfig
-from urllc_ee.simulator import (QueueState, UserPolicy, _deep_fade_rate,
-                                _kahan)
+from urllc_ee.simulator import UserPolicy, _deep_fade_rate, _kahan
 
 
 def gain_pdf(g: float, n: int) -> float:
@@ -243,6 +244,32 @@ def allocate_bandwidth(users: list[YFunction],
                              case_tag=CASE_LIMITED, objective=obj,
                              kkt_multiplier=nu,
                              kkt_residual=max(stat, balance))
+
+
+@dataclass
+class QueueState:
+    """``_advance``'s queue state and tallies for one (stream, user) pair.
+
+    Packets are numbered from 0 in arrival order since the queue was last
+    empty; ``inflow`` is the number the next arrival gets.  ``pending``
+    holds one ``[arrival frame, start, end]`` entry per arrival frame, in
+    FIFO order, whose packets ``start`` to ``end - 1`` have not departed.
+    """
+
+    queue: float = 0.0
+    arrivals: int = 0
+    served: float = 0.0
+    _served_c: float = 0.0  # Kahan compensation
+    dropped: float = 0.0
+    _dropped_c: float = 0.0
+    drop_events: int = 0
+    deep_fades: int = 0
+    busy_frames: int = 0
+    departed: int = 0
+    delay_violations: int = 0
+    inflow: int = 0
+    outflow: float = 0.0
+    pending: deque = field(default_factory=deque)
 
 
 def _advance(state: QueueState, g: float, a: int, up: UserPolicy,

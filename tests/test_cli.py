@@ -350,6 +350,8 @@ class TestExperimentSpec:
         (["table-wth"], ("packet_bits = 160", "packet_bits = 0")),
         # W_th grows like the rate to the 4/3 and overflows
         (["table-wth", "--service-rate", "1e300"], None),
+        # the path-loss gain of so short a distance overflows
+        (["table-drop", "--distance", "1e-300", "--frames", "1000"], None),
     ], ids=["rate-zero", "rate-nan", "streams-zero", "workers-zero",
             "distance-negative", "noise-nan", "fixed-nt-one", "nt-min-one",
             "trace-multi-stream", "sweep-users-node-rate",
@@ -359,7 +361,8 @@ class TestExperimentSpec:
             "simulate-seed-negative", "table-drop-seed-negative",
             "sweep-users-seed-negative", "sweep-antennas-seed-negative",
             "table-wth-dl-fraction-zero", "table-wth-dl-fraction-negative",
-            "table-wth-packet-bits-zero", "table-wth-w-th-overflow"])
+            "table-wth-packet-bits-zero", "table-wth-w-th-overflow",
+            "table-drop-distance-overflow"])
     def test_bad_inputs_exit_3(self, runner, tmp_path, args, edit):
         # ``edit`` is a (line, replacement) pair for the default config
         path = tmp_path / "cell.cfg"
@@ -489,12 +492,14 @@ def codes(code):
 
 @pytest.fixture(scope="module")
 def commands_reach(tmp_path_factory):
-    """The code objects that SMALL_COMMANDS run, the helper thread's
-    included."""
+    """The code objects that SMALL_COMMANDS and a traced ``simulate`` run,
+    the helper thread's included."""
     tmp = tmp_path_factory.mktemp("reach")
     config_file = tmp / "cell.cfg"
     config_file.write_text(DEFAULT_CONFIG_TEXT)
     out = os.fspath(tmp / "out")
+    commands = SMALL_COMMANDS + [["simulate", "--frames", "2000", "--streams",
+                                  "1", "--trace", os.fspath(tmp / "t.csv")]]
     # memoized results would hide the calls behind them
     allocator._cached_prologue.cache_clear()
     allocator._minimizer.cache_clear()
@@ -515,11 +520,11 @@ def commands_reach(tmp_path_factory):
         results = [runner.invoke(main, args + ["--config",
                                                os.fspath(config_file),
                                                "--out", out])
-                   for args in SMALL_COMMANDS]
+                   for args in commands]
     finally:
         sys.setprofile(previous)
         threading.setprofile(None)
-    for args, res in zip(SMALL_COMMANDS, results):
+    for args, res in zip(commands, results):
         assert res.exit_code == 0, (args, res.output)
     return called
 

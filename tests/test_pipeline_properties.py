@@ -185,6 +185,16 @@ def _numbers(obj):
 @example(text=DEFAULT_CONFIG_TEXT.replace("loss_budget = 3e-7",
                                           "loss_budget = 1e-310"),
          frames=1, streams=1)
+# a distance path_loss_gain refuses, and one whose gain overflows
+@example(text=DEFAULT_CONFIG_TEXT.replace("user_distances_m = 250",
+                                          "user_distances_m = 0"),
+         frames=1, streams=1)
+@example(text=DEFAULT_CONFIG_TEXT.replace("user_distances_m = 250",
+                                          "user_distances_m = -5"),
+         frames=1, streams=1)
+@example(text=DEFAULT_CONFIG_TEXT.replace("user_distances_m = 250",
+                                          "user_distances_m = 1e-300"),
+         frames=1, streams=1)
 def test_any_config_text_ends_in_a_named_outcome(text, frames, streams):
     # config text -> parse -> validate -> solve -> short simulate, and
     # table-wth, through the CLI: a solution (0), a named infeasibility (2)

@@ -18,11 +18,10 @@ from scipy import stats
 from urllc_ee import SimPolicy, run_simulation, solve_allocation
 from urllc_ee import simulator
 from urllc_ee.config_io import DEFAULT_CONFIG_TEXT, parse_config_text
-from urllc_ee.simulator import (QueueState, UserPolicy, _run_streams, _step,
-                                _walk)
+from urllc_ee.simulator import UserPolicy, _run_streams, _step, _walk
 
 from conftest import DEFAULT_CFG
-from oracles import _advance, drop_prob_B, gain_cdf
+from oracles import QueueState, _advance, drop_prob_B, gain_cdf
 
 
 @pytest.fixture
@@ -59,12 +58,28 @@ class TestChannelDraws:
         assert pvalue > 1e-4
 
 
-def walk(state, g, a, up, dq, base_frame, cfg):
-    """The walk over a chunk of draws, handed its deep fades as the
-    simulator hands them."""
-    fades = np.flatnonzero(g < up.gain_threshold)
-    _walk(state, a, fades.tolist(), g[fades].tolist(), up, dq, base_frame,
-          cfg)
+def walk(g, a, up, dq, cfg, cuts=()):
+    """The walk over draws ``g`` and ``a`` as one pair, cut into chunks at
+    the frames ``cuts`` and handed as ``_draw`` hands them, with zero power
+    sums; returns the tallies without the power sum."""
+    chunks = []
+    for lo, hi in zip((0, *cuts), (*cuts, len(g))):
+        fades = np.flatnonzero(g[lo:hi] < up.gain_threshold)
+        chunks.append((a[lo:hi], fades.tolist(),
+                       g[lo:hi][fades].tolist(), 0.0))
+    tallies = _walk(chunks, up, dq, cfg)
+    del tallies["power_sum"]
+    return tallies
+
+
+def tallies(state):
+    """``_advance``'s state as the walk's tallies, the power sum aside."""
+    return {"arrivals": state.arrivals, "served": state.served,
+            "dropped": state.dropped, "drop_events": state.drop_events,
+            "deep_fades": state.deep_fades,
+            "busy_frames": state.busy_frames, "departed": state.departed,
+            "delay_violations": state.delay_violations,
+            "final_queue": state.queue}
 
 
 class TestQueueTransition:
@@ -76,13 +91,12 @@ class TestQueueTransition:
 
     def test_no_drop_without_deep_fade(self, cfg):
         up = self._policy_user(cfg, g_th=1e-9)
-        state = QueueState()
         rng = np.random.default_rng(1)
         g, a = zip(*[(1.0 + float(rng.random()), int(rng.poisson(0.1)))
                      for _ in range(5000)])
-        walk(state, np.array(g), np.array(a), up, 8, 0, cfg)
-        assert state.drop_events == 0
-        assert state.dropped == 0.0
+        out = walk(np.array(g), np.array(a), up, 8, cfg)
+        assert out["drop_events"] == 0
+        assert out["dropped"] == 0.0
 
     def test_good_frame_serves_nominal_rate(self, cfg):
         up = self._policy_user(cfg, eb=0.4)
@@ -92,13 +106,15 @@ class TestQueueTransition:
 
     def test_deep_frame_drops_shortfall(self, cfg):
         # power cap so small the deep-fade rate clamps to zero: the whole
-        # nominal service amount is dropped, bounded by the queue content
+        # nominal service amount is dropped, bounded by the queue content,
+        # here the 0.2 that two frames at the nominal rate leave of a packet
         up = self._policy_user(cfg, g_th=5.0, eb=0.4, p_th=1e-20)
-        state = QueueState(queue=0.25)
-        _walk(state, np.array([0]), [0], [0.01], up, 8, 0, cfg)
-        assert state.drop_events == 1
-        assert state.dropped == pytest.approx(0.25)
-        assert state.queue == 0.0
+        out = walk(np.array([10.0, 10.0, 0.01]), np.array([1, 0, 0]), up, 8,
+                   cfg)
+        assert out["drop_events"] == 1
+        assert out["dropped"] == pytest.approx(0.2)
+        assert out["served"] == pytest.approx(0.8)
+        assert out["final_queue"] == 0.0
 
     def test_deep_frame_without_backlog_drops_nothing(self, cfg):
         up = self._policy_user(cfg, g_th=5.0, eb=0.4, p_th=1e-20)
@@ -108,52 +124,33 @@ class TestQueueTransition:
 
     def test_conservation_identity(self, cfg):
         up = self._policy_user(cfg, g_th=0.8, eb=0.3, p_th=1e-3)
-        state = QueueState()
         rng = np.random.default_rng(9)
         g, a = zip(*[(float(rng.standard_gamma(4)), int(rng.poisson(0.2)))
                      for _ in range(20000)])
-        walk(state, np.array(g), np.array(a), up, 8, 0, cfg)
-        resid = state.arrivals - state.served - state.dropped - state.queue
+        out = walk(np.array(g), np.array(a), up, 8, cfg)
+        resid = (out["arrivals"] - out["served"] - out["dropped"]
+                 - out["final_queue"])
         assert abs(resid) < 1e-9
 
     def test_step_queue_draws_arrivals(self, cfg, solved):
         policy, _alloc = solved
         up = policy.users[0]
-        state = QueueState()
         rng = np.random.default_rng(2)
         g, a = zip(*[(float(rng.standard_gamma(policy.antennas)),
                       int(rng.poisson(up.arrival_rate)))
                      for _ in range(2000)])
-        walk(state, np.array(g), np.array(a), up, policy.queue_delay_frames,
-             0, cfg)
-        assert state.arrivals > 0
-        assert state.queue >= 0.0
-
-
-def assert_states_equal(fast, slow, dq, next_frame):
-    assert fast.arrivals == slow.arrivals
-    assert fast.served == slow.served
-    assert fast.dropped == slow.dropped
-    assert fast.drop_events == slow.drop_events
-    assert fast.deep_fades == slow.deep_fades
-    assert fast.busy_frames == slow.busy_frames
-    assert fast.departed == slow.departed
-    assert fast.delay_violations == slow.delay_violations
-    assert fast.queue == slow.queue
-    assert fast.inflow == slow.inflow
-    assert fast.outflow == slow.outflow
-    # the walk keeps an arrival frame's entry, as it arrived, until its
-    # deadline; the oracle keeps its packets until they depart
-    c = slow.pending[0][1] if slow.pending else slow.inflow
-    assert ([(t + dq, s, e) for t, s, e in slow.pending
-             if t + dq >= next_frame]
-            == [(d, max(s, c), e) for d, s, e in fast.pending if e > c])
+        out = walk(np.array(g), np.array(a), up, policy.queue_delay_frames,
+                   cfg)
+        assert out["arrivals"] > 0
+        assert out["final_queue"] >= 0.0
 
 
 def frame_by_frame(state, g, a, up, dq, base_frame, cfg):
-    """The oracle: every frame of a chunk through ``_advance``."""
+    """The oracle: every frame of a chunk through ``_advance``; returns
+    ``state``."""
     for i in range(len(g)):
         _advance(state, float(g[i]), int(a[i]), up, dq, base_frame + i, cfg)
+    return state
 
 
 # saturated regime: ~half the frames are deep fades with a starved power
@@ -174,11 +171,9 @@ class TestFastPathEquivalence:
         g = rng.standard_gamma(policy.antennas, size=200_000)
         a = rng.poisson(up.arrival_rate, size=200_000)
 
-        fast = QueueState()
-        walk(fast, g, a, up, policy.queue_delay_frames, 0, cfg)
-        slow = QueueState()
-        frame_by_frame(slow, g, a, up, policy.queue_delay_frames, 0, cfg)
-        assert_states_equal(fast, slow, policy.queue_delay_frames, len(g))
+        dq = policy.queue_delay_frames
+        slow = frame_by_frame(QueueState(), g, a, up, dq, 0, cfg)
+        assert walk(g, a, up, dq, cfg) == tallies(slow)
 
     def test_walk_matches_under_dense_events(self, cfg):
         # the walk must never skip wrongly when both branches are busy
@@ -186,13 +181,10 @@ class TestFastPathEquivalence:
         rng = np.random.default_rng(23)
         g = rng.standard_gamma(3, size=50_000)
         a = rng.poisson(up.arrival_rate, size=50_000)
-        fast = QueueState()
-        walk(fast, g, a, up, 8, 0, cfg)
-        slow = QueueState()
-        frame_by_frame(slow, g, a, up, 8, 0, cfg)
+        slow = frame_by_frame(QueueState(), g, a, up, 8, 0, cfg)
         assert slow.drop_events > 1000  # both branches heavily exercised
         assert slow.delay_violations > 0
-        assert_states_equal(fast, slow, 8, len(g))
+        assert walk(g, a, up, 8, cfg) == tallies(slow)
 
     def test_deep_fades_inside_busy_spells(self, cfg):
         # a rare deep fade (~1 frame in 300) with a starved cap lands in
@@ -205,15 +197,12 @@ class TestFastPathEquivalence:
         rng = np.random.default_rng(29)
         g = rng.standard_gamma(3, size=100_000)
         a = rng.poisson(up.arrival_rate, size=100_000)
-        fast = QueueState()
-        walk(fast, g, a, up, 3, 0, cfg)
-        slow = QueueState()
-        frame_by_frame(slow, g, a, up, 3, 0, cfg)
+        slow = frame_by_frame(QueueState(), g, a, up, 3, 0, cfg)
         deep = g < up.gain_threshold
         assert 100 < slow.deep_fades == int(deep.sum())
         assert slow.drop_events > 100
         assert slow.delay_violations > 1000
-        assert_states_equal(fast, slow, 3, len(g))
+        assert walk(g, a, up, 3, cfg) == tallies(slow)
 
         # hand-built fades, walked in chunks of 8 frames: at a chunk's
         # first frame (empty queue and backlogged), at its last frame, on
@@ -225,12 +214,9 @@ class TestFastPathEquivalence:
                       [12, 13, 30, 31, 32]):
             g = np.ones(len(a))
             g[fades] = 0.01
-            fast, slow = QueueState(), QueueState()
-            for base in range(0, len(a), 8):
-                ga, aa = g[base:base + 8], a[base:base + 8]
-                walk(fast, ga, aa, up, 3, base, cfg)
-                frame_by_frame(slow, ga, aa, up, 3, base, cfg)
-                assert_states_equal(fast, slow, 3, base + 8)
+            slow = frame_by_frame(QueueState(), g, a, up, 3, 0, cfg)
+            assert walk(g, a, up, 3, cfg, cuts=range(8, len(a), 8)) == (
+                tallies(slow))
             assert slow.deep_fades == len(fades)
             assert slow.drop_events > 0 and slow.delay_violations > 0
 
@@ -267,15 +253,8 @@ class TestFastPathEquivalence:
         monkeypatch.setattr(simulator, "_CHUNK", chunk)
         monkeypatch.setattr(simulator, "_WINDOW", 1500)
         ((fast,),) = _run_streams(policy, cfg, [(stream, frames)], seed)
-        del fast["power_sum"]  # summed per chunk, outside the walk
-        assert fast == {
-            "arrivals": slow.arrivals, "served": slow.served,
-            "dropped": slow.dropped, "drop_events": slow.drop_events,
-            "deep_fades": slow.deep_fades, "busy_frames": slow.busy_frames,
-            "departed": slow.departed,
-            "delay_violations": slow.delay_violations,
-            "final_queue": slow.queue,
-        }
+        del fast["power_sum"]  # summed by _draw, not by the queue walk
+        assert fast == tallies(slow)
         assert slow.drop_events > 0 and slow.delay_violations > 0
 
     @settings(max_examples=300, deadline=None, derandomize=True,
@@ -288,9 +267,9 @@ class TestFastPathEquivalence:
     def test_walk_matches_on_random_windows(self, dq, eb, load, g_th, seed,
                                             data):
         # violations counted at each arrival frame's deadline must leave
-        # every tally and the pending entries as the frame-by-frame oracle
-        # does, after every call: spells that straddle calls, deadlines at
-        # a call's first frame and queues that empty exactly on a deadline
+        # every tally as the frame-by-frame oracle does, over chunks of
+        # random lengths: spells that straddle chunks, deadlines at a
+        # chunk's first frame and queues that empty exactly on a deadline
         # all occur
         up = UserPolicy(bandwidth=3e6, gain_threshold=g_th,
                         power_cap=1e-18, service_rate_nominal=eb,
@@ -300,15 +279,11 @@ class TestFastPathEquivalence:
         frames = 3000
         g = rng.standard_gamma(3, size=frames)
         a = rng.poisson(up.arrival_rate, size=frames)
-        fast, slow = QueueState(), QueueState()
-        base = 0
-        while base < frames:
-            end = min(frames, base + data.draw(st.integers(50, 700)))
-            walk(fast, g[base:end], a[base:end], up, dq, base, DEFAULT_CFG)
-            frame_by_frame(slow, g[base:end], a[base:end], up, dq, base,
-                           DEFAULT_CFG)
-            assert_states_equal(fast, slow, dq, end)
-            base = end
+        cuts = [data.draw(st.integers(50, 700))]
+        while cuts[-1] < frames:
+            cuts.append(cuts[-1] + data.draw(st.integers(50, 700)))
+        slow = frame_by_frame(QueueState(), g, a, up, dq, 0, DEFAULT_CFG)
+        assert walk(g, a, up, dq, DEFAULT_CFG, cuts[:-1]) == tallies(slow)
 
     def test_departures_settle_only_where_a_packet_can_be_late(
             self, cfg, monkeypatch):
@@ -332,14 +307,13 @@ class TestFastPathEquivalence:
             return covered(*args)
 
         monkeypatch.setattr(simulator, "_covered", counting_covered)
-        fast = QueueState()
-        walk(fast, g, a, up, 8, 0, cfg)
+        fast = walk(g, a, up, 8, cfg)
         slow = QueueState()
         visited = 0
         for i in range(len(g)):
             visited += bool(slow.queue > 0.0 or a[i] or deep[i])
             _advance(slow, float(g[i]), int(a[i]), up, 8, i, cfg)
-        assert_states_equal(fast, slow, 8, len(g))
+        assert fast == tallies(slow)
         assert 0 < calls <= visited / 5
 
     def test_late_packets_still_queued_at_a_chunk_end(self, cfg,
@@ -416,6 +390,24 @@ class TestRecordedOutputs:
                                 "17297710ada973bde023dc50bbe5802c")
 
 
+class InlineExecutor:
+    """An executor stand-in that runs each call on submit, in the caller."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
 class TestRunSimulation:
     def test_rejects_bad_args(self, cfg, single_user, solved):
         policy, _ = solved
@@ -449,20 +441,9 @@ class TestRunSimulation:
         # submit; this stand-in records the size and runs each stream here
         sizes = []
 
-        class InlinePool:
+        class InlinePool(InlineExecutor):
             def __init__(self, max_workers):
                 sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
 
         policy, _ = relaxed_policy(cfg, single_user, eps_h=1e-2)
         # run_simulation imports the pool class at its workers > 1 branch
@@ -509,16 +490,8 @@ class TestRunSimulation:
                         power_sum, power_c, float(np.sum(p)))
                     frame_by_frame(slow, g, a, up, policy.queue_delay_frames,
                                    done, cfg)
-                tallies = {
-                    "arrivals": slow.arrivals, "served": slow.served,
-                    "dropped": slow.dropped, "drop_events": slow.drop_events,
-                    "deep_fades": slow.deep_fades,
-                    "busy_frames": slow.busy_frames,
-                    "departed": slow.departed,
-                    "delay_violations": slow.delay_violations,
-                    "final_queue": slow.queue, "power_sum": power_sum,
-                }
-                for key, value in tallies.items():
+                pair = {**tallies(slow), "power_sum": power_sum}
+                for key, value in pair.items():
                     oracle[u][key] = oracle[u].get(key, 0) + value
 
         monkeypatch.setattr(simulator, "_CHUNK", chunk)
@@ -719,6 +692,27 @@ class TestRunSimulation:
             tracemalloc.stop()
         assert len(path.read_text().splitlines()) == 12_001
         assert peak < 2_000_000
+
+    def test_at_most_two_chunks_are_live(self, cfg, single_user, solved,
+                                         monkeypatch):
+        # the walk drops a chunk before it asks for the next, and the next
+        # draw starts only then, so a run holds the chunk walked and the
+        # one drawn ahead.  Drawing on submit makes that order the only
+        # one: a third chunk would add 8 bytes a frame, to 3.3 arrays of
+        # a chunk's frames at this low load against 2.2
+        policy, _ = solved
+        chunk = 1 << 15
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
+        monkeypatch.setattr(simulator, "ThreadPoolExecutor", InlineExecutor)
+        tracemalloc.start()
+        try:
+            rep = run_simulation(policy, cfg, [single_user],
+                                 frames=40 * chunk, seed=3, streams=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.arrival_count > 0
+        assert peak < 2.5 * 8 * chunk
 
     def test_streams_past_the_frame_count_cost_nothing(self, cfg,
                                                        single_user, solved):
