@@ -10,7 +10,6 @@ files byte for byte.
 
 from __future__ import annotations
 
-import functools
 import sys
 
 import click
@@ -18,16 +17,19 @@ import click
 from .experiments import MIN_DROP_EVENTS, ExperimentSpec, run_experiment
 from .model import ConfigError, PowerInfeasibleError, QosInfeasibleError
 
-EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_CONFIG = 3
 
 
-def _handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _Cli(click.Group):
+    """The command group; its ``main`` maps every failure to an exit code."""
+
+    def main(self, *args, **kwargs):
         try:
-            return fn(*args, **kwargs)
+            return super().main(*args, standalone_mode=False, **kwargs)
+        except click.ClickException as exc:  # click's own usage errors exit 2
+            exc.show()
+            sys.exit(EXIT_CONFIG)
         except (ConfigError, OSError) as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(EXIT_CONFIG)
@@ -37,7 +39,9 @@ def _handle_errors(fn):
         except PowerInfeasibleError as exc:
             click.echo(f"infeasible (transmit power): {exc}", err=True)
             sys.exit(EXIT_INFEASIBLE)
-    return wrapper
+        except click.Abort:  # an interrupt
+            click.echo("Aborted!", err=True)
+            sys.exit(1)
 
 
 def _parse_list(text: str, kind) -> tuple:
@@ -48,7 +52,7 @@ def _parse_list(text: str, kind) -> tuple:
         raise ConfigError(f"{text!r}: {exc}") from None
 
 
-@click.group()
+@click.group(cls=_Cli)
 def main():
     """Energy-optimal URLLC resource allocation and validation."""
 
@@ -56,7 +60,6 @@ def main():
 @main.command()
 @click.option("--config", "config_path", required=True, help="Config file.")
 @click.option("--out", "out_path", default=None, help="Write JSON here.")
-@_handle_errors
 def solve(config_path, out_path):
     """Solve the allocation for the configured users."""
     spec = ExperimentSpec(kind="solve", config_path=config_path,
@@ -80,7 +83,6 @@ def solve(config_path, out_path):
               help="Override the dropping budget before solving.")
 @click.option("--trace", "trace_path", default=None,
               help="Per-frame CSV trace (debugging; single stream only).")
-@_handle_errors
 def simulate(config_path, out_path, seed, frames, streams, workers, eps_h,
              trace_path):
     """Solve, then validate the policy with the Monte-Carlo simulator."""
@@ -108,7 +110,6 @@ def simulate(config_path, out_path, seed, frames, streams, workers, eps_h,
               show_default=True, help="Comma list of decoding-error targets.")
 @click.option("--service-rate", default=1.0, show_default=True, type=float,
               help="Nominal service rate in packets/frame.")
-@_handle_errors
 def table_wth(config_path, out_path, eps_text, service_rate):
     """Bandwidth minimizer of the power kernel per error target."""
     spec = ExperimentSpec(kind="table_wth", config_path=config_path,
@@ -129,7 +130,6 @@ def table_wth(config_path, out_path, eps_text, service_rate):
 @click.option("--streams", default=8, show_default=True, type=int)
 @click.option("--workers", default=1, show_default=True, type=int)
 @click.option("--distance", default=250.0, show_default=True, type=float)
-@_handle_errors
 def table_drop(config_path, out_path, eps_text, frames, seed, streams,
                workers, distance):
     """Required vs achieved dropping probability (single-user protocol)."""
@@ -158,7 +158,6 @@ def table_drop(config_path, out_path, eps_text, frames, seed, streams,
 @click.option("--placement", default="grid", show_default=True,
               type=click.Choice(["grid", "uniform"]))
 @click.option("--seed", default=1234, show_default=True, type=int)
-@_handle_errors
 def sweep_antennas(config_path, out_path, k_text, nt_min, nt_max, placement,
                    seed):
     """Mean total power vs antenna count, per user count."""
@@ -185,7 +184,6 @@ def sweep_antennas(config_path, out_path, k_text, nt_min, nt_max, placement,
 @click.option("--placement", default="grid", show_default=True,
               type=click.Choice(["grid", "uniform"]))
 @click.option("--seed", default=1234, show_default=True, type=int)
-@_handle_errors
 def sweep_users(config_path, out_path, k_min, k_max, fixed_nt_text,
                 placement, seed):
     """Energy efficiency vs user count: joint-optimal and fixed antennas."""

@@ -1,15 +1,17 @@
 """Flat key = value config files.
 
 One ``key = value`` pair per line, ``#`` starts a comment, values are SI
-units.  dB/dBm keys are converted to linear here so the rest of the library
-never sees decibels.  The full key list lives in the README.
+units.  dB/dBm keys are converted to linear, and distances to gains, here
+so the rest of the library never sees either.  The full key list lives in
+the README.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
 
-from .model import ConfigError, SystemConfig, UserProfile, dbm_to_watts
+from .model import (ConfigError, SystemConfig, UserProfile, dbm_to_watts,
+                    path_loss_gain)
 
 _FIELDS = tuple(f.name for f in fields(SystemConfig))
 # besides the fields: the dBm forms of two of them and the users' node traffic
@@ -93,15 +95,20 @@ def parse_config_text(text: str) -> tuple[SystemConfig, list[UserProfile]]:
             except OverflowError:
                 raise ConfigError(f"line {seen[key]}: {key} is too large "
                                   "to express in watts") from None
+    gains = lists.get("user_gains")
+    if "user_distances_m" in lists:  # a distance becomes its gain here
+        gains = []
+        for i, d in enumerate(lists["user_distances_m"]):
+            try:
+                gains.append(path_loss_gain(d))
+            except ConfigError as exc:
+                raise ConfigError(f"line {seen['user_distances_m']}: "
+                                  f"user {i}: {exc}") from None
     cfg = SystemConfig(**kwargs)
 
-    distances = lists.get("user_distances_m")
-    gains = lists.get("user_gains")
-    if distances is None and gains is None:
-        raise ConfigError("config must provide user_distances_m or user_gains")
-    count = len(distances if distances is not None else gains)
-    if count == 0:
-        raise ConfigError("user list is empty")
+    if not gains:  # neither key, or an empty list
+        raise ConfigError("config must list users in user_distances_m or "
+                          "user_gains")
 
     rates_pps = lists.get("user_arrival_rates_pps")
     if rates_pps is None:
@@ -109,14 +116,12 @@ def parse_config_text(text: str) -> tuple[SystemConfig, list[UserProfile]]:
         if node_rate <= 0:
             raise ConfigError("need node_packet_rate_hz (with nodes_per_user) "
                               "or user_arrival_rates_pps")
-        rates_pps = [int(scalars.get("nodes_per_user", 1)) * node_rate] * count
-    elif len(rates_pps) != count:
+        rates_pps = [int(scalars.get("nodes_per_user", 1)) * node_rate
+                     for _ in gains]
+    elif len(rates_pps) != len(gains):
         raise ConfigError("user_arrival_rates_pps length does not match users")
-    users = [UserProfile(
-        arrival_rate=cfg.packets_per_frame(rate),
-        distance=distances[i] if distances is not None else None,
-        large_scale_gain=gains[i] if gains is not None else None,
-    ) for i, rate in enumerate(rates_pps)]
+    users = [UserProfile(arrival_rate=cfg.packets_per_frame(rate), gain=gain)
+             for rate, gain in zip(rates_pps, gains)]
     return cfg, users
 
 

@@ -214,6 +214,10 @@ class ExperimentSpec:
             raise ConfigError("antenna counts must be at least 2")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        # a repeated entry would redo its work and repeat its row or column
+        for name in ("eps_list", "k_values", "nt_values", "fixed_nts"):
+            if len(set(getattr(self, name))) < len(getattr(self, name)):
+                raise ConfigError(f"{name} repeats an entry")
 
 
 def run_experiment(spec: ExperimentSpec) -> dict:

@@ -8,7 +8,8 @@ Unit conventions (fixed here, relied on everywhere else):
   SystemConfig fields and at the I/O boundary.
 * All powers, bandwidths and spectral densities are linear SI (W, Hz,
   W/Hz).  dB/dBm values are converted once, at config ingestion.
-* Large-scale channel gains are attenuations (linear value < 1).
+* A user is its arrival rate and its large-scale gain, an attenuation
+  (linear value < 1); a distance becomes that gain where it enters.
 """
 
 from __future__ import annotations
@@ -46,10 +47,15 @@ def path_loss_gain(distance: float) -> float:
 
     Urban-macro log-distance model: 35.3 + 37.6 log10(d) dB of loss, so the
     returned value is 10**(-(35.3 + 37.6 log10(d))/10) < 1 for d >= 1 m.
+    The one check of a distance: ConfigError unless it is positive (not
+    NaN) and its gain finite.
     """
-    if distance <= 0:
-        raise ValueError("distance must be positive")
-    return 10.0 ** (-(35.3 + 37.6 * math.log10(distance)) / 10.0)
+    if not distance > 0:
+        raise ConfigError(f"distance {distance} m must be positive")
+    try:
+        return 10.0 ** (-(35.3 + 37.6 * math.log10(distance)) / 10.0)
+    except OverflowError:  # a distance far below 1 m
+        raise ConfigError(f"distance {distance} m: gain overflows") from None
 
 
 @dataclass(frozen=True)
@@ -94,31 +100,24 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class UserProfile:
-    """One downlink user: channel statistics plus aggregate traffic.
+    """One downlink user, as the allocation sees it: its traffic and its gain.
 
     ``arrival_rate`` is the aggregate packet rate over the user's concerned
-    node set, in packets/frame.  Either ``distance`` (m) or
-    ``large_scale_gain`` (linear) must be given; the gain wins if both are.
+    node set, in packets/frame; ``gain`` is its linear large-scale channel
+    gain (alpha_k).  A distance becomes a gain once, where it enters: in
+    ``config_io`` and in ``from_nodes``.
     """
 
     arrival_rate: float
-    distance: float | None = None
-    large_scale_gain: float | None = None
-
-    @property
-    def gain(self) -> float:
-        if self.large_scale_gain is not None:
-            return self.large_scale_gain
-        if self.distance is None:
-            raise ConfigError("user needs distance or large_scale_gain")
-        return path_loss_gain(self.distance)
+    gain: float
 
     @staticmethod
     def from_nodes(distance: float, node_count: int,
                    node_packet_rate_hz: float, cfg: SystemConfig) -> "UserProfile":
-        """Build a user whose traffic aggregates ``node_count`` nodes."""
+        """Build a user ``distance`` meters away whose traffic aggregates
+        ``node_count`` nodes."""
         lam = cfg.packets_per_frame(node_count * node_packet_rate_hz)
-        return UserProfile(arrival_rate=lam, distance=distance)
+        return UserProfile(arrival_rate=lam, gain=path_loss_gain(distance))
 
 
 @dataclass(frozen=True)
@@ -136,7 +135,7 @@ def validate_config(cfg: SystemConfig, users: list[UserProfile],
     """Check every shared invariant and resolve the QoS budget.
 
     The queueing budget is the end-to-end budget minus one uplink and one
-    downlink frame (the reserved backhaul frame is absorbed into that
+    downlink frame (the backhaul, at most one frame, is absorbed into that
     allowance), floored to whole frames.  The loss budget splits equally
     across the transmission-error, delay-violation and dropping components;
     ``eps_h`` replaces the dropping third (a dropping-probability sweep may
@@ -151,8 +150,8 @@ def validate_config(cfg: SystemConfig, users: list[UserProfile],
         v.append("frame_duration must be positive and finite")
     if not (0 < cfg.dl_fraction < cfg.frame_duration):
         v.append("dl_fraction must be in (0, frame_duration)")
-    if not (0 <= cfg.backhaul_delay < math.inf):
-        v.append("backhaul_delay must be non-negative and finite")
+    if not (0 <= cfg.backhaul_delay <= cfg.frame_duration):
+        v.append("backhaul_delay must be non-negative and at most one frame")
     if not (2 * cfg.frame_duration + cfg.backhaul_delay
             <= cfg.e2e_delay < math.inf):
         v.append("e2e_delay must be finite and leave a queueing budget")
@@ -174,14 +173,7 @@ def validate_config(cfg: SystemConfig, users: list[UserProfile],
     for i, usr in enumerate(users):
         if not (0 < usr.arrival_rate < math.inf):
             v.append(f"user {i}: arrival_rate must be positive and finite")
-        try:
-            if not (0 < usr.gain < 1):
-                v.append(f"user {i}: large-scale gain must be in (0, 1)")
-        except ConfigError:
-            v.append(f"user {i}: needs distance or large_scale_gain")
-        except ValueError:  # path_loss_gain refuses the distance
-            v.append(f"user {i}: distance must be positive")
-        except OverflowError:  # the gain of a distance far below 1 m
+        if not (0 < usr.gain < 1):
             v.append(f"user {i}: large-scale gain must be in (0, 1)")
 
     if eps_h is None:

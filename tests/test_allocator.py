@@ -246,7 +246,7 @@ class TestAllocateBandwidth:
         with pytest.raises(QosInfeasibleError,
                            match="exponent 1259.3 overflows at W=81.56"):
             allocate_bandwidth(fs, just_past_the_even_split(fs))
-        users = [UserProfile(arrival_rate=0.02, large_scale_gain=g)
+        users = [UserProfile(arrival_rate=0.02, gain=g)
                  for g in (1e-12, 1e-14)]
         yfuncs = build_y_functions(cfg, validate_config(cfg, users), users)
         tight = replace(cfg, total_bandwidth=just_past_the_even_split(yfuncs))
@@ -378,7 +378,7 @@ class TestSolveAllocation:
         with pytest.raises(ConfigError, match="mean total power"):
             solve_allocation(replace(cfg, circuit_power_per_antenna=1e308),
                              [single_user])
-        tiny = UserProfile(arrival_rate=2e-313, distance=250.0)
+        tiny = UserProfile(arrival_rate=2e-313, gain=path_loss_gain(250.0))
         with pytest.raises(ConfigError, match="effective bandwidth"):
             solve_allocation(cfg, [tiny])
 

@@ -105,6 +105,67 @@ class TestSolve:
         assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize("args, message", [
+        (["solve"], "Missing option '--config'"),
+        (["simulate", "--frames", "abc"], "'abc' is not a valid integer"),
+        (["simulate", "--bogus", "1"], "No such option '--bogus'"),
+        (["sweep-users", "--placement", "ring"],
+         "'ring' is not one of 'grid', 'uniform'"),
+        (["frobnicate"], "No such command 'frobnicate'"),
+        ([], "Usage:"),
+    ], ids=["solve-no-config", "frames-not-int", "unknown-option",
+            "placement-unknown", "unknown-command", "bare"])
+    def test_usage_errors_exit_3(self, runner, args, message):
+        # click's own code for a usage error is 2, which here means an
+        # infeasible allocation
+        res = runner.invoke(main, args)
+        assert res.exit_code == 3, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert message in res.stderr
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("args", [["--help"], ["solve", "--help"]])
+    def test_help_exits_0(self, runner, args):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+        assert res.stdout.startswith("Usage:")
+
+
+class TestUserForms:
+    """A user given by its distance and one given by that distance's gain
+    are one user: every output byte agrees."""
+
+    CELLS = {"default": "user_distances_m = 250",
+             "busy": "user_distances_m = 100, 150, 200, 250\n"
+                     "user_arrival_rates_pps = 20000, 20000, 5000, 20000"}
+
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_distances_and_gains_give_the_same_bytes(self, runner, tmp_path,
+                                                     cell):
+        from urllc_ee import path_loss_gain
+        text = DEFAULT_CONFIG_TEXT.replace("user_distances_m = 250",
+                                           self.CELLS[cell])
+        dists = text.split("user_distances_m = ")[1].split("\n")[0]
+        gains = ", ".join(repr(path_loss_gain(float(d)))
+                          for d in dists.split(","))
+        outputs = []
+        for form, users in (("d", f"user_distances_m = {dists}"),
+                            ("g", f"user_gains = {gains}")):
+            path = tmp_path / f"{form}.cfg"
+            path.write_text(text.replace(f"user_distances_m = {dists}", users))
+            for args in (["solve"], ["simulate", "--frames", "20000",
+                                     "--streams", "2"]):
+                out = tmp_path / f"{form}-{args[0]}.json"
+                res = runner.invoke(main, args + ["--config", os.fspath(path),
+                                                  "--out", os.fspath(out)])
+                assert res.exit_code == 0, res.output
+                outputs.append(out.read_bytes())
+        assert "user_gains" in path.read_text()
+        assert outputs[:2] == outputs[2:]
+
+
 class TestTableWth:
     def test_reference_rows(self, runner, config_file, tmp_path):
         out = os.fspath(tmp_path / "wth.csv")
@@ -352,6 +413,12 @@ class TestExperimentSpec:
         (["table-wth", "--service-rate", "1e300"], None),
         # the path-loss gain of so short a distance overflows
         (["table-drop", "--distance", "1e-300", "--frames", "1000"], None),
+        # the two-frame allowance absorbs at most one backhaul frame
+        (["solve"], ("backhaul_delay = 1e-4", "backhaul_delay = 6e-4")),
+        # a repeated entry would repeat a column or a row
+        (["sweep-users", "--k-max", "2", "--fixed-nt", "8,8"], None),
+        (["sweep-antennas", "--k-values", "3,3"], None),
+        (["table-drop", "--eps", "1e-4,1e-4", "--frames", "1000"], None),
     ], ids=["rate-zero", "rate-nan", "streams-zero", "workers-zero",
             "distance-negative", "noise-nan", "fixed-nt-one", "nt-min-one",
             "trace-multi-stream", "sweep-users-node-rate",
@@ -362,7 +429,9 @@ class TestExperimentSpec:
             "sweep-users-seed-negative", "sweep-antennas-seed-negative",
             "table-wth-dl-fraction-zero", "table-wth-dl-fraction-negative",
             "table-wth-packet-bits-zero", "table-wth-w-th-overflow",
-            "table-drop-distance-overflow"])
+            "table-drop-distance-overflow", "backhaul-six-frames",
+            "sweep-users-fixed-nt-repeated", "sweep-antennas-k-repeated",
+            "table-drop-eps-repeated"])
     def test_bad_inputs_exit_3(self, runner, tmp_path, args, edit):
         # ``edit`` is a (line, replacement) pair for the default config
         path = tmp_path / "cell.cfg"
@@ -391,18 +460,19 @@ class TestExperimentSpec:
         assert result["allocation"].antennas == 4
 
     def test_placement_schemes_differ(self, config_file):
-        from urllc_ee import place_users
+        from urllc_ee import path_loss_gain, place_users
         from urllc_ee.config_io import load_config
         cfg, _ = load_config(config_file)
-        grid = [u.distance for u in place_users(4, cfg, scheme="grid")]
-        unif = [u.distance for u in place_users(4, cfg, scheme="uniform",
-                                                seed=1234)]
-        assert grid == [75.0, 125.0, 175.0, 225.0]
+        grid = [u.gain for u in place_users(4, cfg, scheme="grid")]
+        unif = [u.gain for u in place_users(4, cfg, scheme="uniform",
+                                            seed=1234)]
+        assert grid == [path_loss_gain(d) for d in (75.0, 125.0, 175.0, 225.0)]
         assert grid != unif
-        assert all(50 <= d <= 250 for d in unif)
+        assert all(path_loss_gain(250.0) <= g <= path_loss_gain(50.0)
+                   for g in unif)
         # uniform placement is prefix-stable as K grows
-        unif6 = [u.distance for u in place_users(6, cfg, scheme="uniform",
-                                                 seed=1234)]
+        unif6 = [u.gain for u in place_users(6, cfg, scheme="uniform",
+                                             seed=1234)]
         assert unif6[:4] == unif
 
 

@@ -1,10 +1,12 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from urllc_ee import (DEFAULT_CONFIG_TEXT, ConfigError, SystemConfig,
-                      UserProfile, path_loss_gain, parse_config_text,
-                      validate_config)
+                      UserProfile, config_io, path_loss_gain,
+                      parse_config_text, validate_config)
 from urllc_ee.model import dbm_to_watts
 
 
@@ -30,10 +32,11 @@ class TestPathLoss:
             assert 0 < path_loss_gain(d) < 1
 
     def test_rejects_nonpositive_distance(self):
-        with pytest.raises(ValueError):
-            path_loss_gain(0.0)
-        with pytest.raises(ValueError):
-            path_loss_gain(-3.0)
+        # the one check of a distance, and a ConfigError (a ValueError);
+        # the gain of 1e-300 m would be past 1e1124
+        for d in (0.0, -3.0, -5.0, math.nan, 1e-300):
+            with pytest.raises(ConfigError, match=f"distance {d} m"):
+                path_loss_gain(d)
 
 
 class TestUnitConversions:
@@ -97,20 +100,27 @@ class TestValidateConfig:
         assert qos.eps_h == 1e-4
         assert qos.eps_c == pytest.approx(1e-7, abs=0)
 
+    def test_backhaul_longer_than_a_frame_rejected(self, single_user):
+        # the two-frame allowance absorbs at most one backhaul frame, so a
+        # longer backhaul would silently leave the queueing budget as is
+        for ok in (0.0, 1e-4):
+            validate_config(SystemConfig(backhaul_delay=ok), [single_user])
+        for bad in (6e-4, math.nextafter(1e-4, 1), -1e-4, math.nan):
+            with pytest.raises(ConfigError, match="backhaul_delay") as err:
+                validate_config(SystemConfig(backhaul_delay=bad),
+                                [single_user])
+            assert err.value.violations[0].startswith("backhaul_delay")
+
     def test_bad_user_rejected(self, cfg):
         with pytest.raises(ConfigError):
-            validate_config(cfg, [UserProfile(arrival_rate=-1.0, distance=100.0)])
+            validate_config(cfg, [UserProfile(arrival_rate=-1.0,
+                                              gain=path_loss_gain(100.0))])
 
 
 class TestUserProfile:
-    def test_gain_from_distance(self):
-        u = UserProfile(arrival_rate=0.02, distance=250.0)
-        assert u.gain == pytest.approx(path_loss_gain(250.0), rel=1e-15, abs=0)
-
-    def test_explicit_gain_wins(self):
-        u = UserProfile(arrival_rate=0.02, distance=250.0,
-                        large_scale_gain=1e-10)
-        assert u.gain == 1e-10
+    def test_gain_from_distance(self, cfg):
+        u = UserProfile.from_nodes(250.0, 20, 10.0, cfg)
+        assert u.gain == path_loss_gain(250.0)
 
     def test_from_nodes_aggregates(self, cfg):
         u = UserProfile.from_nodes(250.0, 20, 10.0, cfg)
@@ -131,7 +141,8 @@ class TestConfigFile:
         text = ("user_distances_m = 250, 120, 60\n"
                 "nodes_per_user = 20\nnode_packet_rate_hz = 10\n")
         cfg, users = parse_config_text(text)
-        assert [u.distance for u in users] == [250.0, 120.0, 60.0]
+        assert [u.gain for u in users] == [path_loss_gain(d)
+                                           for d in (250.0, 120.0, 60.0)]
 
     def test_gain_users(self):
         text = ("user_gains = 1e-12, 3e-11\n"
@@ -177,6 +188,28 @@ class TestConfigFile:
             parse_config_text(text)
         parse_config_text(DEFAULT_CONFIG_TEXT.replace(first, second))
 
+    @pytest.mark.parametrize("dists, message", [
+        ("0", "line 16: user 0: distance 0.0 m must be positive"),
+        ("250, -5", "line 16: user 1: distance -5.0 m must be positive"),
+        ("250, nan", "line 16: user 1: distance nan m must be positive"),
+        ("1e-300", "line 16: user 0: distance 1e-300 m: gain overflows"),
+    ], ids=["zero", "negative", "nan", "overflow"])
+    def test_bad_distance_names_line(self, dists, message):
+        text = DEFAULT_CONFIG_TEXT.replace("user_distances_m = 250",
+                                           f"user_distances_m = {dists}")
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text)
+        assert str(err.value) == message
+
+    def test_readme_table_lists_every_key(self):
+        # the backticked keys of README's "Config keys" table
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme.split("### Config keys\n", 1)[1].split("\n\n", 1)[0]
+        keys = {k for row in table.splitlines()[2:]
+                for k in re.findall(r"`([^`]+)`", row.split("|")[1])}
+        assert keys == config_io._SCALAR_KEYS | config_io._LIST_KEYS
+        assert len(keys) == 19
+
     def test_dbm_overflow_names_line(self):
         text = DEFAULT_CONFIG_TEXT.replace("max_bs_power_dbm = 40",
                                            "max_bs_power_dbm = 3083")
@@ -203,4 +236,4 @@ class TestConfigFile:
         text = ("# header\n\nuser_distances_m = 100  # inline\n"
                 "user_arrival_rates_pps = 200\n")
         _cfg, users = parse_config_text(text)
-        assert users[0].distance == 100.0
+        assert users[0].gain == path_loss_gain(100.0)
