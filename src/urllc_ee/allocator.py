@@ -435,9 +435,9 @@ def solve_allocation(cfg: SystemConfig, users: list[UserProfile],
     The loss budget splits in equal thirds (``validate_config``); ``eps_h``
     replaces the dropping third, and the resolved budget is returned as
     ``extras["qos"]``.  With ``n_antennas`` set the antenna count is held
-    fixed (at least 2); otherwise the count starts at its closed-form
-    optimum and is incremented until the summed power caps fit the BS
-    budget, up to ``ANTENNA_CAP``; a closed-form optimum past the cap
+    fixed, in [2, ``ANTENNA_CAP``]; otherwise the count starts at its
+    closed-form optimum and is incremented until the summed power caps fit
+    the BS budget, up to ``ANTENNA_CAP``; a closed-form optimum past the cap
     starts the loop at the cap (see ``optimal_antennas``).  Deterministic:
     identical inputs give identical outputs bit for bit.  The validation,
     kernels and bandwidth split are memoized per (cfg, users, eps_h),
@@ -445,14 +445,16 @@ def solve_allocation(cfg: SystemConfig, users: list[UserProfile],
     computes them once.
 
     Raises:
-        ConfigError: on invalid inputs.
+        ConfigError: on invalid inputs, a fixed count out of range included.
         QosInfeasibleError: when the bandwidth budget cannot meet QoS.
         PowerInfeasibleError: when no allowed antenna count fits the power
             budget (fixed ``n_antennas``, or the cap is exceeded).
     """
-    qos, yfuncs, sol = _prologue(cfg, tuple(users), eps_h)
-
     fixed = n_antennas is not None
+    if fixed and not 2 <= n_antennas <= ANTENNA_CAP:
+        raise ConfigError(f"antenna count {n_antennas} outside "
+                          f"[2, {ANTENNA_CAP}]")
+    qos, yfuncs, sol = _prologue(cfg, tuple(users), eps_h)
     n = n_antennas if fixed else optimal_antennas(sol.objective, cfg,
                                                   qos.eps_h)
     while True:

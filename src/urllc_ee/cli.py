@@ -117,7 +117,7 @@ def table_wth(config_path, out_path, eps_text, service_rate):
                           eps_list=_parse_list(eps_text, float),
                           service_rate=service_rate)
     for eps, wth in run_experiment(spec)["rows"]:
-        click.echo(f"eps_c={eps:g}  W_th={wth/1e6:.4f} MHz")
+        click.echo(f"eps_c={eps!r}  W_th={wth/1e6:.4f} MHz")
 
 
 @main.command("table-drop")
@@ -140,13 +140,13 @@ def table_drop(config_path, out_path, eps_text, frames, seed, streams,
                           workers=workers, distance=distance)
     for r in run_experiment(spec)["rows"]:
         note = "" if r["resolvable"] else "  [unresolvable: too few events]"
-        click.echo(f"required={r['required_eps_h']:g}  "
+        click.echo(f"required={r['required_eps_h']!r}  "
                    f"achieved={r['achieved_eps_h']:.3e}  "
                    f"events={r['drop_events']}{note}")
         if not r["resolvable"]:
             click.echo(f"warning: {r['drop_events']} drop events < "
                        f"{MIN_DROP_EVENTS} at required "
-                       f"eps_h={r['required_eps_h']:g}", err=True)
+                       f"eps_h={r['required_eps_h']!r}", err=True)
 
 
 @main.command("sweep-antennas")

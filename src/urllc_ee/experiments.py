@@ -16,21 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .allocator import (_prologue, find_bandwidth_minimizer,
+from .allocator import (ANTENNA_CAP, _prologue, find_bandwidth_minimizer,
                         mean_total_power, power_thresholds, solve_allocation,
                         YFunction)
 from .config_io import load_config
 from .model import (ConfigError, PowerInfeasibleError, QosInfeasibleError,
-                    SystemConfig, UserProfile, validate_config)
+                    SystemConfig, UserProfile, path_loss_gain,
+                    validate_config)
 from .rate import _coeffs_at_rate
 from .simulator import SimPolicy, run_simulation
 
 PLACEMENT_NEAR_M = 50.0
 PLACEMENT_FAR_M = 250.0
-# Users placed by the sweeps and the dropping table each aggregate this
-# many nodes at this rate; they reject a config whose users' traffic differs.
-NODES_PER_USER = 20
-NODE_PACKET_RATE_HZ = 10.0
 # Fewer drop events than this leave the dropping probability unresolved.
 MIN_DROP_EVENTS = 30
 
@@ -38,9 +35,10 @@ EXPERIMENT_KINDS = ("solve", "simulate", "table_wth", "table_drop",
                     "sweep_antennas", "sweep_users")
 
 
-def place_users(k: int, cfg: SystemConfig, scheme: str = "grid",
+def place_users(k: int, lam: float, scheme: str = "grid",
                 seed: int = 1234) -> list[UserProfile]:
-    """Deterministic user placement on the 50-250 m annulus.
+    """Deterministic placement of K users, each with arrival rate ``lam``
+    (packets/frame), on the 50-250 m annulus.
 
     ``grid`` respreads K users evenly (midpoints of K equal sub-intervals);
     ``uniform`` draws user i's distance once per seed (memoized) from its own
@@ -56,8 +54,7 @@ def place_users(k: int, cfg: SystemConfig, scheme: str = "grid",
                  for i in range(k)]
     else:
         raise ValueError(f"unknown placement scheme {scheme!r}")
-    return [UserProfile.from_nodes(d, NODES_PER_USER, NODE_PACKET_RATE_HZ, cfg)
-            for d in dists]
+    return [UserProfile(lam, path_loss_gain(d)) for d in dists]
 
 
 @functools.lru_cache(maxsize=1024, typed=True)
@@ -102,10 +99,11 @@ def antenna_sweep_rows(cfg: SystemConfig, users: list[UserProfile],
     return rows, best
 
 
-def user_sweep_rows(cfg: SystemConfig, k_values: list[int],
+def user_sweep_rows(cfg: SystemConfig, lam: float, k_values: list[int],
                     fixed_nts: list[int], scheme: str = "grid",
                     seed: int = 1234):
-    """Joint-optimal EE and fixed-antenna EE per user count.
+    """Joint-optimal EE and fixed-antenna EE per user count, each user
+    placed with arrival rate ``lam``.
 
     Returns rows ``(k, ee_joint, {nt: ee or None})`` where None marks a
     fixed-antenna point whose power caps do not fit the BS budget.  The
@@ -113,7 +111,7 @@ def user_sweep_rows(cfg: SystemConfig, k_values: list[int],
     """
     rows = []
     for k in k_values:
-        users = place_users(k, cfg, scheme=scheme, seed=seed)
+        users = place_users(k, lam, scheme=scheme, seed=seed)
         try:
             joint = solve_allocation(cfg, users)
             ee_joint = joint.energy_efficiency
@@ -130,18 +128,18 @@ def user_sweep_rows(cfg: SystemConfig, k_values: list[int],
     return rows
 
 
-def drop_table_rows(cfg: SystemConfig, eps_h_list: list[float],
+def drop_table_rows(cfg: SystemConfig, lam: float, eps_h_list: list[float],
                     frames: int, seed: int, streams: int = 8,
                     workers: int = 1, distance: float = 250.0):
-    """Required-vs-achieved dropping probability, one simulation per target.
+    """Required-vs-achieved dropping probability, one simulation per target,
+    of one user ``distance`` meters away with arrival rate ``lam``.
 
     Each row is a dict with the solved policy summary, the empirical
     dropping probability, the observed drop-event count and a
     ``resolvable`` flag (enough events for the comparison to mean
     anything, threshold ``MIN_DROP_EVENTS``).
     """
-    user = UserProfile.from_nodes(distance, NODES_PER_USER,
-                                  NODE_PACKET_RATE_HZ, cfg)
+    user = UserProfile(lam, path_loss_gain(distance))
     rows = []
     for eps_h in eps_h_list:
         alloc = solve_allocation(cfg, [user], eps_h=eps_h)
@@ -153,7 +151,6 @@ def drop_table_rows(cfg: SystemConfig, eps_h_list: list[float],
             "achieved_eps_h": report.achieved_eps_h,
             "drop_events": report.drop_events,
             "deep_fades": report.deep_fade_count,
-            "frames": frames,
             "antennas": alloc.antennas,
             "gain_threshold": alloc.gain_thresholds[0],
             "resolvable": report.drop_events >= MIN_DROP_EVENTS,
@@ -210,8 +207,10 @@ class ExperimentSpec:
                 raise ConfigError(f"{name} must be positive and finite")
         if min(self.k_values, default=1) < 1:
             raise ConfigError("user counts must be at least 1")
-        if min((*self.fixed_nts, *self.nt_values), default=2) < 2:
-            raise ConfigError("antenna counts must be at least 2")
+        nts = (*self.fixed_nts, *self.nt_values)
+        if not 2 <= min(nts, default=2) <= max(nts, default=2) <= ANTENNA_CAP:
+            raise ConfigError("antenna counts must be at least 2 and at "
+                              f"most {ANTENNA_CAP}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         # a repeated entry would redo its work and repeat its row or column
@@ -223,103 +222,85 @@ class ExperimentSpec:
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Execute an experiment and write its output file; returns a summary.
 
-    The returned dict always has ``kind`` plus protocol-specific entries;
-    writing happens only when the spec carries an output path.
+    The returned dict always has ``kind`` plus protocol-specific entries.
+    The output file is written only when the spec carries an output path,
+    and only once the protocol has run: a protocol that raises writes
+    nothing.
     """
     spec.validate()
     cfg, users = load_config(spec.config_path)
-    if spec.kind in ("table_drop", "sweep_antennas", "sweep_users"):
-        lam = cfg.packets_per_frame(NODES_PER_USER * NODE_PACKET_RATE_HZ)
-        if any(usr.arrival_rate != lam for usr in users):
-            raise ConfigError(
-                f"{spec.kind} places its own users, each {NODES_PER_USER} "
-                f"nodes at {NODE_PACKET_RATE_HZ:g} Hz; the config's traffic "
-                "differs")
+    summary = {"kind": spec.kind}
     if spec.kind == "solve":
         alloc = solve_allocation(cfg, users)
-        if spec.output_path:
-            with open(spec.output_path, "w") as fh:
-                fh.write(alloc.to_json() + "\n")
-        return {"kind": spec.kind, "allocation": alloc}
-
-    if spec.kind == "simulate":
+        summary["allocation"] = alloc
+        text = alloc.to_json() + "\n"
+    elif spec.kind == "simulate":
         alloc = solve_allocation(cfg, users, eps_h=spec.eps_h)
         policy = SimPolicy.from_allocation(alloc, cfg, users)
         report = run_simulation(policy, cfg, users, frames=spec.frames,
                                 seed=spec.seed, streams=spec.streams,
                                 workers=spec.workers,
                                 trace_path=spec.trace_path)
-        if spec.output_path:
-            with open(spec.output_path, "w") as fh:
-                fh.write(report.to_json() + "\n")
-        return {"kind": spec.kind, "allocation": alloc, "report": report}
-
-    if spec.kind == "table_wth":
+        summary.update(allocation=alloc, report=report)
+        text = report.to_json() + "\n"
+    elif spec.kind == "table_wth":
         validate_config(cfg, users)
         for eps in spec.eps_list:
             if not (0.0 < eps < 0.5):
                 raise ConfigError(f"eps_c {eps} outside (0, 0.5)")
-        rows = table_wth_rows(cfg, list(spec.eps_list),
-                              service_rate=spec.service_rate)
-        if spec.output_path:
-            write_csv(spec.output_path, ["eps_c", "w_th_hz"], rows,
-                      {"config": config_digest(cfg),
-                       "service_rate": spec.service_rate})
-        return {"kind": spec.kind, "rows": rows}
-
-    if spec.kind == "table_drop":
-        rows = drop_table_rows(cfg, list(spec.eps_list), frames=spec.frames,
-                               seed=spec.seed, streams=spec.streams,
-                               workers=spec.workers, distance=spec.distance)
-        if spec.output_path:
-            csv_rows = [(r["required_eps_h"], r["achieved_eps_h"],
-                         r["drop_events"], r["deep_fades"], r["antennas"],
-                         r["resolvable"]) for r in rows]
-            write_csv(spec.output_path,
-                      ["required_eps_h", "achieved_eps_h", "drop_events",
-                       "deep_fades", "antennas", "resolvable"],
-                      csv_rows,
-                      {"config": config_digest(cfg), "seed": spec.seed,
-                       "frames": spec.frames, "streams": spec.streams,
-                       "distance_m": spec.distance})
-        return {"kind": spec.kind, "rows": rows}
-
-    if spec.kind == "sweep_antennas":
-        out_rows = []
-        loci = {}
-        for k in spec.k_values:
-            swept = place_users(k, cfg, scheme=spec.placement, seed=spec.seed)
-            rows, locus = antenna_sweep_rows(cfg, swept, list(spec.nt_values))
-            for nt, power, feasible in rows:
-                out_rows.append((k, nt, power, feasible, 0))
-            if locus is not None:
-                out_rows.append((k, locus[0], locus[1], True, 1))
-            loci[k] = locus
-        if spec.output_path:
-            write_csv(spec.output_path,
-                      ["k", "n_t", "mean_total_power_w", "feasible",
-                       "is_locus"],
-                      out_rows,
-                      {"config": config_digest(cfg),
-                       "placement": spec.placement, "seed": spec.seed,
-                       "nt_min": min(spec.nt_values),
-                       "nt_max": max(spec.nt_values)})
-        return {"kind": spec.kind, "rows": out_rows, "loci": loci}
-
-    rows = user_sweep_rows(cfg, list(spec.k_values), list(spec.fixed_nts),
-                           scheme=spec.placement, seed=spec.seed)
+        rows = summary["rows"] = table_wth_rows(
+            cfg, list(spec.eps_list), service_rate=spec.service_rate)
+        text = csv_text(["eps_c", "w_th_hz"], rows,
+                        {"config": config_digest(cfg),
+                         "service_rate": spec.service_rate})
+    else:
+        # the protocol places its own users, at the rate the config's share
+        lam = users[0].arrival_rate
+        if any(usr.arrival_rate != lam for usr in users):
+            raise ConfigError(f"{spec.kind} places users that share one "
+                              "arrival rate; the config's users' rates "
+                              "differ")
+        provenance = {"config": config_digest(cfg), "seed": spec.seed}
+        if spec.kind == "table_drop":
+            rows = summary["rows"] = drop_table_rows(
+                cfg, lam, list(spec.eps_list), frames=spec.frames,
+                seed=spec.seed, streams=spec.streams, workers=spec.workers,
+                distance=spec.distance)
+            columns = ["required_eps_h", "achieved_eps_h", "drop_events",
+                       "deep_fades", "antennas", "resolvable"]
+            text = csv_text(columns, [[r[c] for c in columns] for r in rows],
+                            {**provenance, "frames": spec.frames,
+                             "streams": spec.streams,
+                             "distance_m": spec.distance})
+        elif spec.kind == "sweep_antennas":
+            out_rows = summary["rows"] = []
+            loci = summary["loci"] = {}
+            for k in spec.k_values:
+                swept = place_users(k, lam, scheme=spec.placement,
+                                    seed=spec.seed)
+                rows, loci[k] = antenna_sweep_rows(cfg, swept,
+                                                   list(spec.nt_values))
+                out_rows += [(k, *row, 0) for row in rows]
+                if loci[k] is not None:
+                    out_rows.append((k, *loci[k], True, 1))
+            text = csv_text(["k", "n_t", "mean_total_power_w", "feasible",
+                             "is_locus"], out_rows,
+                            {**provenance, "placement": spec.placement,
+                             "nt_min": min(spec.nt_values),
+                             "nt_max": max(spec.nt_values)})
+        else:
+            rows = summary["rows"] = user_sweep_rows(
+                cfg, lam, list(spec.k_values), list(spec.fixed_nts),
+                scheme=spec.placement, seed=spec.seed)
+            text = csv_text(
+                ["k", "ee_joint"] + [f"ee_nt{nt}" for nt in spec.fixed_nts],
+                [(k, ee_joint, *(fixed[nt] for nt in spec.fixed_nts))
+                 for k, ee_joint, fixed in rows],
+                {**provenance, "placement": spec.placement})
     if spec.output_path:
-        header = ["k", "ee_joint"] + [f"ee_nt{nt}" for nt in spec.fixed_nts]
-        csv_rows = []
-        for k, ee_joint, fixed in rows:
-            row = [k, float("nan") if ee_joint is None else ee_joint]
-            row += [float("nan") if fixed[nt] is None else fixed[nt]
-                    for nt in spec.fixed_nts]
-            csv_rows.append(tuple(row))
-        write_csv(spec.output_path, header, csv_rows,
-                  {"config": config_digest(cfg), "placement": spec.placement,
-                   "seed": spec.seed})
-    return {"kind": spec.kind, "rows": rows}
+        with open(spec.output_path, "w") as fh:
+            fh.write(text)
+    return summary
 
 
 def config_digest(cfg: SystemConfig) -> str:
@@ -327,19 +308,19 @@ def config_digest(cfg: SystemConfig) -> str:
     return hashlib.sha256(repr(cfg).encode()).hexdigest()[:16]
 
 
-def write_csv(path: str, header: list[str], rows: list[tuple],
-              provenance: dict) -> None:
-    """Write a CSV with provenance comment lines; byte-stable across reruns."""
+def csv_text(header: list[str], rows: list, provenance: dict) -> str:
+    """A CSV with provenance comment lines; byte-stable across reruns."""
     lines = [f"# {key}={provenance[key]}" for key in sorted(provenance)]
     lines.append(f"# version={__version__}")
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _fmt(x) -> str:
+    if x is None:  # an infeasible point
+        return "nan"
     if isinstance(x, bool):
         return "1" if x else "0"
     if isinstance(x, float):

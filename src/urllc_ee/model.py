@@ -104,20 +104,12 @@ class UserProfile:
 
     ``arrival_rate`` is the aggregate packet rate over the user's concerned
     node set, in packets/frame; ``gain`` is its linear large-scale channel
-    gain (alpha_k).  A distance becomes a gain once, where it enters: in
-    ``config_io`` and in ``from_nodes``.
+    gain (alpha_k).  A distance becomes a gain once, where it enters:
+    through ``path_loss_gain``.
     """
 
     arrival_rate: float
     gain: float
-
-    @staticmethod
-    def from_nodes(distance: float, node_count: int,
-                   node_packet_rate_hz: float, cfg: SystemConfig) -> "UserProfile":
-        """Build a user ``distance`` meters away whose traffic aggregates
-        ``node_count`` nodes."""
-        lam = cfg.packets_per_frame(node_count * node_packet_rate_hz)
-        return UserProfile(arrival_rate=lam, gain=path_loss_gain(distance))
 
 
 @dataclass(frozen=True)
@@ -146,15 +138,25 @@ def validate_config(cfg: SystemConfig, users: list[UserProfile],
     """
     # Each check fails on NaN and math.inf bounds the open ones above.
     v: list[str] = []
-    if not (0 < cfg.frame_duration < math.inf):
+    frame = cfg.frame_duration
+    frame_ok = 0 < frame < math.inf
+    dq = 0
+    if not frame_ok:
+        # the checks that compare with a frame, or count in frames, would
+        # only repeat this one
         v.append("frame_duration must be positive and finite")
-    if not (0 < cfg.dl_fraction < cfg.frame_duration):
-        v.append("dl_fraction must be in (0, frame_duration)")
-    if not (0 <= cfg.backhaul_delay <= cfg.frame_duration):
-        v.append("backhaul_delay must be non-negative and at most one frame")
-    if not (2 * cfg.frame_duration + cfg.backhaul_delay
-            <= cfg.e2e_delay < math.inf):
-        v.append("e2e_delay must be finite and leave a queueing budget")
+    else:
+        if not (0 < cfg.dl_fraction < frame):
+            v.append("dl_fraction must be in (0, frame_duration)")
+        if not (0 <= cfg.backhaul_delay <= frame):
+            v.append("backhaul_delay must be non-negative and at most one "
+                     "frame")
+        slots = (cfg.e2e_delay - 2 * frame) / frame
+        if math.isfinite(slots):
+            dq = math.floor(slots + 1e-9)
+        if dq < 1:
+            v.append("e2e_delay must be finite and leave a queueing budget "
+                     "of at least one frame")
     for name in ("noise_psd", "total_bandwidth", "max_bs_power",
                  "circuit_power_per_antenna", "fixed_circuit_power"):
         if not (0 < getattr(cfg, name) < math.inf):
@@ -171,7 +173,8 @@ def validate_config(cfg: SystemConfig, users: list[UserProfile],
     if not users:
         v.append("at least one user is required")
     for i, usr in enumerate(users):
-        if not (0 < usr.arrival_rate < math.inf):
+        # config_io derives a rate from frame_duration, checked above
+        if frame_ok and not (0 < usr.arrival_rate < math.inf):
             v.append(f"user {i}: arrival_rate must be positive and finite")
         if not (0 < usr.gain < 1):
             v.append(f"user {i}: large-scale gain must be in (0, 1)")
@@ -180,14 +183,6 @@ def validate_config(cfg: SystemConfig, users: list[UserProfile],
         eps_h = third
     elif not (0 < eps_h < 1):
         v.append("eps_h must be in (0, 1)")
-
-    dq = 0
-    if cfg.frame_duration > 0:
-        slots = (cfg.e2e_delay - 2 * cfg.frame_duration) / cfg.frame_duration
-        if math.isfinite(slots):
-            dq = math.floor(slots + 1e-9)
-        if dq < 1:
-            v.append("queueing delay budget is below one frame")
 
     if v:
         raise ConfigError(v)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from urllc_ee import SystemConfig, UserProfile, YFunction
+from urllc_ee import SystemConfig, UserProfile, YFunction, path_loss_gain
 from urllc_ee.rate import LN2, inv_gaussian_q
 
 # Reference cell parameters used throughout: 0.1 ms frames, 0.05 ms DL
@@ -10,6 +10,8 @@ from urllc_ee.rate import LN2, inv_gaussian_q
 # 50 mW circuit power per antenna and fixed, PA efficiency 0.5, 160-bit
 # packets, 3e-7 overall loss budget.
 DEFAULT_CFG = SystemConfig()
+# A user of 20 nodes at 10 packets/s each: 0.02 packets/frame.
+LAM = DEFAULT_CFG.packets_per_frame(20 * 10.0)
 
 
 @pytest.fixture
@@ -19,8 +21,8 @@ def cfg() -> SystemConfig:
 
 @pytest.fixture
 def single_user(cfg) -> UserProfile:
-    # 20 nodes at 10 packets/s each -> 0.02 packets/frame, 250 m cell edge
-    return UserProfile.from_nodes(250.0, 20, 10.0, cfg)
+    # LAM at the 250 m cell edge
+    return UserProfile(LAM, path_loss_gain(250.0))
 
 
 def unit_rate_yfunction(eps_c: float, cfg: SystemConfig = DEFAULT_CFG,

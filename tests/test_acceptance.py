@@ -17,14 +17,14 @@ from scipy.integrate import quad
 
 from urllc_ee import (DEFAULT_CONFIG_TEXT, SimPolicy, UserProfile,
                       allocate_bandwidth, build_y_functions, drop_bound_F,
-                      find_bandwidth_minimizer, run_simulation,
-                      solve_allocation, validate_config)
+                      find_bandwidth_minimizer, path_loss_gain,
+                      run_simulation, solve_allocation, validate_config)
 from urllc_ee.allocator import CASE_LIMITED
 from urllc_ee.cli import main as cli_main
 from urllc_ee.experiments import (antenna_sweep_rows, drop_table_rows,
                                   place_users, user_sweep_rows)
 
-from conftest import DEFAULT_CFG, WTH_REFERENCE_MHZ, unit_rate_yfunction
+from conftest import DEFAULT_CFG, LAM, WTH_REFERENCE_MHZ, unit_rate_yfunction
 from oracles import (drop_prob_B, gain_cdf, gain_pdf, sign_structure_witness,
                      y_derivatives, y_value)
 
@@ -162,8 +162,7 @@ def test_criterion_06_bandwidth_split_against_grid_oracle():
     with Timer() as t:
         step = 1e3
         # two users, heterogeneous gains, budget forcing the limited case
-        users2 = [UserProfile.from_nodes(250.0, 20, 10.0, CFG),
-                  UserProfile.from_nodes(147.0, 20, 10.0, CFG)]
+        users2 = [UserProfile(LAM, path_loss_gain(d)) for d in (250.0, 147.0)]
         qos = validate_config(CFG, users2)
         yf2 = build_y_functions(CFG, qos, users2)
         w_max2 = 5e6
@@ -184,9 +183,8 @@ def test_criterion_06_bandwidth_split_against_grid_oracle():
         assert abs(sol2.objective - best2) / best2 <= 1e-3
 
         # three users
-        users3 = [UserProfile.from_nodes(250.0, 20, 10.0, CFG),
-                  UserProfile.from_nodes(150.0, 20, 10.0, CFG),
-                  UserProfile.from_nodes(90.0, 20, 10.0, CFG)]
+        users3 = [UserProfile(LAM, path_loss_gain(d))
+                  for d in (250.0, 150.0, 90.0)]
         yf3 = build_y_functions(CFG, validate_config(CFG, users3), users3)
         w_max3 = 6e6
         sol3 = allocate_bandwidth(yf3, w_max3)
@@ -222,7 +220,7 @@ def test_criterion_07_antenna_sweep_consistency():
         nt_values = list(range(2, 65))
         argmins, min_powers = [], []
         for k in (5, 10, 20):
-            users = place_users(k, CFG)
+            users = place_users(k, LAM)
             rows, locus = antenna_sweep_rows(CFG, users, nt_values)
             powers = [p for _nt, p, _f in rows]
             falling = True
@@ -250,7 +248,7 @@ def test_criterion_08_energy_efficiency_shape_and_dominance():
     EE rises then falls with the number of users (single peak)."""
     with Timer() as t:
         fixed_nts = [8, 16, 32, 64]
-        rows = user_sweep_rows(CFG, list(range(1, 61)), fixed_nts)
+        rows = user_sweep_rows(CFG, LAM, list(range(1, 61)), fixed_nts)
         ee = [r[1] for r in rows]
         assert all(e is not None for e in ee)
         # dominance on the first thirty user counts
@@ -273,7 +271,7 @@ def test_criterion_09_simulator_matches_closed_forms():
     """Empirical mean transmit power within 1% of the closed form and the
     deep-fade rate within 3-sigma of the gain CDF (cell-edge policy)."""
     with Timer() as t:
-        user = UserProfile.from_nodes(250.0, 20, 10.0, CFG)
+        user = UserProfile(LAM, path_loss_gain(250.0))
         alloc = solve_allocation(CFG, [user])
         policy = SimPolicy.from_allocation(alloc, CFG, [user])
         frames = 10_000_000
@@ -296,7 +294,7 @@ def test_criterion_10_dropping_probability_direction():
     stays below the target, with at least 30 drop events at 1e8 frames."""
     with Timer() as t:
         frames = 100_000_000
-        rows = drop_table_rows(CFG, [1e-4, 1e-5], frames=frames,
+        rows = drop_table_rows(CFG, LAM, [1e-4, 1e-5], frames=frames,
                                seed=20260808, streams=8, workers=2)
     for r in rows:
         print(f"  required={r['required_eps_h']:g} "
@@ -324,7 +322,7 @@ def test_criterion_11_byte_identical_reruns(tmp_path):
     """Every command repeated with identical inputs reproduces its output
     files byte for byte."""
     with Timer() as t:
-        user = UserProfile.from_nodes(250.0, 20, 10.0, CFG)
+        user = UserProfile(LAM, path_loss_gain(250.0))
         a = solve_allocation(CFG, [user]).to_json()
         b = solve_allocation(CFG, [user]).to_json()
         assert a == b

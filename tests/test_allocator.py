@@ -21,7 +21,7 @@ from urllc_ee.model import path_loss_gain
 from urllc_ee.rate import _coeffs_at_rate
 
 import oracles
-from conftest import DEFAULT_CFG, WTH_REFERENCE_MHZ, unit_rate_yfunction
+from conftest import DEFAULT_CFG, LAM, WTH_REFERENCE_MHZ, unit_rate_yfunction
 from oracles import sign_structure_witness, y_derivatives, y_value
 
 
@@ -165,8 +165,7 @@ class TestAllocateBandwidth:
     def test_case2_against_grid_search(self, cfg):
         # brute-force oracle on the K=2 simplex (coarse grid; the acceptance
         # suite runs the 1 kHz version)
-        users = [UserProfile.from_nodes(250.0, 20, 10.0, cfg),
-                 UserProfile.from_nodes(150.0, 20, 10.0, cfg)]
+        users = [UserProfile(LAM, path_loss_gain(d)) for d in (250.0, 150.0)]
         qos = validate_config(cfg, users)
         yfuncs = build_y_functions(cfg, qos, users)
         w_max = 5e6
@@ -187,7 +186,7 @@ class TestAllocateBandwidth:
         # independent continuous-optimizer oracle on a K=5 instance
         from scipy.optimize import minimize
 
-        users = [UserProfile.from_nodes(d, 20, 10.0, cfg)
+        users = [UserProfile(LAM, path_loss_gain(d))
                  for d in (245.0, 210.0, 160.0, 120.0, 65.0)]
         qos = validate_config(cfg, users)
         yfuncs = build_y_functions(cfg, qos, users)
@@ -211,7 +210,7 @@ class TestAllocateBandwidth:
         assert sol.objective <= res.fun / 1e-19 * (1 + 1e-9)
 
     def test_case2_kkt_certificate(self, cfg):
-        users = [UserProfile.from_nodes(d, 20, 10.0, cfg)
+        users = [UserProfile(LAM, path_loss_gain(d))
                  for d in (250.0, 180.0, 90.0)]
         qos = validate_config(cfg, users)
         yfuncs = build_y_functions(cfg, qos, users)
@@ -407,7 +406,7 @@ class TestSolveAllocation:
         assert a.to_json() == b.to_json()
 
     def test_budget_constraints_hold(self, cfg):
-        users = [UserProfile.from_nodes(d, 20, 10.0, cfg)
+        users = [UserProfile(LAM, path_loss_gain(d))
                  for d in (250.0, 230.0, 170.0, 110.0, 60.0)]
         alloc = solve_allocation(cfg, users)
         assert sum(alloc.bandwidths) <= cfg.total_bandwidth * (1 + 1e-9)
@@ -424,7 +423,7 @@ class TestSolveAllocation:
         assert all(b <= a * (1 + 1e-12) for a, b in zip(powers, powers[1:]))
 
     def test_antenna_argmin_consistency(self, cfg):
-        users = [UserProfile.from_nodes(d, 20, 10.0, cfg)
+        users = [UserProfile(LAM, path_loss_gain(d))
                  for d in (240.0, 150.0, 75.0)]
         alloc = solve_allocation(cfg, users)
         qos = validate_config(cfg, users)
@@ -453,6 +452,16 @@ class TestSolveAllocation:
         with pytest.raises(PowerInfeasibleError,
                            match="not reachable within 512 antennas"):
             solve_allocation(replace(cfg, max_bs_power=1e-6), [single_user])
+
+    def test_fixed_count_within_the_cap(self, cfg, single_user):
+        # the joint loop stops at the cap, so a fixed count past it would
+        # beat the joint optimum with a count no joint solve may use
+        assert solve_allocation(cfg, [single_user],
+                                n_antennas=allocator.ANTENNA_CAP).antennas \
+            == allocator.ANTENNA_CAP
+        for n in (allocator.ANTENNA_CAP + 1, 600, 1, 0, -3):
+            with pytest.raises(ConfigError, match=f"antenna count {n} "):
+                solve_allocation(cfg, [single_user], n_antennas=n)
 
     def test_qos_infeasible_reported(self, single_user):
         cfg = SystemConfig(total_bandwidth=100.0)
@@ -519,16 +528,16 @@ class TestSplitReuse:
             except (QosInfeasibleError, PowerInfeasibleError):
                 return None
 
-        rows = user_sweep_rows(cfg, self.K_VALUES, self.FIXED_NTS)
+        rows = user_sweep_rows(cfg, LAM, self.K_VALUES, self.FIXED_NTS)
         want = []
         for k in self.K_VALUES:
-            users = place_users(k, cfg)
+            users = place_users(k, LAM)
             want.append((k, ee(users), {nt: ee(users, n_antennas=nt)
                                         for nt in self.FIXED_NTS}))
         assert rows == want
         # the grid has power-infeasible fixed points (two antennas)
         assert any(fixed[2] is None for _, _, fixed in rows)
-        cases = {solve_allocation(cfg, place_users(k, cfg)).case_tag
+        cases = {solve_allocation(cfg, place_users(k, LAM)).case_tag
                  for k in self.K_VALUES}
         assert cases == {CASE_SUFFICIENT, CASE_LIMITED}
 
@@ -541,7 +550,7 @@ class TestSplitReuse:
 
         allocator._cached_prologue.cache_clear()
         monkeypatch.setattr(allocator, "allocate_bandwidth", counted)
-        user_sweep_rows(cfg, self.K_VALUES, self.FIXED_NTS)
+        user_sweep_rows(cfg, LAM, self.K_VALUES, self.FIXED_NTS)
         assert calls == self.K_VALUES
 
     def test_one_snr_target_per_user_in_the_antenna_sweep(self, cfg,
@@ -557,7 +566,7 @@ class TestSplitReuse:
         allocator._cached_prologue.cache_clear()
         monkeypatch.setattr(allocator, "_snr_target", counted)
         for k in (5, 10, 20):
-            antenna_sweep_rows(cfg, place_users(k, cfg), list(range(2, 65)))
+            antenna_sweep_rows(cfg, place_users(k, LAM), list(range(2, 65)))
         assert len(calls) == 35
 
     def test_qos_infeasible_cell_gives_no_points(self, monkeypatch):
@@ -577,7 +586,7 @@ class TestSplitReuse:
         monkeypatch.setattr(allocator, "allocate_bandwidth",
                             counted("split", allocate_bandwidth))
         cfg = SystemConfig(total_bandwidth=100.0)
-        rows = user_sweep_rows(cfg, [1, 2, 5], self.FIXED_NTS)
+        rows = user_sweep_rows(cfg, LAM, [1, 2, 5], self.FIXED_NTS)
         assert rows == [(k, None, dict.fromkeys(self.FIXED_NTS))
                         for k in (1, 2, 5)]
         assert calls == {"validate": 3, "split": 3}
@@ -588,7 +597,7 @@ class TestSplitReuse:
     ], ids=["qos-infeasible", "config-error"])
     def test_memoized_failure_raises_a_fresh_copy(self, cfg_kw, eps_h, kind):
         cfg = SystemConfig(**cfg_kw)
-        users = place_users(3, cfg)
+        users = place_users(3, LAM)
         allocator._cached_prologue.cache_clear()
         raised = []
         for _ in range(2):
@@ -603,7 +612,7 @@ class TestSplitReuse:
         assert vars(second) == vars(first)
 
     def test_warm_cache_solves_are_bit_identical(self, cfg):
-        users = place_users(9, cfg, scheme="uniform", seed=7)
+        users = place_users(9, LAM, scheme="uniform", seed=7)
         for kw in ({}, {"n_antennas": 16}, {"n_antennas": 64}):
             allocator._cached_prologue.cache_clear()
             cold = solve_allocation(cfg, users, **kw)
@@ -623,7 +632,7 @@ class TestSplitReuse:
 
     def sweep(self, cfg):
         """The benchmark's EE-vs-K sweep on placement seed 1."""
-        return user_sweep_rows(cfg, self.SWEEP_K, self.SWEEP_NTS,
+        return user_sweep_rows(cfg, LAM, self.SWEEP_K, self.SWEEP_NTS,
                                scheme="uniform", seed=1)
 
     @staticmethod
@@ -767,7 +776,7 @@ class TestSplitAgainstOracle:
             assert allocator._ladder_rung(xs, negs, f, hi, -t) == want
 
     def test_a_tenth_of_the_oracles_y_prime_calls(self, cfg, monkeypatch):
-        users = place_users(40, cfg, scheme="uniform", seed=1)
+        users = place_users(40, LAM, scheme="uniform", seed=1)
         yfuncs = build_y_functions(cfg, validate_config(cfg, users), users)
         calls = []
         plain = allocator._y_prime_clamped

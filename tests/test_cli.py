@@ -8,6 +8,7 @@ import textwrap
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -312,11 +313,12 @@ class TestSweepAntennas:
         from urllc_ee import solve_allocation
         from urllc_ee.config_io import load_config
         from urllc_ee.experiments import place_users
-        cfg, _ = load_config(config_file)
+        cfg, users = load_config(config_file)
         lines = [l for l in Path(out).read_text().splitlines()
                  if not l.startswith("#")]
         for k in (1, 5):
-            alloc = solve_allocation(cfg, place_users(k, cfg))
+            alloc = solve_allocation(
+                cfg, place_users(k, users[0].arrival_rate))
             locus = [l.split(",") for l in lines[1:]
                      if l.split(",")[4] == "1" and l.split(",")[0] == str(k)][0]
             assert int(locus[1]) == alloc.antennas
@@ -368,8 +370,12 @@ class TestExperimentSpec:
                     {"kind": "table_drop", "distance": float("inf")},
                     {"kind": "sweep_users", "k_values": (3,),
                      "fixed_nts": (8, 1)},
+                    {"kind": "sweep_users", "k_values": (3,),
+                     "fixed_nts": (8, 513)},
                     {"kind": "sweep_antennas", "k_values": (3,),
-                     "nt_values": (1, 2, 3)}):
+                     "nt_values": (1, 2, 3)},
+                    {"kind": "sweep_antennas", "k_values": (3,),
+                     "nt_values": (511, 512, 513)}):
             with pytest.raises(ConfigError):
                 ExperimentSpec(config_path=config_file, eps_list=(1e-5,),
                                **bad).validate()
@@ -384,12 +390,8 @@ class TestExperimentSpec:
         (["sweep-users", "--k-max", "2", "--fixed-nt", "1"], None),
         (["sweep-antennas", "--k-values", "2", "--nt-min", "1"], None),
         (["simulate", "--trace", "trace.csv"], None),
-        # the sweeps and the dropping table place their own users, so a
-        # config whose traffic they would ignore is refused
-        (["sweep-users", "--k-max", "2", "--fixed-nt", "8"],
-         ("node_packet_rate_hz = 10", "node_packet_rate_hz = 100")),
-        (["sweep-antennas", "--k-values", "2"],
-         ("nodes_per_user = 20", "nodes_per_user = 5")),
+        # the sweeps and the dropping table place users that share one
+        # arrival rate, so a config whose users' rates differ is refused
         (["table-drop", "--eps", "1e-2", "--frames", "1000"],
          ("user_distances_m = 250",
           "user_distances_m = 250, 100\nuser_arrival_rates_pps = 200, 400")),
@@ -419,10 +421,13 @@ class TestExperimentSpec:
         (["sweep-users", "--k-max", "2", "--fixed-nt", "8,8"], None),
         (["sweep-antennas", "--k-values", "3,3"], None),
         (["table-drop", "--eps", "1e-4,1e-4", "--frames", "1000"], None),
+        # a joint solve stops at the antenna cap, so no fixed or swept
+        # count may pass it
+        (["sweep-users", "--k-max", "2", "--fixed-nt", "600"], None),
+        (["sweep-antennas", "--k-values", "2", "--nt-max", "513"], None),
     ], ids=["rate-zero", "rate-nan", "streams-zero", "workers-zero",
             "distance-negative", "noise-nan", "fixed-nt-one", "nt-min-one",
-            "trace-multi-stream", "sweep-users-node-rate",
-            "sweep-antennas-node-count", "table-drop-user-rates",
+            "trace-multi-stream", "table-drop-user-rates",
             "table-drop-eps-list", "table-wth-eps-list",
             "sweep-users-fixed-nt-list", "sweep-antennas-k-list",
             "simulate-seed-negative", "table-drop-seed-negative",
@@ -431,7 +436,8 @@ class TestExperimentSpec:
             "table-wth-packet-bits-zero", "table-wth-w-th-overflow",
             "table-drop-distance-overflow", "backhaul-six-frames",
             "sweep-users-fixed-nt-repeated", "sweep-antennas-k-repeated",
-            "table-drop-eps-repeated"])
+            "table-drop-eps-repeated", "fixed-nt-past-cap",
+            "nt-max-past-cap"])
     def test_bad_inputs_exit_3(self, runner, tmp_path, args, edit):
         # ``edit`` is a (line, replacement) pair for the default config
         path = tmp_path / "cell.cfg"
@@ -445,6 +451,46 @@ class TestExperimentSpec:
         assert res.exit_code == 3, res.output
         assert "config error" in res.output
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("args,edit,rate_hz", [
+        (["sweep-users", "--k-max", "2", "--fixed-nt", "8"],
+         ("node_packet_rate_hz = 10", "node_packet_rate_hz = 100"), 2000.0),
+        (["sweep-antennas", "--k-values", "2"],
+         ("nodes_per_user = 20", "nodes_per_user = 5"), 50.0),
+        (["table-drop", "--eps", "1e-2", "--frames", "20000", "--streams",
+          "1"],
+         ("node_packet_rate_hz = 10", "node_packet_rate_hz = 100"), 2000.0),
+    ], ids=["sweep-users-node-rate", "sweep-antennas-node-count",
+            "table-drop-node-rate"])
+    def test_placed_users_take_the_config_traffic(self, runner, tmp_path,
+                                                  args, edit, rate_hz):
+        # the users these commands place carry the config users' rate
+        path = tmp_path / "cell.cfg"
+        path.write_text(DEFAULT_CONFIG_TEXT.replace(*edit))
+        out = tmp_path / "t.csv"
+        res = runner.invoke(main, args + ["--config", os.fspath(path),
+                                          "--out", os.fspath(out)])
+        assert res.exit_code == 0, res.output
+        cfg = model.SystemConfig()  # the edit leaves the cell as it is
+        lam = cfg.packets_per_frame(rate_hz)
+        if args[0] == "sweep-users":
+            want = [(k, ee, fixed[8]) for k, ee, fixed in
+                    experiments.user_sweep_rows(cfg, lam, [1, 2], [8])]
+        elif args[0] == "sweep-antennas":
+            rows, locus = experiments.antenna_sweep_rows(
+                cfg, experiments.place_users(2, lam), list(range(2, 65)))
+            want = [(2, *row, 0) for row in rows] + [(2, *locus, True, 1)]
+        else:
+            want = [(r["required_eps_h"], r["achieved_eps_h"],
+                     r["drop_events"], r["deep_fades"], r["antennas"],
+                     r["resolvable"])
+                    for r in experiments.drop_table_rows(
+                        cfg, lam, [1e-2], frames=20000, seed=1, streams=1)]
+        got = [line.split(",") for line in out.read_text().splitlines()
+               if not line.startswith("#")][1:]
+        # float() reads each repr back exactly; None, infeasible, is NaN
+        np.testing.assert_array_equal(np.array(got, dtype=float),
+                                      np.array(want, dtype=float))
 
     def test_cli_import_leaves_out_quadrature(self):
         # scipy serves only the tests' oracles, and importing it would make
@@ -462,16 +508,17 @@ class TestExperimentSpec:
     def test_placement_schemes_differ(self, config_file):
         from urllc_ee import path_loss_gain, place_users
         from urllc_ee.config_io import load_config
-        cfg, _ = load_config(config_file)
-        grid = [u.gain for u in place_users(4, cfg, scheme="grid")]
-        unif = [u.gain for u in place_users(4, cfg, scheme="uniform",
+        _, users = load_config(config_file)
+        lam = users[0].arrival_rate
+        grid = [u.gain for u in place_users(4, lam, scheme="grid")]
+        unif = [u.gain for u in place_users(4, lam, scheme="uniform",
                                             seed=1234)]
         assert grid == [path_loss_gain(d) for d in (75.0, 125.0, 175.0, 225.0)]
         assert grid != unif
         assert all(path_loss_gain(250.0) <= g <= path_loss_gain(50.0)
                    for g in unif)
         # uniform placement is prefix-stable as K grows
-        unif6 = [u.gain for u in place_users(6, cfg, scheme="uniform",
+        unif6 = [u.gain for u in place_users(6, lam, scheme="uniform",
                                              seed=1234)]
         assert unif6[:4] == unif
 

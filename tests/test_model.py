@@ -7,6 +7,7 @@ import pytest
 from urllc_ee import (DEFAULT_CONFIG_TEXT, ConfigError, SystemConfig,
                       UserProfile, config_io, path_loss_gain,
                       parse_config_text, validate_config)
+from urllc_ee.experiments import config_digest
 from urllc_ee.model import dbm_to_watts
 
 
@@ -56,6 +57,12 @@ class TestValidateConfig:
         # 1 ms end to end minus one UL and one DL frame leaves 0.8 ms
         qos = validate_config(cfg, [single_user])
         assert qos.queue_delay_frames == 8
+
+    def test_three_frames_leave_one_queueing_frame(self, single_user):
+        # (3e-4 - 2e-4) / 1e-4 rounds to just below 1, and 2e-4 + 1e-4 to
+        # just above 3e-4; neither may refuse the one frame left
+        qos = validate_config(SystemConfig(e2e_delay=3e-4), [single_user])
+        assert qos.queue_delay_frames == 1
 
     def test_equal_split(self, cfg, single_user):
         qos = validate_config(cfg, [single_user])
@@ -111,6 +118,22 @@ class TestValidateConfig:
                                 [single_user])
             assert err.value.violations[0].startswith("backhaul_delay")
 
+    @pytest.mark.parametrize("line", [
+        "frame_duration = nan", "frame_duration = 0", "e2e_delay = 2.5e-4",
+        "backhaul_delay = nan"])
+    def test_one_fault_one_violation(self, line):
+        # the checks that compare with a bad value, or with the users'
+        # packets/frame that a bad frame_duration gives, stay silent
+        key = line.split(" = ")[0]
+        default = next(l for l in DEFAULT_CONFIG_TEXT.splitlines()
+                       if l.startswith(key + " = "))
+        cfg, users = parse_config_text(
+            DEFAULT_CONFIG_TEXT.replace(default, line))
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg, users)
+        assert len(err.value.violations) == 1, err.value.violations
+        assert err.value.violations[0].startswith(key)
+
     def test_bad_user_rejected(self, cfg):
         with pytest.raises(ConfigError):
             validate_config(cfg, [UserProfile(arrival_rate=-1.0,
@@ -119,12 +142,9 @@ class TestValidateConfig:
 
 class TestUserProfile:
     def test_gain_from_distance(self, cfg):
-        u = UserProfile.from_nodes(250.0, 20, 10.0, cfg)
+        u = UserProfile(cfg.packets_per_frame(20 * 10.0),
+                        path_loss_gain(250.0))
         assert u.gain == path_loss_gain(250.0)
-
-    def test_from_nodes_aggregates(self, cfg):
-        u = UserProfile.from_nodes(250.0, 20, 10.0, cfg)
-        assert u.arrival_rate == pytest.approx(0.02, rel=1e-12)
 
 
 class TestConfigFile:
@@ -136,6 +156,15 @@ class TestConfigFile:
         assert cfg.max_bs_power == pytest.approx(10.0, rel=1e-12)
         assert len(users) == 1
         assert users[0].arrival_rate == pytest.approx(0.02, rel=1e-12)
+
+    def test_default_cell_and_its_digest(self):
+        # the cell every default-config output is computed on, and the
+        # digest in the header of each of their CSV files
+        cfg, users = parse_config_text(DEFAULT_CONFIG_TEXT)
+        assert cfg == SystemConfig()
+        assert users == [UserProfile(cfg.packets_per_frame(200.0),
+                                     path_loss_gain(250.0))]
+        assert config_digest(SystemConfig()) == "ecc535189ba0a525"
 
     def test_multiple_users(self):
         text = ("user_distances_m = 250, 120, 60\n"

@@ -17,13 +17,14 @@ from hypothesis import strategies as st
 
 from urllc_ee import (PowerInfeasibleError, QosInfeasibleError, SystemConfig,
                       UserProfile, effective_bandwidth,
-                      find_bandwidth_minimizer, solve_allocation,
-                      validate_config)
+                      find_bandwidth_minimizer, path_loss_gain,
+                      solve_allocation, validate_config)
 from urllc_ee.allocator import CASE_LIMITED, CASE_SUFFICIENT, build_y_functions
 from urllc_ee.cli import main
 from urllc_ee.config_io import (_LIST_KEYS, _SCALAR_KEYS,
                                 DEFAULT_CONFIG_TEXT)
 
+from conftest import LAM
 from oracles import achievable_rate_max_dispersion, required_snr
 
 
@@ -36,8 +37,10 @@ def sample_scenario(rng):
         e2e_delay=float(rng.uniform(0.5e-3, 2e-3)),
     )
     k = int(rng.integers(1, 9))
-    users = [UserProfile.from_nodes(float(rng.uniform(50, 250)),
-                                    int(rng.integers(5, 40)), 10.0, cfg)
+    # the gain first, so that the draws keep their order
+    users = [UserProfile(gain=path_loss_gain(float(rng.uniform(50, 250))),
+                         arrival_rate=cfg.packets_per_frame(
+                             int(rng.integers(5, 40)) * 10.0))
              for _ in range(k)]
     return cfg, users
 
@@ -106,8 +109,7 @@ def test_randomized_scenarios_hold_contracts():
 def test_deterministic_across_user_order():
     # permuting users permutes the allocation entries but nothing else
     cfg = SystemConfig()
-    users = [UserProfile.from_nodes(d, 20, 10.0, cfg)
-             for d in (240.0, 110.0, 70.0)]
+    users = [UserProfile(LAM, path_loss_gain(d)) for d in (240.0, 110.0, 70.0)]
     fwd = solve_allocation(cfg, users)
     rev = solve_allocation(cfg, users[::-1])
     assert fwd.antennas == rev.antennas

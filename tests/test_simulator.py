@@ -20,7 +20,7 @@ from urllc_ee import simulator
 from urllc_ee.config_io import DEFAULT_CONFIG_TEXT, parse_config_text
 from urllc_ee.simulator import UserPolicy, _run_streams, _step, _walk
 
-from conftest import DEFAULT_CFG
+from conftest import DEFAULT_CFG, LAM
 from oracles import QueueState, _advance, drop_prob_B, gain_cdf
 
 
@@ -615,9 +615,8 @@ class TestRunSimulation:
         assert rep.empirical_delay_violation <= 1e-2
 
     def test_multi_user_aggregation(self, cfg):
-        from urllc_ee import UserProfile
-        users = [UserProfile.from_nodes(d, 20, 10.0, cfg)
-                 for d in (250.0, 120.0)]
+        from urllc_ee import UserProfile, path_loss_gain
+        users = [UserProfile(LAM, path_loss_gain(d)) for d in (250.0, 120.0)]
         alloc = solve_allocation(cfg, users, eps_h=1e-2)
         policy = SimPolicy.from_allocation(alloc, cfg, users)
         rep = run_simulation(policy, cfg, users, frames=200_000, seed=3,
