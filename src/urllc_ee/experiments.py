@@ -257,6 +257,9 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         # the protocol places its own users, at the rate the config's share
         lam = users[0].arrival_rate
         if any(usr.arrival_rate != lam for usr in users):
+            # NaN differs even from itself, so a fault of the config that
+            # makes its rates differ is named before the difference
+            validate_config(cfg, users)
             raise ConfigError(f"{spec.kind} places users that share one "
                               "arrival rate; the config's users' rates "
                               "differ")

@@ -25,18 +25,17 @@ backlog and deep-fade frames in order; a deep fade (about one frame in a
 million) runs ``_step``, the one-frame recursion with its drop, and every
 other frame the nominal-rate service written inline.  ``simulate --trace``
 filters the chunks on their way to the walk, writing each row from
-``_step``.  Pending packets are kept as one entry per arrival frame, since
-packets of one frame share their queueing delay; the walk looks at an
-entry once, on its deadline frame, and most busy spells end before it.  A
-cumulative-sum (Lindley) form of the queue would round in a different
-order and so cannot reproduce these bytes.
+``_step``.  Packets of one arrival frame share their queueing delay, so the
+walk looks at the frame once, on its deadline, through a lag index into
+the window's arrival lists, which carry the frames not yet due into the
+next window.  A cumulative-sum (Lindley) form of the queue would round in
+a different order and so cannot reproduce these bytes.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import islice
@@ -168,37 +167,39 @@ def _walk(chunks, up: UserPolicy, dq: int, cfg: SystemConfig) -> dict:
     packet departs once the cumulative outflow, dropped work included,
     covers the work queued ahead of it, or when the queue empties.  The
     outflow never decreases within a busy spell, so a packet of arrival
-    frame t is late exactly when it has not departed by frame t + dq; a
-    pending entry means a backlog, so the walk visits that frame.  A late
-    packet counts once it departs: the late packets still queued at the
-    end of the pair are left out of ``delay_violations``.
+    frame t is late exactly when it has not departed by frame t + dq; the
+    queue is backlogged until then, so the walk visits that frame.  ``arr``
+    holds the spell's frames not yet due from earlier windows, then the
+    window's arrival frames, all counted in the pair; the lag index ``li``
+    marks its first one not yet due, ``lag_in`` packets into the spell.  A
+    late packet counts once it departs, so not while queued at the end.
     """
     eb = up.service_rate_nominal
-    # (deadline, start, end) per arrival frame of the busy spell before its
-    # deadline: packets start .. end - 1, numbered since the queue emptied
-    pend = deque()
     q = served_sum = served_c = dropped = dropped_c = outflow = 0.0
     power_sum = power_c = 0.0
-    arrivals = drop_events = deep_fades = busy = inflow = violations = 0
+    arrivals = drop_events = deep_fades = busy = violations = lag_in = 0
+    arr, counts = [], []  # the spell's arrival frames not yet due
     base = 0  # the pair's frame of the chunk's first frame
     for a, fades, gains, power_chunk in chunks:
         power_sum, power_c = _kahan(power_sum, power_c, power_chunk)
+        arrivals += int(a.sum())
         n = len(a)
-        fades = [*fades, n]  # sentinel: the next deep fade is past the chunk
-        # chunk frame of the head's deadline (the next arrival sets it if none)
-        due = pend[0][0] - base if pend else -1
-        fi = 0
-        next_fade = fades[0]
+        fades = [base + t for t in (*fades, n)]  # sentinel: past the chunk
+        fi, next_fade = 0, fades[0]
         for w in range(0, n, _WINDOW):
-            stop = min(w + _WINDOW, n)
-            arr_frames = np.flatnonzero(a[w:stop])
-            arr_frames += w
-            counts = a[arr_frames].tolist()
-            arr_frames = arr_frames.tolist()
-            arr_frames.append(n)  # sentinel: no later arrival in the chunk
-            ai = 0
-            next_arr = arr_frames[0]
-            f = w - 1
+            window = a[w:w + _WINDOW]
+            li, ai = 0, len(arr)
+            # each list made once, with the spell's frames not yet due in front
+            new = np.flatnonzero(window)
+            new_counts = window[new].tolist()
+            new = np.add(new, base + w, out=new).tolist()
+            new_counts[:0], counts = counts, new_counts
+            new[:0], arr = arr, new
+            arr.append(base + n)  # sentinel: no later arrival in the chunk
+            next_arr = arr[ai]
+            due = arr[0] + dq  # the deadline of arrival frame li
+            f = base + w - 1
+            stop = f + 1 + len(window)
             while True:
                 if q > 0.0:
                     f += 1
@@ -212,7 +213,7 @@ def _walk(chunks, up: UserPolicy, dq: int, cfg: SystemConfig) -> dict:
                 if f == next_arr:
                     k = counts[ai]
                     ai += 1
-                    next_arr = arr_frames[ai]
+                    next_arr = arr[ai]
                 else:
                     k = 0
 
@@ -240,35 +241,34 @@ def _walk(chunks, up: UserPolicy, dq: int, cfg: SystemConfig) -> dict:
                         served_sum = t
                     q = avail - served
                     outflow += served
-                if k:
-                    arrivals += k
-                    if not pend:
-                        due = f + dq
-                    pend.append((base + f + dq, inflow, inflow + k))
-                    inflow += k
                 if q == 0.0:
-                    # every pending packet departs; reset the flow baselines
-                    # so the float counters never accumulate drift
-                    pend.clear()
-                    inflow = 0
+                    # every packet of the spell departs; reset the flow
+                    # baselines so the float counters never accumulate drift
+                    li = ai
+                    lag_in = 0
                     outflow = 0.0
+                    due = next_arr + dq
                     continue
                 if f == due:
-                    _, start, end = pend.popleft()
-                    c = _covered(outflow, end)
-                    violations += end - (start if start > c else c)
-                    due = pend[0][0] - base if pend else -1
+                    upto = lag_in + counts[li]
+                    c = _covered(outflow, upto)
+                    violations += upto - (lag_in if lag_in > c else c)
+                    lag_in = upto
+                    li += 1
+                    due = arr[li] + dq
+            arr, counts = arr[li:ai], counts[li:ai]
         base += n
         # the chunk goes before the next one is taken: with the one drawn
         # ahead, at most two are live
-        del a, counts, arr_frames
+        del a, window
 
-    late = pend[0][1] if pend else inflow  # packets past their deadline
+    inflow = lag_in + sum(counts)  # lag_in packets are past their deadline
     return {"arrivals": arrivals, "served": served_sum, "dropped": dropped,
             "drop_events": drop_events, "deep_fades": deep_fades,
             "busy_frames": busy,
             "departed": arrivals - inflow + _covered(outflow, inflow),
-            "delay_violations": violations - late + _covered(outflow, late),
+            "delay_violations": violations - lag_in
+            + _covered(outflow, lag_in),
             "final_queue": q, "power_sum": power_sum}
 
 

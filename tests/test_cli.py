@@ -452,6 +452,27 @@ class TestExperimentSpec:
         assert "config error" in res.output
         assert not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["sweep-users", "--k-max", "2", "--fixed-nt", "8"],
+        ["sweep-antennas", "--k-values", "2"],
+        ["table-drop", "--eps", "1e-2", "--frames", "1000"],
+    ], ids=["sweep-users", "sweep-antennas", "table-drop"])
+    def test_nan_traffic_names_the_config_fault(self, runner, tmp_path,
+                                                args):
+        # a NaN frame makes every user's rate NaN, and NaN differs from
+        # itself; the fault named is the frame's, as ``solve`` names it,
+        # not a difference between the users' rates
+        path = tmp_path / "cell.cfg"
+        path.write_text(DEFAULT_CONFIG_TEXT.replace(
+            "frame_duration = 1e-4", "frame_duration = nan").replace(
+            "user_distances_m = 250", "user_distances_m = 250, 100"))
+        res = runner.invoke(main, [*args, "--config", os.fspath(path),
+                                   "--out", os.fspath(tmp_path / "t.csv")])
+        assert res.exit_code == 3, res.output
+        assert "frame_duration must be positive and finite" in res.stderr
+        assert "rates differ" not in res.stderr
+        assert not (tmp_path / "t.csv").exists()
+
     @pytest.mark.parametrize("args,edit,rate_hz", [
         (["sweep-users", "--k-max", "2", "--fixed-nt", "8"],
          ("node_packet_rate_hz = 10", "node_packet_rate_hz = 100"), 2000.0),

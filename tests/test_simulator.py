@@ -268,9 +268,12 @@ class TestFastPathEquivalence:
                                             data):
         # violations counted at each arrival frame's deadline must leave
         # every tally as the frame-by-frame oracle does, over chunks of
-        # random lengths: spells that straddle chunks, deadlines at a
-        # chunk's first frame and queues that empty exactly on a deadline
-        # all occur
+        # random lengths and windows down to one frame: spells that
+        # straddle chunks and windows, deadlines at a chunk's or a
+        # window's first frame and queues that empty exactly on a deadline
+        # all occur.  The window is set here, not by monkeypatch, whose
+        # fixture would outlive the examples
+        window = data.draw(st.sampled_from([1, 2, dq + 1, 1 << 16]))
         up = UserPolicy(bandwidth=3e6, gain_threshold=g_th,
                         power_cap=1e-18, service_rate_nominal=eb,
                         alpha=3e-13, arrival_rate=load * eb, eps_c=1e-7,
@@ -283,7 +286,12 @@ class TestFastPathEquivalence:
         while cuts[-1] < frames:
             cuts.append(cuts[-1] + data.draw(st.integers(50, 700)))
         slow = frame_by_frame(QueueState(), g, a, up, dq, 0, DEFAULT_CFG)
-        assert walk(g, a, up, dq, DEFAULT_CFG, cuts[:-1]) == tallies(slow)
+        default, simulator._WINDOW = simulator._WINDOW, window
+        try:
+            fast = walk(g, a, up, dq, DEFAULT_CFG, cuts[:-1])
+        finally:
+            simulator._WINDOW = default
+        assert fast == tallies(slow)
 
     def test_departures_settle_only_where_a_packet_can_be_late(
             self, cfg, monkeypatch):
@@ -316,11 +324,16 @@ class TestFastPathEquivalence:
         assert fast == tallies(slow)
         assert 0 < calls <= visited / 5
 
+    @pytest.mark.parametrize("window", [1, 2, 3, simulator._WINDOW],
+                             ids=["1", "2", "dq", "default"])
     def test_late_packets_still_queued_at_a_chunk_end(self, cfg,
-                                                      monkeypatch):
+                                                      monkeypatch, window):
         # a load above the service rate keeps one busy spell over many
         # small chunks, so packets past their deadline are still queued at
-        # each chunk end; they count as late only once they depart
+        # each chunk end; they count as late only once they depart.
+        # Windows of at most dq frames end with every frame of the window
+        # not yet due, so a spell's arrival frames cross several windows
+        # before their deadline
         chunk, frames, seed, stream = 512, 6000, 43, 0
         up = UserPolicy(bandwidth=3e6, gain_threshold=0.35,
                         power_cap=1e-18, service_rate_nominal=2.05,
@@ -341,10 +354,12 @@ class TestFastPathEquivalence:
         assert late_waiting >= 5
 
         monkeypatch.setattr(simulator, "_CHUNK", chunk)
+        monkeypatch.setattr(simulator, "_WINDOW", window)
         ((fast,),) = _run_streams(policy, cfg, [(stream, frames)], seed)
         assert slow.delay_violations > 0
-        assert (fast["delay_violations"], fast["departed"]) == (
-            slow.delay_violations, slow.departed)
+        assert (fast["delay_violations"], fast["departed"],
+                fast["busy_frames"]) == (slow.delay_violations, slow.departed,
+                                         slow.busy_frames)
 
 
 def _digest(report):
