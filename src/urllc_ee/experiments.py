@@ -11,9 +11,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import __version__
 from .allocator import (ANTENNA_CAP, _prologue, find_bandwidth_minimizer,
@@ -57,10 +56,68 @@ def place_users(k: int, lam: float, scheme: str = "grid",
     return [UserProfile(lam, path_loss_gain(d)) for d in dists]
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _words(n: int) -> list[int]:
+    """``n``'s little-endian uint32 words (0 gives ``[0]``), as numpy's
+    SeedSequence splits an int; a float is a TypeError, a negative int a
+    ValueError."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _M32]
+    while n := n >> 32:
+        words.append(n & _M32)
+    return words
+
+
+def _hasher(hc: int, mult: int):
+    """SeedSequence's hash of a uint32, whose constant ``hc`` moves on by
+    ``mult`` at every call."""
+    def hashmix(v: int) -> int:
+        nonlocal hc
+        v ^= hc
+        hc = hc * mult & _M32
+        v = v * hc & _M32
+        return v ^ v >> 16
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    """SeedSequence's mix of a pool word ``x`` with a hashed word ``y``."""
+    r = (0xca01f9dd * x - 0x4973f715 * y) & _M32
+    return r ^ r >> 16
+
+
 @functools.lru_cache(maxsize=1024, typed=True)
 def _uniform_draw(seed: int, i: int) -> float:
-    return float(np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(i,))).random())
+    """``np.random.default_rng(np.random.SeedSequence(entropy=seed,
+    spawn_key=(i,))).random()`` in integer arithmetic, without numpy: the
+    SeedSequence pool of four words, PCG64 seeded from its state, and one
+    XSL-RR output turned into a 53-bit double."""
+    entropy = _words(seed)
+    # a spawn key pads the entropy to the pool's four words
+    entropy += [0] * (4 - len(entropy)) + _words(i)
+    hashmix = _hasher(0x43b0d7e5, 0x931e8875)
+    pool = [hashmix(v) for v in entropy[:4]]
+    for s in range(4):
+        for d in range(4):
+            if s != d:
+                pool[d] = _mix(pool[d], hashmix(pool[s]))
+    for v in entropy[4:]:
+        pool = [_mix(p, hashmix(v)) for p in pool]
+    hashmix = _hasher(0x8b51f9dd, 0x58f38ded)
+    w = [hashmix(p) for p in pool * 2]
+    init = (w[0] | w[1] << 32) << 64 | w[2] | w[3] << 32
+    inc = ((w[4] | w[5] << 32) << 65 | (w[6] | w[7] << 32) << 1 | 1) & _M128
+    # srandom steps from 0 (to inc), adds init and steps; random() steps
+    state = inc + init
+    for _ in range(2):
+        state = (state * 0x2360ED051FC65DA44385DF649FCCF645 + inc) & _M128
+    x, rot = (state >> 64 ^ state) & _M64, state >> 122
+    x = (x >> rot | x << 64 - rot) & _M64
+    return (x >> 11) * 2.0 ** -53
 
 
 def table_wth_rows(cfg: SystemConfig, eps_list: list[float],

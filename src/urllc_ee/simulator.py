@@ -30,6 +30,10 @@ walk looks at the frame once, on its deadline, through a lag index into
 the window's arrival lists, which carry the frames not yet due into the
 next window.  A cumulative-sum (Lindley) form of the queue would round in
 a different order and so cannot reproduce these bytes.
+
+numpy is imported by the functions that run on it, so a process that only
+solves never loads it; a run with worker processes imports it before the
+pool forks, and the workers inherit it.
 """
 
 from __future__ import annotations
@@ -39,8 +43,6 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import islice
-
-import numpy as np
 
 from .model import Allocation, QosBudget, SystemConfig, UserProfile
 from .rate import achievable_rate
@@ -174,6 +176,7 @@ def _walk(chunks, up: UserPolicy, dq: int, cfg: SystemConfig) -> dict:
     marks its first one not yet due, ``lag_in`` packets into the spell.  A
     late packet counts once it departs, so not while queued at the end.
     """
+    import numpy as np
     eb = up.service_rate_nominal
     q = served_sum = served_c = dropped = dropped_c = outflow = 0.0
     power_sum = power_c = 0.0
@@ -281,6 +284,7 @@ def _draw(rng: np.random.Generator, antennas: int, up: UserPolicy, n: int,
     the values ``np.where(deep, cap, coeff / g)`` gives, in a contiguous
     array of the same length, so their pairwise sum is the same too.
     """
+    import numpy as np
     g = rng.standard_gamma(antennas, size=n)
     deep = g < up.gain_threshold
     fades = np.flatnonzero(deep)
@@ -338,6 +342,7 @@ def _run_streams(policy: SimPolicy, cfg: SystemConfig, jobs: list,
     ``trace``, a ``csv.writer``, gets one row per frame as the chunks reach
     the walk.
     """
+    import numpy as np
     traced = trace is not None
 
     def calls():
@@ -428,6 +433,7 @@ def run_simulation(policy: SimPolicy, cfg: SystemConfig,
             results = _run_streams(policy, cfg, jobs, seed, trace)
     elif workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # off start-up
+        import numpy  # loaded before the fork, so no worker imports it
         # a forked pool starts every worker at its first submit
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             futures = [pool.submit(_run_streams, policy, cfg, [job], seed)

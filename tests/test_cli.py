@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urllc_ee import (DEFAULT_CONFIG_TEXT, allocator, cli, config_io,
                       experiments, fading, model, rate, simulator,
@@ -544,6 +546,37 @@ class TestExperimentSpec:
         assert unif6[:4] == unif
 
 
+def numpy_draw(seed: int, i: int) -> float:
+    return float(np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(i,))).random())
+
+
+class TestUniformDraw:
+    """The placement draw is numpy's SeedSequence/PCG64 draw, computed
+    without numpy."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 1234, 2**32 - 1, 2**32, 2**64])
+    @pytest.mark.parametrize("i", [0, 1023, 2**32 + 1])
+    def test_fixed_cases_equal_numpy(self, seed, i):
+        assert experiments._uniform_draw.__wrapped__(seed, i) == numpy_draw(
+            seed, i)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**200), i=st.integers(0, 2**64))
+    def test_equals_numpy(self, seed, i):
+        assert experiments._uniform_draw.__wrapped__(seed, i) == numpy_draw(
+            seed, i)
+
+    def test_negative_seed_raises(self):
+        # numpy's message; an unchecked word split of -1 would never end
+        with pytest.raises(ValueError, match="non-negative"):
+            experiments.place_users(3, 1.0, "uniform", seed=-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            experiments._uniform_draw.__wrapped__(1, -1)
+        with pytest.raises(TypeError):
+            experiments._uniform_draw.__wrapped__(1.0, 0)
+
+
 # The six commands on small inputs.
 SMALL_COMMANDS = [
     ["solve"],
@@ -591,6 +624,54 @@ def test_one_process_runs_leave_out_multiprocessing(config_file, tmp_path):
     """)
     out = run_fresh(code, config_file, os.fspath(tmp_path / "out"))
     assert out.split() == ["False", "False"]
+
+
+def test_solver_commands_leave_out_numpy(config_file, tmp_path):
+    # numpy is imported by the simulator's first run: a command that only
+    # solves never loads it
+    code = textwrap.dedent("""\
+        import json, sys
+        from click.testing import CliRunner
+        from urllc_ee.cli import main
+        config, out = sys.argv[1:3]
+        print("numpy" in sys.modules)
+        for args in json.loads(sys.argv[3]):
+            res = CliRunner().invoke(main, args + ["--config", config,
+                                                   "--out", out])
+            assert res.exit_code == 0, (args, res.output)
+            print("numpy" in sys.modules)
+    """)
+    commands = [["solve"], ["table-wth"], ["sweep-antennas", "--k-values", "2"],
+                ["sweep-users", "--k-max", "2", "--placement", "uniform"],
+                ["simulate", "--frames", "2000"]]
+    out = run_fresh(code, config_file, os.fspath(tmp_path / "out"),
+                    json.dumps(commands))
+    assert out.split() == ["False"] * 5 + ["True"]
+
+
+def test_process_pool_inherits_numpy(config_file, tmp_path):
+    # a forked worker that found numpy unloaded would import it itself
+    code = textwrap.dedent("""\
+        import concurrent.futures, sys
+        from click.testing import CliRunner
+        from urllc_ee.cli import main
+        config, out = sys.argv[1:3]
+        loaded = ["numpy" in sys.modules]
+
+        class Recorder(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                loaded.append("numpy" in sys.modules)
+                super().__init__(max_workers)
+
+        concurrent.futures.ProcessPoolExecutor = Recorder
+        res = CliRunner().invoke(main, ["simulate", "--frames", "2000",
+                                        "--streams", "2", "--workers", "2",
+                                        "--config", config, "--out", out])
+        assert res.exit_code == 0, res.output
+        print(*loaded)
+    """)
+    out = run_fresh(code, config_file, os.fspath(tmp_path / "out"))
+    assert out.split() == ["False", "True"]
 
 
 LAYERS = (cli, config_io, model, rate, traffic, fading, allocator, simulator,
