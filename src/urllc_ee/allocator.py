@@ -36,7 +36,6 @@ dropping threshold.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from bisect import bisect_left, bisect_right
@@ -402,29 +401,15 @@ def mean_total_power(weighted_y: float, n: int, cfg: SystemConfig,
 
 # Solving one user set at several antenna counts, as the sweeps do, repeats
 # this antenna-independent prologue; callers must not mutate what it returns.
-# lru_cache keeps only return values, so a failure is returned, without its
-# traceback, and ``_prologue`` raises a fresh copy of it on every call.
 @functools.lru_cache(maxsize=16, typed=True)
-def _cached_prologue(cfg: SystemConfig, users: tuple[UserProfile, ...],
-                     eps_h: float | None):
-    try:
-        qos = validate_config(cfg, users, eps_h=eps_h)
-        yfuncs = build_y_functions(cfg, qos, users)
-        sol = allocate_bandwidth(yfuncs, cfg.total_bandwidth)
-    except (ConfigError, QosInfeasibleError) as exc:
-        return None, exc.with_traceback(None)
-    return (qos, yfuncs, sol), None
-
-
 def _prologue(cfg: SystemConfig, users: tuple[UserProfile, ...],
               eps_h: float | None
               ) -> tuple[QosBudget, list[YFunction], BandwidthSolution]:
     """(qos, yfuncs, split): validation, objective kernels and the optimal
     bandwidth split of a solve, none of which depend on the antenna count."""
-    result, error = _cached_prologue(cfg, users, eps_h)
-    if error is not None:
-        raise copy.copy(error)
-    return result
+    qos = validate_config(cfg, users, eps_h=eps_h)
+    yfuncs = build_y_functions(cfg, qos, users)
+    return qos, yfuncs, allocate_bandwidth(yfuncs, cfg.total_bandwidth)
 
 
 def solve_allocation(cfg: SystemConfig, users: list[UserProfile],
@@ -440,9 +425,9 @@ def solve_allocation(cfg: SystemConfig, users: list[UserProfile],
     the BS budget, up to ``ANTENNA_CAP``; a closed-form optimum past the cap
     starts the loop at the cap (see ``optimal_antennas``).  Deterministic:
     identical inputs give identical outputs bit for bit.  The validation,
-    kernels and bandwidth split are memoized per (cfg, users, eps_h),
-    failures included, so a user set solved at several antenna counts
-    computes them once.
+    kernels and bandwidth split of a successful solve are memoized per
+    (cfg, users, eps_h), so a user set solved at several antenna counts
+    computes them once; a failing solve raises a new error each time.
 
     Raises:
         ConfigError: on invalid inputs, a fixed count out of range included.

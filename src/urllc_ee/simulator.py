@@ -31,16 +31,16 @@ the window's arrival lists, which carry the frames not yet due into the
 next window.  A cumulative-sum (Lindley) form of the queue would round in
 a different order and so cannot reproduce these bytes.
 
-numpy is imported by the functions that run on it, so a process that only
-solves never loads it; a run with worker processes imports it before the
-pool forks, and the workers inherit it.
+numpy, and the helper thread's executor, are imported by the functions
+that run on them, so a process that only solves never loads them; a run
+with worker processes imports numpy before the pool forks, and the workers
+inherit it.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import islice
 
@@ -342,6 +342,7 @@ def _run_streams(policy: SimPolicy, cfg: SystemConfig, jobs: list,
     ``trace``, a ``csv.writer``, gets one row per frame as the chunks reach
     the walk.
     """
+    from concurrent.futures import ThreadPoolExecutor
     import numpy as np
     traced = trace is not None
 

@@ -548,7 +548,7 @@ class TestSplitReuse:
             calls.append(len(args[0]))
             return allocate_bandwidth(*args)
 
-        allocator._cached_prologue.cache_clear()
+        allocator._prologue.cache_clear()
         monkeypatch.setattr(allocator, "allocate_bandwidth", counted)
         user_sweep_rows(cfg, LAM, self.K_VALUES, self.FIXED_NTS)
         assert calls == self.K_VALUES
@@ -563,58 +563,48 @@ class TestSplitReuse:
             calls.append(w)
             return plain(w, f)
 
-        allocator._cached_prologue.cache_clear()
+        allocator._prologue.cache_clear()
         monkeypatch.setattr(allocator, "_snr_target", counted)
         for k in (5, 10, 20):
             antenna_sweep_rows(cfg, place_users(k, LAM), list(range(2, 65)))
         assert len(calls) == 35
 
-    def test_qos_infeasible_cell_gives_no_points(self, monkeypatch):
-        # the failed prologue is memoized too: one validation and one split
-        # per user set, not one per solve
-        calls = {"validate": 0, "split": 0}
-
-        def counted(key, fn):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        allocator._cached_prologue.cache_clear()
-        monkeypatch.setattr(allocator, "validate_config",
-                            counted("validate", validate_config))
-        monkeypatch.setattr(allocator, "allocate_bandwidth",
-                            counted("split", allocate_bandwidth))
+    def test_qos_infeasible_cell_gives_no_points(self):
         cfg = SystemConfig(total_bandwidth=100.0)
         rows = user_sweep_rows(cfg, LAM, [1, 2, 5], self.FIXED_NTS)
         assert rows == [(k, None, dict.fromkeys(self.FIXED_NTS))
                         for k in (1, 2, 5)]
-        assert calls == {"validate": 3, "split": 3}
 
     @pytest.mark.parametrize("cfg_kw, eps_h, kind", [
         ({"total_bandwidth": 100.0}, None, QosInfeasibleError),
         ({}, 1.5, ConfigError),
     ], ids=["qos-infeasible", "config-error"])
-    def test_memoized_failure_raises_a_fresh_copy(self, cfg_kw, eps_h, kind):
+    def test_each_failing_solve_raises_its_own_error(self, cfg_kw, eps_h,
+                                                     kind):
+        # an error is never shared between solves: a caller's edit to one
+        # does not reach the next
         cfg = SystemConfig(**cfg_kw)
         users = place_users(3, LAM)
-        allocator._cached_prologue.cache_clear()
-        raised = []
-        for _ in range(2):
-            with pytest.raises(kind) as info:
-                solve_allocation(cfg, users, eps_h=eps_h)
-            raised.append(info.value)
-        first, second = raised
-        assert allocator._cached_prologue.cache_info().hits == 1
+        allocator._prologue.cache_clear()
+        with pytest.raises(kind) as info:
+            solve_allocation(cfg, users, eps_h=eps_h)
+        first = info.value
+        if kind is ConfigError:
+            assert first.violations == [str(first)]
+            first.violations.append("a note")
+        with pytest.raises(kind) as info:
+            solve_allocation(cfg, users, eps_h=eps_h)
+        second = info.value
         assert second is not first
         assert type(second) is type(first)
         assert second.args == first.args
-        assert vars(second) == vars(first)
+        if kind is ConfigError:
+            assert second.violations == [str(second)]
 
     def test_warm_cache_solves_are_bit_identical(self, cfg):
         users = place_users(9, LAM, scheme="uniform", seed=7)
         for kw in ({}, {"n_antennas": 16}, {"n_antennas": 64}):
-            allocator._cached_prologue.cache_clear()
+            allocator._prologue.cache_clear()
             cold = solve_allocation(cfg, users, **kw)
             warm = solve_allocation(cfg, users, **kw)
             want = cold.to_json()
@@ -637,7 +627,7 @@ class TestSplitReuse:
 
     @staticmethod
     def clear_memos():
-        allocator._cached_prologue.cache_clear()
+        allocator._prologue.cache_clear()
         allocator._minimizer.cache_clear()
         experiments._uniform_draw.cache_clear()
 
@@ -645,7 +635,7 @@ class TestSplitReuse:
         self.clear_memos()
         cold = self.sweep(cfg)
         # W_th and the placement draws warm, every split computed again
-        allocator._cached_prologue.cache_clear()
+        allocator._prologue.cache_clear()
         assert self.sweep(cfg) == cold
         # every memo warm
         assert self.sweep(cfg) == cold

@@ -627,26 +627,30 @@ def test_one_process_runs_leave_out_multiprocessing(config_file, tmp_path):
 
 
 def test_solver_commands_leave_out_numpy(config_file, tmp_path):
-    # numpy is imported by the simulator's first run: a command that only
-    # solves never loads it
+    # numpy and the helper thread's executor are imported by the
+    # simulator's first run: a command that only solves never loads them
     code = textwrap.dedent("""\
         import json, sys
         from click.testing import CliRunner
         from urllc_ee.cli import main
         config, out = sys.argv[1:3]
-        print("numpy" in sys.modules)
+
+        def loaded():
+            print("numpy" in sys.modules, "concurrent.futures" in sys.modules)
+
+        loaded()
         for args in json.loads(sys.argv[3]):
             res = CliRunner().invoke(main, args + ["--config", config,
                                                    "--out", out])
             assert res.exit_code == 0, (args, res.output)
-            print("numpy" in sys.modules)
+            loaded()
     """)
     commands = [["solve"], ["table-wth"], ["sweep-antennas", "--k-values", "2"],
                 ["sweep-users", "--k-max", "2", "--placement", "uniform"],
                 ["simulate", "--frames", "2000"]]
     out = run_fresh(code, config_file, os.fspath(tmp_path / "out"),
                     json.dumps(commands))
-    assert out.split() == ["False"] * 5 + ["True"]
+    assert out.splitlines() == ["False False"] * 5 + ["True True"]
 
 
 def test_process_pool_inherits_numpy(config_file, tmp_path):
@@ -720,7 +724,7 @@ def commands_reach(tmp_path_factory):
     commands = SMALL_COMMANDS + [["simulate", "--frames", "2000", "--streams",
                                   "1", "--trace", os.fspath(tmp / "t.csv")]]
     # memoized results would hide the calls behind them
-    allocator._cached_prologue.cache_clear()
+    allocator._prologue.cache_clear()
     allocator._minimizer.cache_clear()
     experiments._uniform_draw.cache_clear()
     fading._gain_threshold.cache_clear()

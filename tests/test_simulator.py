@@ -717,7 +717,9 @@ class TestRunSimulation:
         policy, _ = solved
         chunk = 1 << 15
         monkeypatch.setattr(simulator, "_CHUNK", chunk)
-        monkeypatch.setattr(simulator, "ThreadPoolExecutor", InlineExecutor)
+        # _run_streams imports the executor class where it runs
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            InlineExecutor)
         tracemalloc.start()
         try:
             rep = run_simulation(policy, cfg, [single_user],
