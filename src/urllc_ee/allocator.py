@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 
@@ -121,7 +122,8 @@ def find_bandwidth_minimizer(f: YFunction) -> float:
 
     Starts the bracket at W = l, where y' < 0 is guaranteed, and doubles
     while y' < 0.  With v = 0 the kernel decreases monotonically towards its
-    asymptote and has no finite minimizer; +inf is returned as a sentinel.
+    asymptote and has no finite minimizer; +inf is returned as a sentinel,
+    and also for a minimizer past the float range.
     W_th does not depend on alpha, and it is memoized on (l, v).
     """
     if not f.l > 0:
@@ -220,8 +222,10 @@ class _NuSplit:
             if not t >= 0.0:
                 xs, negs, lows, highs, ys, up_max, down_max = path
                 if math.isinf(hi):
-                    # v = 0: y' rises towards 0-, so a finite right end exists
-                    hi = _grow(_y_prime_clamped, f, t, f.l, 2.0)
+                    # v = 0 or W_th past the float range: y' < 0 rises to
+                    # 0-, and a root past the range ends at the largest float
+                    hi = min(_grow(_y_prime_clamped, f, t, f.l, 2.0),
+                             sys.float_info.max)
                 lo = _ladder_rung(xs, negs, f, hi, -t)
                 if not (lows and lows[0] == lo and highs[0] == hi):
                     for part in path[2:]:
@@ -309,7 +313,7 @@ def allocate_bandwidth(users: list[YFunction], w_max: float) -> BandwidthSolutio
     """Globally optimal bandwidth split minimizing sum_k y_k(W_k)/alpha_k.
 
     Raises QosInfeasibleError when even an even split W_max/K overflows the
-    required-SNR exponent for some user.
+    required-SNR exponent for some user, or the split leaves the float range.
     """
     if not users:
         raise ValueError("at least one user is required")
@@ -339,6 +343,8 @@ def allocate_bandwidth(users: list[YFunction], w_max: float) -> BandwidthSolutio
     nu_hi = _grow(_budget_sign, split, 0.0, nu_hi, 2.0)
     nu = _bisect(_budget_sign, split, 0.0, 0.0, nu_hi, 1e-14)
     ws = split.solve(nu)
+    if not math.isfinite(sum(ws)):
+        raise QosInfeasibleError("the bandwidth split leaves the float range")
     gammas, obj = _targets(ws, users)
     stat = max(abs(_y_prime_clamped(w, f) / f.alpha + nu) / nu
                for w, f in zip(ws, users))

@@ -110,10 +110,8 @@ def solve_gain_threshold(n: int, eps_target: float) -> float:
 
     F is continuous, 0 at 0+ and increasing to 1, so bisection always
     terminates.  The bracket is tightened far beyond the 1e-3 relative
-    tolerance the callers rely on.
+    tolerance the callers rely on.  ``drop_bound_F`` refuses an n below 2.
     """
-    if n < 2:
-        raise ValueError("antenna count must be at least 2")
     if not (0.0 < eps_target < 1.0):
         raise ValueError("eps_target must lie strictly in (0, 1)")
     return _gain_threshold(n, eps_target)

@@ -6,7 +6,7 @@ Q-function of the decoding-error target, taken from the stdlib's normal
 quantile (``statistics.NormalDist.inv_cdf``).  ``snr_coeffs`` folds the
 queueing constraint (service rate >= effective bandwidth) into the pair
 (l, v), l in Hz and v in Hz^1/2, so that downstream optimization only ever
-sees gamma(W) = exp(l/W + v/sqrt(W)) - 1.
+sees gamma(W) = exp(l/W + v/sqrt(W)) - 1; eps_c lies in (0, 1/2), so v > 0.
 """
 
 from __future__ import annotations
@@ -68,12 +68,8 @@ def snr_coeffs(qos: QosBudget, lam: float,
 
     ``lam`` is the aggregate arrival rate in packets/frame.  l (Hz) equals
     (effective bandwidth) * u * ln2 / phi and v (Hz^1/2) equals
-    Qinv(eps_c)/sqrt(phi), with eps_c and eps_q from ``qos``.
+    Qinv(eps_c)/sqrt(phi), with eps_c in (0, 1/2) and eps_q from ``qos``.
     """
-    if not (0.0 < qos.eps_c < 1.0 and 0.0 < qos.eps_q < 1.0):
-        raise ValueError("probabilities must lie in (0, 1)")
-    if lam <= 0:
-        raise ValueError("arrival rate must be positive")
     eb = effective_bandwidth(lam, qos.eps_q, qos.queue_delay_frames)
     if not eb > 0.0:
         raise ConfigError(f"arrival rate {lam:.3g} packets/frame is too "
@@ -83,7 +79,8 @@ def snr_coeffs(qos: QosBudget, lam: float,
 
 def _coeffs_at_rate(service_rate: float, eps_c: float,
                     cfg: SystemConfig) -> tuple[float, float]:
-    """Required-SNR coefficients (l, v) at a constant rate in packets/frame."""
+    """Coefficients (l, v) at a rate in packets/frame; eps_c in (0, 1/2)."""
+    if not 0.0 < eps_c < 0.5:
+        raise ConfigError(f"eps_c {eps_c} outside (0, 0.5)")
     l = service_rate * cfg.packet_bits * LN2 / cfg.dl_fraction
-    v = inv_gaussian_q(eps_c) / math.sqrt(cfg.dl_fraction) if eps_c < 0.5 else 0.0
-    return l, v
+    return l, inv_gaussian_q(eps_c) / math.sqrt(cfg.dl_fraction)

@@ -1,9 +1,7 @@
-import math
-
 import pytest
 
 from urllc_ee import SystemConfig, UserProfile, YFunction, path_loss_gain
-from urllc_ee.rate import LN2, inv_gaussian_q
+from urllc_ee.rate import _coeffs_at_rate
 
 # Reference cell parameters used throughout: 0.1 ms frames, 0.05 ms DL
 # transmission, 1 ms end-to-end budget, -173 dBm/Hz noise, 20 MHz, 10 W,
@@ -28,9 +26,7 @@ def single_user(cfg) -> UserProfile:
 def unit_rate_yfunction(eps_c: float, cfg: SystemConfig = DEFAULT_CFG,
                         alpha: float = 1.0) -> YFunction:
     """Objective kernel at a nominal service rate of one packet/frame."""
-    l = cfg.packet_bits * LN2 / cfg.dl_fraction
-    v = inv_gaussian_q(eps_c) / math.sqrt(cfg.dl_fraction) if eps_c < 0.5 else 0.0
-    return YFunction(l=l, v=v, alpha=alpha)
+    return YFunction(*_coeffs_at_rate(1.0, eps_c, cfg), alpha=alpha)
 
 
 # Bandwidth minimizers of the unit-rate kernel, MHz, per decoding-error

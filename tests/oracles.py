@@ -13,6 +13,7 @@ stated relative bound, not to ``==``.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from unittest import mock
@@ -186,8 +187,9 @@ def _root_of_y_prime(target: float, f: YFunction, w_th: float) -> float:
         return w_th
     hi = w_th
     if math.isinf(hi):
-        # v = 0: y' rises towards 0-, so a finite right bracket always exists.
-        hi = _grow(_y_prime, f, target, f.l, 2.0)
+        # v = 0 or W_th past the float range: y' rises towards 0-, and a
+        # root past the range is bracketed by the largest float
+        hi = min(_grow(_y_prime, f, target, f.l, 2.0), sys.float_info.max)
     lo = _grow(_neg_y_prime, f, -target, hi * 0.5, 0.5)
     return _bisect(_y_prime, f, target, lo, hi, 1e-13)
 

@@ -682,7 +682,7 @@ def split_outcome(fn, users, w_max):
 @st.composite
 def split_inputs(draw):
     """Users of random distance, service rate and decoding-error target,
-    every ``flat``-th one at eps_c = 0.5 (v = 0, W_th = inf), and a budget
+    every ``flat``-th one dispersion-free (v = 0, W_th = inf), and a budget
     from far too small for QoS to beyond the sum of the minimizers."""
     k = draw(st.integers(1, 60))
     flat = draw(st.sampled_from([0, 0, 1, 3, 10]))
@@ -691,11 +691,12 @@ def split_inputs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     users = []
     for i in range(k):
-        eps_c = (0.5 if flat and i % flat == 0
-                 else 10.0 ** rng.uniform(-9, -0.4))
+        dispersive = not (flat and i % flat == 0)
+        # l does not depend on eps_c
+        eps_c = 10.0 ** rng.uniform(-9, -0.4) if dispersive else 1e-7
         l, v = _coeffs_at_rate(rng.uniform(1e-3, 5.0), eps_c, DEFAULT_CFG)
         gain = path_loss_gain(rng.uniform(50.0, 250.0))
-        users.append(YFunction(l=l, v=v, alpha=gain))
+        users.append(YFunction(l, v if dispersive else 0.0, gain))
     return users, scale * sum(f.l for f in users)
 
 
@@ -705,11 +706,11 @@ def ladder_inputs(draw):
     targets t < 0 from -1e-3 to -inf: those past about -1e304 lie where y'
     is clamped to -inf, and each run mixes lookups on the rungs made so far
     with ones that must grow the ladder."""
-    eps_c = draw(st.sampled_from([0.5, None, None, None, None]))
-    if eps_c is None:
-        eps_c = 10.0 ** draw(st.floats(-9, -0.4))
+    dispersive = draw(st.sampled_from([False, True, True, True, True]))
+    eps_c = 10.0 ** draw(st.floats(-9, -0.4)) if dispersive else 1e-7
     l, v = _coeffs_at_rate(draw(st.floats(1e-3, 5.0)), eps_c, DEFAULT_CFG)
-    f = YFunction(l=l, v=v, alpha=path_loss_gain(draw(st.floats(50.0, 250.0))))
+    f = YFunction(l, v if dispersive else 0.0,
+                  path_loss_gain(draw(st.floats(50.0, 250.0))))
     exponents = st.floats(-3.0, 308.0)
     targets = draw(st.lists(exponents.map(lambda e: -(10.0 ** e))
                             | st.just(-math.inf), min_size=1, max_size=30))
@@ -744,6 +745,22 @@ class TestSplitAgainstOracle:
                                         20e6)
         for fn in (allocate_bandwidth, oracles.allocate_bandwidth):
             assert split_outcome(fn, [f, f], 200.0) is QosInfeasibleError
+
+    def test_minimizer_past_the_float_range(self):
+        # doubling from l = 1e307 overflows, so W_th reads inf and each root
+        # is bracketed by the largest float; the full split's midpoint of
+        # two ends near it overflows too, and a split that does is refused
+        users = [YFunction(1e307, 735.3, 1e-13),
+                 YFunction(1e307 / 3, 735.3, 3e-12)]
+        with pytest.raises(QosInfeasibleError, match="float range"):
+            allocate_bandwidth(users, 1.7e308)
+        w_ths = [find_bandwidth_minimizer(f) for f in users]
+        assert w_ths == [math.inf, math.inf]
+        split = allocator._NuSplit(users, w_ths, 1.7e308)
+        for nu in (1e-300, 1.0, 1e10, 1e100):
+            want = [oracles._root_of_y_prime(-nu * f.alpha, f, w_th)
+                    for f, w_th in zip(users, w_ths)]
+            assert split.solve(nu) == want
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)

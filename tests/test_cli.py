@@ -528,6 +528,14 @@ class TestExperimentSpec:
                                                config_path=config_file))
         assert result["allocation"].antennas == 4
 
+    def test_unknown_placement_is_a_config_error(self, config_file):
+        # the CLI offers only the known schemes; a library caller may not
+        from urllc_ee import ConfigError, ExperimentSpec, run_experiment
+        spec = ExperimentSpec(kind="sweep_users", config_path=config_file,
+                              k_values=(1,), placement="hex")
+        with pytest.raises(ConfigError, match="placement scheme 'hex'"):
+            run_experiment(spec)
+
     def test_placement_schemes_differ(self, config_file):
         from urllc_ee import path_loss_gain, place_users
         from urllc_ee.config_io import load_config
@@ -597,14 +605,15 @@ SMALL_COMMANDS = [
 ]
 
 
-def run_fresh(code: str, *args: str) -> str:
+def run_fresh(code: str, *args: str, timeout: float | None = None) -> str:
     """Stdout of ``code`` run with ``args`` in a fresh interpreter that
-    imports this checkout's package."""
+    imports this checkout's package, killed after ``timeout`` seconds."""
     import urllc_ee
     src = os.path.dirname(os.path.dirname(urllc_ee.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          capture_output=True, text=True, check=True).stdout
+                          capture_output=True, text=True, check=True,
+                          timeout=timeout).stdout
 
 
 def test_one_process_runs_leave_out_multiprocessing(config_file, tmp_path):
@@ -651,6 +660,32 @@ def test_solver_commands_leave_out_numpy(config_file, tmp_path):
     out = run_fresh(code, config_file, os.fspath(tmp_path / "out"),
                     json.dumps(commands))
     assert out.splitlines() == ["False False"] * 5 + ["True True"]
+
+
+def test_minimizer_past_the_float_range_ends(tmp_path):
+    # with 1e300-bit packets W_th lies past the float range; each command
+    # that solves must end as infeasible, and the fresh interpreter's
+    # timeout turns a hang into a failure instead of a stuck suite
+    path = tmp_path / "huge.cfg"
+    path.write_text(DEFAULT_CONFIG_TEXT.replace(
+        "packet_bits = 160", "packet_bits = 1e300").replace(
+        "total_bandwidth = 20e6", "total_bandwidth = 1.7e308"))
+    code = textwrap.dedent("""\
+        import json, sys
+        from click.testing import CliRunner
+        from urllc_ee.cli import main
+        config, out = sys.argv[1:3]
+        for args in json.loads(sys.argv[3]):
+            res = CliRunner().invoke(main, args + ["--config", config,
+                                                   "--out", out])
+            print(res.exit_code, "float range" in res.output)
+    """)
+    commands = [["solve"], ["simulate", "--frames", "1000"],
+                ["table-drop", "--frames", "1000"]]
+    out = run_fresh(code, os.fspath(path), os.fspath(tmp_path / "out"),
+                    json.dumps(commands), timeout=60)
+    assert out.splitlines() == ["2 True"] * 3
+    assert not (tmp_path / "out").exists()
 
 
 def test_process_pool_inherits_numpy(config_file, tmp_path):

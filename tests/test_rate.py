@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from urllc_ee import (YFunction, achievable_rate, channel_dispersion,
-                      effective_bandwidth, find_bandwidth_minimizer,
-                      inv_gaussian_q, snr_coeffs, validate_config)
+from urllc_ee import (ConfigError, YFunction, achievable_rate,
+                      channel_dispersion, effective_bandwidth,
+                      find_bandwidth_minimizer, inv_gaussian_q, snr_coeffs,
+                      validate_config)
+from urllc_ee.experiments import table_wth_rows
 from urllc_ee.rate import LN2
 
 from oracles import (achievable_rate_max_dispersion, q_inverse_error,
@@ -176,11 +178,17 @@ class TestSnrCoeffs:
                           single_user.arrival_rate, cfg)
         assert v == pytest.approx(735.30, rel=1e-4)
 
-    def test_v_vanishes_at_half(self, cfg, single_user):
+    @pytest.mark.parametrize("eps_c", [0.5, 0.7, math.nan])
+    def test_eps_c_outside_its_domain_rejected(self, cfg, single_user,
+                                               eps_c):
+        # at eps_c >= 1/2 the dispersion is no penalty; one check refuses it
         qos = validate_config(cfg, [single_user])
-        _, v = snr_coeffs(dataclasses.replace(qos, eps_c=0.5),
-                          single_user.arrival_rate, cfg)
-        assert v == 0.0
+        message = rf"eps_c {eps_c} outside \(0, 0\.5\)"
+        with pytest.raises(ConfigError, match=message):
+            snr_coeffs(dataclasses.replace(qos, eps_c=eps_c),
+                       single_user.arrival_rate, cfg)
+        with pytest.raises(ConfigError, match=message):
+            table_wth_rows(cfg, [1e-7, eps_c])
 
     def test_coeff_invariants(self):
         with pytest.raises(ValueError):
