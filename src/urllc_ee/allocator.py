@@ -256,7 +256,7 @@ class _NuSplit:
                 hi = his[i]
                 t = targets[i]
                 d = depths[i]
-                mid = 0.5 * (lo + hi)
+                mid = 0.5 * lo + 0.5 * hi
                 _, _, lows, highs, ys, up_max, down_max = self.paths[i]
                 if d < len(ys) and lows[d] == lo and highs[d] == hi:
                     y = ys[d]
@@ -285,7 +285,7 @@ class _NuSplit:
                     hi = mid
                 d += 1
                 if hi - lo <= 1e-13 * hi or d == 200:
-                    lo = hi = 0.5 * (lo + hi)
+                    lo = hi = 0.5 * lo + 0.5 * hi
                 else:
                     running.append(i)
                 los[i] = lo
@@ -343,9 +343,9 @@ def allocate_bandwidth(users: list[YFunction], w_max: float) -> BandwidthSolutio
     nu_hi = _grow(_budget_sign, split, 0.0, nu_hi, 2.0)
     nu = _bisect(_budget_sign, split, 0.0, 0.0, nu_hi, 1e-14)
     ws = split.solve(nu)
-    if not math.isfinite(sum(ws)):
-        raise QosInfeasibleError("the bandwidth split leaves the float range")
     gammas, obj = _targets(ws, users)
+    if not math.isfinite(obj):  # also where a bandwidth is not finite
+        raise QosInfeasibleError("the bandwidth split leaves the float range")
     stat = max(abs(_y_prime_clamped(w, f) / f.alpha + nu) / nu
                for w, f in zip(ws, users))
     balance = abs(sum(ws) - w_max) / w_max

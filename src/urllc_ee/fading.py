@@ -90,19 +90,22 @@ def _bisect(fn, arg, target: float, lo: float, hi: float,
 
     fn(., arg) must increase over the bracket: pass a decreasing function
     negated, with its target negated, which keeps each comparison exact.
-    Stops once hi - lo <= rtol * hi, or after 200 halvings.  ``arg`` is
+    Stops once hi - lo <= rtol * hi, or after 200 halvings.  Each end is
+    halved before the sum, so the midpoint of two ends near the largest
+    float stays finite; where the halves are normal floats it is the float
+    half the sum gives.  ``arg`` is
     positional rather than closed over: the per-user split makes millions
     of these calls, and a closure's extra call layer shows in a sweep.
     """
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         if fn(mid, arg) < target:
             lo = mid
         else:
             hi = mid
         if hi - lo <= rtol * hi:
             break
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def solve_gain_threshold(n: int, eps_target: float) -> float:

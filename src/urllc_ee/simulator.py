@@ -14,12 +14,13 @@ independent of execution order or parallelism degree.
 The hot path skips frames that provably do nothing: a frame with an empty
 queue, no arrivals and no deep fade leaves every counter unchanged, so only
 event frames (and busy spells after them) run through the Python queue
-update; channel draws and power statistics stay vectorized.  They run one
-chunk ahead on a helper thread: while the walk runs a chunk, the helper
-draws the next chunk of the run (numpy's samplers release the GIL).  The
-chunk size ``_CHUNK`` and the draw order (per (stream, user) pair, each
-chunk's gains, then its arrivals) are part of the output bytes; another
-chunking draws other numbers.  One call of one loop, ``_walk``, walks a
+update; channel draws and power statistics stay vectorized.  They run two
+chunks ahead on two helper threads: while the walk runs a chunk, the
+helpers draw the next two chunks of the run (numpy's samplers release the
+GIL), and hand over the arrivals as their frames and counts.  The chunk
+size ``_CHUNK`` and the draw order (per (stream, user) pair, each chunk's
+gains, then its arrivals) are part of the output bytes; another chunking
+draws other numbers.  One call of one loop, ``_walk``, walks a
 pair's chunks with the queue state in local variables and visits arrival,
 backlog and deep-fade frames in order; a deep fade (about one frame in a
 million) runs ``_step``, the one-frame recursion with its drop, and every
@@ -31,7 +32,7 @@ the window's arrival lists, which carry the frames not yet due into the
 next window.  A cumulative-sum (Lindley) form of the queue would round in
 a different order and so cannot reproduce these bytes.
 
-numpy, and the helper thread's executor, are imported by the functions
+numpy, and the helper threads' executor, are imported by the functions
 that run on them, so a process that only solves never loads them; a run
 with worker processes imports numpy before the pool forks, and the workers
 inherit it.
@@ -41,6 +42,8 @@ from __future__ import annotations
 
 import csv
 import json
+import weakref
+from collections import deque
 from dataclasses import asdict, dataclass, field
 from itertools import islice
 
@@ -183,26 +186,26 @@ def _walk(chunks, up: UserPolicy, dq: int, cfg: SystemConfig) -> dict:
     arrivals = drop_events = deep_fades = busy = violations = lag_in = 0
     arr, counts = [], []  # the spell's arrival frames not yet due
     base = 0  # the pair's frame of the chunk's first frame
-    for a, fades, gains, power_chunk in chunks:
+    for n, frames, ks, fades, gains, power_chunk in chunks:
         power_sum, power_c = _kahan(power_sum, power_c, power_chunk)
-        arrivals += int(a.sum())
-        n = len(a)
+        arrivals += int(ks.sum())
         fades = [base + t for t in (*fades, n)]  # sentinel: past the chunk
         fi, next_fade = 0, fades[0]
+        i = 0  # the chunk's first arrival frame not yet in a window
         for w in range(0, n, _WINDOW):
-            window = a[w:w + _WINDOW]
+            j = int(np.searchsorted(frames, w + _WINDOW))
             li, ai = 0, len(arr)
             # each list made once, with the spell's frames not yet due in front
-            new = np.flatnonzero(window)
-            new_counts = window[new].tolist()
-            new = np.add(new, base + w, out=new).tolist()
+            new_counts = ks[i:j].tolist()
+            new = (frames[i:j] + base).tolist()
+            i = j
             new_counts[:0], counts = counts, new_counts
             new[:0], arr = arr, new
             arr.append(base + n)  # sentinel: no later arrival in the chunk
             next_arr = arr[ai]
             due = arr[0] + dq  # the deadline of arrival frame li
             f = base + w - 1
-            stop = f + 1 + len(window)
+            stop = base + min(w + _WINDOW, n)
             while True:
                 if q > 0.0:
                     f += 1
@@ -261,9 +264,8 @@ def _walk(chunks, up: UserPolicy, dq: int, cfg: SystemConfig) -> dict:
                     due = arr[li] + dq
             arr, counts = arr[li:ai], counts[li:ai]
         base += n
-        # the chunk goes before the next one is taken: with the one drawn
-        # ahead, at most two are live
-        del a, window
+        # the chunk goes before the next one is taken
+        del frames, ks
 
     inflow = lag_in + sum(counts)  # lag_in packets are past their deadline
     return {"arrivals": arrivals, "served": served_sum, "dropped": dropped,
@@ -278,11 +280,12 @@ def _walk(chunks, up: UserPolicy, dq: int, cfg: SystemConfig) -> dict:
 def _draw(rng: np.random.Generator, antennas: int, up: UserPolicy, n: int,
           trace: bool) -> tuple:
     """One chunk of a (stream, user) pair's draws: ``n`` channel gains,
-    then ``n`` arrival counts.  Returns the arrival counts, the deep-fade
-    frames, their gains (every frame's gain if ``trace``) and the sum of
-    the transmit powers.  The powers overwrite the gains in place; they are
-    the values ``np.where(deep, cap, coeff / g)`` gives, in a contiguous
-    array of the same length, so their pairwise sum is the same too.
+    then ``n`` arrival counts.  Returns ``n``, the arrival frames and their
+    counts, the deep-fade frames, their gains (every frame's gain if
+    ``trace``) and the sum of the transmit powers.  The powers overwrite the
+    gains in place; they are the values ``np.where(deep, cap, coeff / g)``
+    gives, in a contiguous array of the same length, so their pairwise sum
+    is the same too.
     """
     import numpy as np
     g = rng.standard_gamma(antennas, size=n)
@@ -292,25 +295,42 @@ def _draw(rng: np.random.Generator, antennas: int, up: UserPolicy, n: int,
     np.divide(up.inversion_coeff, g, out=g)
     np.copyto(g, up.power_cap, where=deep)
     power_sum = float(np.sum(g))
-    # the gains go before the arrivals are drawn, so the chunk's two large
-    # arrays are never live together
+    # the gains go before the arrivals are drawn, and the arrivals leave as
+    # their frames and counts, so no chunk's large arrays outlive its draw
     del g, deep
     a = rng.poisson(up.arrival_rate, size=n)
-    return a, fades.tolist(), gains, power_sum
+    frames = np.flatnonzero(a)
+    return n, frames, a[frames], fades.tolist(), gains, power_sum
 
 
-def _ahead(helper: ThreadPoolExecutor, calls):
-    """``_draw(*call)`` for each of ``calls`` in order, each made on
-    ``helper`` while the caller walks the one before.  The next draw starts
-    once the caller asks for its chunk, by then without the one before, so
-    at most two chunks are live."""
-    calls = iter(calls)
-    ahead = helper.submit(_draw, *next(calls))
+def _draw_after(before, call: tuple) -> tuple:
+    """``_draw(*call)`` once the draw of ``before``, a weak reference to
+    the future of the call before or None, has ended.  A future that is gone
+    has been read, so its draw has ended; holding it weakly keeps no chunk
+    the walk has dropped."""
+    before = before and before()
+    if before is not None:
+        before.exception()
+    del before
+    return _draw(*call)
+
+
+def _ahead(helpers: ThreadPoolExecutor, calls):
+    """``_draw(*call)`` for each of ``calls`` in order, made on the two
+    ``helpers`` while the caller walks the chunks before: a call is handed
+    over once the caller asks for the chunk two before it, by then without
+    the one before that.  Calls of one (stream, user) pair come one after
+    another and share its generator, so each of them draws once the one
+    before has drawn; other pairs' draws run side by side."""
+    ahead, rng = deque(), None
     for call in calls:
-        chunk = ahead.result()
-        ahead = helper.submit(_draw, *call)
-        yield chunk
-    yield ahead.result()
+        before = weakref.ref(ahead[-1]) if call[0] is rng else None
+        rng = call[0]
+        ahead.append(helpers.submit(_draw_after, before, call))
+        if len(ahead) == 3:
+            yield ahead.popleft().result()
+    while ahead:
+        yield ahead.popleft().result()
 
 
 def _traced(chunks, u: int, up: UserPolicy, cfg: SystemConfig, trace):
@@ -320,16 +340,19 @@ def _traced(chunks, u: int, up: UserPolicy, cfg: SystemConfig, trace):
     division)."""
     q = 0.0
     frame = 0
-    for a, fades, gains, power_sum in chunks:
-        for g, k in zip(gains, a.tolist()):
+    for n, frames, ks, fades, gains, power_sum in chunks:
+        a = [0] * n
+        for t, k in zip(frames.tolist(), ks.tolist()):
+            a[t] = k
+        for g, k in zip(gains, a):
             served, dropped, q = _step(q, g, k, up, cfg)
             power = (up.power_cap if g < up.gain_threshold
                      else up.inversion_coeff / g)
             trace.writerow((frame, u, g, power, k, served, dropped, q))
             frame += 1
         gains = [gains[f] for f in fades]  # frees every frame's gain
-        yield a, fades, gains, power_sum
-        del a  # before the next chunk is taken
+        yield n, frames, ks, fades, gains, power_sum
+        del frames, ks  # before the next chunk is taken
 
 
 def _run_streams(policy: SimPolicy, cfg: SystemConfig, jobs: list,
@@ -337,8 +360,8 @@ def _run_streams(policy: SimPolicy, cfg: SystemConfig, jobs: list,
     """Simulate every user of each ``(stream, frames)`` job; returns, per
     job, the per-user tallies.
 
-    ``_walk`` walks each (stream, user) pair in one call while a helper
-    thread draws the next chunk, of the same pair or the next one.
+    ``_walk`` walks each (stream, user) pair in one call while two helper
+    threads draw the next two chunks, of the same pair or the next ones.
     ``trace``, a ``csv.writer``, gets one row per frame as the chunks reach
     the walk.
     """
@@ -356,8 +379,8 @@ def _run_streams(policy: SimPolicy, cfg: SystemConfig, jobs: list,
                            traced)
 
     out = []
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        draws = _ahead(helper, calls())
+    with ThreadPoolExecutor(max_workers=2) as helpers:
+        draws = _ahead(helpers, calls())
         for _, nf in jobs:
             out.append([])
             for u, up in enumerate(policy.users):
@@ -408,7 +431,7 @@ def run_simulation(policy: SimPolicy, cfg: SystemConfig,
     ``frames`` are split as evenly as possible across ``streams``
     independent substreams (each restarts from an empty queue); ``workers``
     caps the worker processes, at most one per stream, and never changes
-    the result.  Each process draws on one helper thread that ends with
+    the result.  Each process draws on two helper threads that end with
     the call.  ``trace_path`` (one stream only) gets a CSV row per frame as
     the draws reach the walk; a run that raises leaves the rows written.
     """

@@ -748,8 +748,9 @@ class TestSplitAgainstOracle:
 
     def test_minimizer_past_the_float_range(self):
         # doubling from l = 1e307 overflows, so W_th reads inf and each root
-        # is bracketed by the largest float; the full split's midpoint of
-        # two ends near it overflows too, and a split that does is refused
+        # is bracketed by the largest float.  The split itself stays finite
+        # (1.594e308 + 1.057e307), but its objective overflows, and a split
+        # whose objective leaves the float range is refused
         users = [YFunction(1e307, 735.3, 1e-13),
                  YFunction(1e307 / 3, 735.3, 3e-12)]
         with pytest.raises(QosInfeasibleError, match="float range"):

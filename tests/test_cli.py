@@ -636,7 +636,7 @@ def test_one_process_runs_leave_out_multiprocessing(config_file, tmp_path):
 
 
 def test_solver_commands_leave_out_numpy(config_file, tmp_path):
-    # numpy and the helper thread's executor are imported by the
+    # numpy and the helper threads' executor are imported by the
     # simulator's first run: a command that only solves never loads them
     code = textwrap.dedent("""\
         import json, sys
@@ -751,7 +751,7 @@ def codes(code):
 @pytest.fixture(scope="module")
 def commands_reach(tmp_path_factory):
     """The code objects that SMALL_COMMANDS and a traced ``simulate`` run,
-    the helper thread's included."""
+    the helper threads' included."""
     tmp = tmp_path_factory.mktemp("reach")
     config_file = tmp / "cell.cfg"
     config_file.write_text(DEFAULT_CONFIG_TEXT)
@@ -771,7 +771,7 @@ def commands_reach(tmp_path_factory):
 
     runner = CliRunner()
     previous = sys.getprofile()
-    # the draws run on a helper thread that each simulation starts
+    # the draws run on helper threads that each simulation starts
     threading.setprofile(record)
     sys.setprofile(record)
     try:

@@ -211,6 +211,13 @@ class TestRootHelpers:
         _bisect(shifted, 0.3, 0.0, 0.0, 1.0, 0.0)
         assert len(calls) == 200
 
+    def test_midpoint_near_the_largest_float(self):
+        # 1e308 + 1.7e308 overflows, so half the sum of the ends would be
+        # inf; each end halved first keeps every midpoint finite
+        x = _bisect(lambda x, _: x, None, 1.5e308, 1e308, 1.7e308, 1e-13)
+        assert math.isfinite(x)
+        assert abs(x - 1.5e308) <= 1e-13 * 1.5e308
+
     def test_bracket_growth(self):
         assert _grow(lambda x, k: x * k, 3.0, 100.0, 1.0, 2.0) == 64.0
         assert _grow(lambda x, k: -x, None, -1e-3, 1.0, 0.5) == 2.0 ** -10

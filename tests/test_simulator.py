@@ -1,9 +1,12 @@
 import concurrent.futures
 import csv
 import hashlib
+import itertools
 import math
 import os
+import random
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 from concurrent.futures import Future
@@ -65,7 +68,8 @@ def walk(g, a, up, dq, cfg, cuts=()):
     chunks = []
     for lo, hi in zip((0, *cuts), (*cuts, len(g))):
         fades = np.flatnonzero(g[lo:hi] < up.gain_threshold)
-        chunks.append((a[lo:hi], fades.tolist(),
+        frames = np.flatnonzero(a[lo:hi])
+        chunks.append((hi - lo, frames, a[lo:hi][frames], fades.tolist(),
                        g[lo:hi][fades].tolist(), 0.0))
     tallies = _walk(chunks, up, dq, cfg)
     del tallies["power_sum"]
@@ -521,8 +525,8 @@ class TestRunSimulation:
 
     def test_no_thread_outlives_the_run(self, cfg, single_user,
                                         monkeypatch):
-        # the draws run one chunk ahead on a helper thread; it ends with
-        # the run, also when the walk or a draw raises, and the caller
+        # the draws run two chunks ahead on two helper threads; they end
+        # with the run, also when the walk or a draw raises, and the caller
         # sees the original exception
         policy, _ = relaxed_policy(cfg, single_user, eps_h=1e-2)
         before = threading.active_count()
@@ -559,6 +563,73 @@ class TestRunSimulation:
             run_simulation(bad, cfg, [single_user], frames=30_000, seed=5,
                            streams=3)
         assert threading.active_count() == before
+
+    def test_a_failing_draw_surfaces_and_leaves_no_thread(
+            self, cfg, single_user, monkeypatch):
+        # the third of four draws raises on a helper while the draws after
+        # it may be running: the run raises that error once the walk takes
+        # its chunk, and every helper thread has ended when it does
+        class DrawFailed(Exception):
+            pass
+
+        calls = itertools.count(1)
+        real_draw = simulator._draw
+
+        def failing_draw(*args):
+            if next(calls) == 3:
+                raise DrawFailed
+            return real_draw(*args)
+
+        policy, _ = relaxed_policy(cfg, single_user, eps_h=1e-2)
+        before = threading.active_count()
+        monkeypatch.setattr(simulator, "_draw", failing_draw)
+        with pytest.raises(DrawFailed):
+            run_simulation(policy, cfg, [single_user], frames=40_000, seed=5,
+                           streams=4)
+        assert threading.active_count() == before
+
+    def test_scheduling_never_changes_a_result(self, cfg, single_user,
+                                               monkeypatch):
+        # two helpers draw two chunks at once.  A random 0-2 ms sleep before
+        # each draw shuffles which of them reaches its generator first, so
+        # a chunk drawn before the one ahead of it on its pair's generator,
+        # or a chunk walked out of order, changes the report against the
+        # one drawn call by call in the caller.  Three chunks per pair put
+        # two draws of one pair in flight at once
+        chunk, frames, seed, streams = 1 << 12, 3 * 12_000, 47, 3
+        ups = (DENSE_USER, UserPolicy(
+            bandwidth=3e6, gain_threshold=0.35, power_cap=1e-18,
+            service_rate_nominal=2.05, alpha=3e-13, arrival_rate=2.0,
+            eps_c=1e-7, inversion_coeff=1e-7))
+        policy = SimPolicy(users=ups, antennas=3, queue_delay_frames=4)
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
+
+        def run():
+            # run_simulation reads only the length of its user list
+            return run_simulation(policy, cfg, [single_user] * 2,
+                                  frames=frames, seed=seed, streams=streams)
+
+        with monkeypatch.context() as inline:
+            # _run_streams imports the executor class where it runs
+            inline.setattr(concurrent.futures, "ThreadPoolExecutor",
+                           InlineExecutor)
+            want = run()
+        assert want.delay_violation_count > 0
+        assert want.deep_fade_count > 0 and want.drop_events > 0
+
+        sleeps = random.Random(5)
+        real_draw = simulator._draw
+        threads = []
+
+        def slow_draw(*args):
+            threads.append(threading.active_count())
+            time.sleep(sleeps.uniform(0.0, 2e-3))
+            return real_draw(*args)
+
+        monkeypatch.setattr(simulator, "_draw", slow_draw)
+        before = threading.active_count()
+        assert run() == want
+        assert len(threads) == 18 and max(threads) == before + 2
 
     def test_seed_changes_results(self, cfg, single_user):
         policy, _ = relaxed_policy(cfg, single_user, eps_h=1e-2)
@@ -709,26 +780,33 @@ class TestRunSimulation:
 
     def test_at_most_two_chunks_are_live(self, cfg, single_user, solved,
                                          monkeypatch):
-        # the walk drops a chunk before it asks for the next, and the next
-        # draw starts only then, so a run holds the chunk walked and the
-        # one drawn ahead.  Drawing on submit makes that order the only
-        # one: a third chunk would add 8 bytes a frame, to 3.3 arrays of
-        # a chunk's frames at this low load against 2.2
+        # the walk drops a chunk before it asks for the next, and asking for
+        # chunk i hands over the draw of chunk i + 2, so a run holds the
+        # chunk walked and two drawn ahead.  A draw hands over its arrivals
+        # as their frames and counts, so at this low load only the draw
+        # under way holds arrays of a chunk's length: 1.4 arrays of 8 bytes
+        # a frame here.  Handing over the dense arrivals (3.3), or keeping
+        # the futures of chunks already walked, one per pair over 40
+        # one-chunk pairs or every one over 40 chunks of one pair (3.1 to
+        # 3.2), breaks the bound.  Drawing on submit makes that order the
+        # only one
         policy, _ = solved
         chunk = 1 << 15
         monkeypatch.setattr(simulator, "_CHUNK", chunk)
         # _run_streams imports the executor class where it runs
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                             InlineExecutor)
-        tracemalloc.start()
-        try:
-            rep = run_simulation(policy, cfg, [single_user],
-                                 frames=40 * chunk, seed=3, streams=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert rep.arrival_count > 0
-        assert peak < 2.5 * 8 * chunk
+        for streams in (1, 40):
+            tracemalloc.start()
+            try:
+                rep = run_simulation(policy, cfg, [single_user],
+                                     frames=40 * chunk, seed=3,
+                                     streams=streams)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert rep.arrival_count > 0
+            assert peak < 2.5 * 8 * chunk
 
     def test_streams_past_the_frame_count_cost_nothing(self, cfg,
                                                        single_user, solved):
