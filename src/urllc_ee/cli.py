@@ -10,9 +10,9 @@ files byte for byte.
 
 from __future__ import annotations
 
+import argparse
+import os
 import sys
-
-import click
 
 from .experiments import MIN_DROP_EVENTS, ExperimentSpec, run_experiment
 from .model import ConfigError, PowerInfeasibleError, QosInfeasibleError
@@ -21,27 +21,9 @@ EXIT_INFEASIBLE = 2
 EXIT_CONFIG = 3
 
 
-class _Cli(click.Group):
-    """The command group; its ``main`` maps every failure to an exit code."""
-
-    def main(self, *args, **kwargs):
-        try:
-            return super().main(*args, standalone_mode=False, **kwargs)
-        except click.ClickException as exc:  # click's own usage errors exit 2
-            exc.show()
-            sys.exit(EXIT_CONFIG)
-        except (ConfigError, OSError) as exc:
-            click.echo(f"config error: {exc}", err=True)
-            sys.exit(EXIT_CONFIG)
-        except QosInfeasibleError as exc:
-            click.echo(f"infeasible (bandwidth/QoS): {exc}", err=True)
-            sys.exit(EXIT_INFEASIBLE)
-        except PowerInfeasibleError as exc:
-            click.echo(f"infeasible (transmit power): {exc}", err=True)
-            sys.exit(EXIT_INFEASIBLE)
-        except click.Abort:  # an interrupt
-            click.echo("Aborted!", err=True)
-            sys.exit(1)
+def _echo(text: str, err: bool = False) -> None:
+    """One line on stdout, or stderr; flushed, so the two keep their order."""
+    print(text, file=sys.stderr if err else sys.stdout, flush=True)
 
 
 def _parse_list(text: str, kind) -> tuple:
@@ -52,153 +34,171 @@ def _parse_list(text: str, kind) -> tuple:
         raise ConfigError(f"{text!r}: {exc}") from None
 
 
-@click.group(cls=_Cli)
-def main():
-    """Energy-optimal URLLC resource allocation and validation."""
-
-
-@main.command()
-@click.option("--config", "config_path", required=True, help="Config file.")
-@click.option("--out", "out_path", default=None, help="Write JSON here.")
-def solve(config_path, out_path):
+def solve(config, out):
     """Solve the allocation for the configured users."""
-    spec = ExperimentSpec(kind="solve", config_path=config_path,
-                          output_path=out_path)
+    spec = ExperimentSpec(kind="solve", config_path=config, output_path=out)
     alloc = run_experiment(spec)["allocation"]
-    click.echo(f"feasible: {alloc.case_tag}, antennas={alloc.antennas}, "
-               f"mean_total_power={alloc.mean_total_power:.6g} W, "
-               f"EE={alloc.energy_efficiency:.6g} bits/J")
-    if not out_path:
-        click.echo(alloc.to_json())
+    _echo(f"feasible: {alloc.case_tag}, antennas={alloc.antennas}, "
+          f"mean_total_power={alloc.mean_total_power:.6g} W, "
+          f"EE={alloc.energy_efficiency:.6g} bits/J")
+    if not out:
+        _echo(alloc.to_json())
 
 
-@main.command()
-@click.option("--config", "config_path", required=True)
-@click.option("--out", "out_path", default=None, help="Write report JSON here.")
-@click.option("--seed", default=1, show_default=True, type=int)
-@click.option("--frames", default=1_000_000, show_default=True, type=int)
-@click.option("--streams", default=8, show_default=True, type=int)
-@click.option("--workers", default=1, show_default=True, type=int)
-@click.option("--eps-h", default=None, type=float,
-              help="Override the dropping budget before solving.")
-@click.option("--trace", "trace_path", default=None,
-              help="Per-frame CSV trace (debugging; single stream only).")
-def simulate(config_path, out_path, seed, frames, streams, workers, eps_h,
-             trace_path):
+def simulate(config, out, seed, frames, streams, workers, eps_h, trace):
     """Solve, then validate the policy with the Monte-Carlo simulator."""
-    spec = ExperimentSpec(kind="simulate", config_path=config_path,
-                          output_path=out_path, seed=seed, frames=frames,
-                          streams=streams, workers=workers, eps_h=eps_h,
-                          trace_path=trace_path)
+    spec = ExperimentSpec(kind="simulate", config_path=config, output_path=out,
+                          seed=seed, frames=frames, streams=streams,
+                          workers=workers, eps_h=eps_h, trace_path=trace)
     report = run_experiment(spec)["report"]
-    if not out_path:
-        click.echo(report.to_json())
+    if not out:
+        _echo(report.to_json())
     else:
-        click.echo(f"achieved_eps_h={report.achieved_eps_h:.3e}  "
-                   f"mean_tx_power={report.empirical_mean_tx_power:.6g} W  "
-                   f"drop_events={report.drop_events}")
+        _echo(f"achieved_eps_h={report.achieved_eps_h:.3e}  "
+              f"mean_tx_power={report.empirical_mean_tx_power:.6g} W  "
+              f"drop_events={report.drop_events}")
     if report.drop_events < MIN_DROP_EVENTS:
-        click.echo(f"warning: only {report.drop_events} drop events observed; "
-                   "the dropping probability is statistically unresolved at "
-                   "this frame count", err=True)
+        _echo(f"warning: only {report.drop_events} drop events observed; "
+              "the dropping probability is statistically unresolved at "
+              "this frame count", err=True)
 
 
-@main.command("table-wth")
-@click.option("--config", "config_path", required=True)
-@click.option("--out", "out_path", required=True)
-@click.option("--eps", "eps_text", default="1e-8,1e-7,1e-6,1e-5",
-              show_default=True, help="Comma list of decoding-error targets.")
-@click.option("--service-rate", default=1.0, show_default=True, type=float,
-              help="Nominal service rate in packets/frame.")
-def table_wth(config_path, out_path, eps_text, service_rate):
+def table_wth(config, out, eps, service_rate):
     """Bandwidth minimizer of the power kernel per error target."""
-    spec = ExperimentSpec(kind="table_wth", config_path=config_path,
-                          output_path=out_path,
-                          eps_list=_parse_list(eps_text, float),
+    spec = ExperimentSpec(kind="table_wth", config_path=config,
+                          output_path=out, eps_list=_parse_list(eps, float),
                           service_rate=service_rate)
-    for eps, wth in run_experiment(spec)["rows"]:
-        click.echo(f"eps_c={eps!r}  W_th={wth/1e6:.4f} MHz")
+    for eps_c, wth in run_experiment(spec)["rows"]:
+        _echo(f"eps_c={eps_c!r}  W_th={wth/1e6:.4f} MHz")
 
 
-@main.command("table-drop")
-@click.option("--config", "config_path", required=True)
-@click.option("--out", "out_path", required=True)
-@click.option("--eps", "eps_text", default="1e-4,1e-5", show_default=True,
-              help="Comma list of required dropping probabilities.")
-@click.option("--frames", default=10_000_000, show_default=True, type=int)
-@click.option("--seed", default=1, show_default=True, type=int)
-@click.option("--streams", default=8, show_default=True, type=int)
-@click.option("--workers", default=1, show_default=True, type=int)
-@click.option("--distance", default=250.0, show_default=True, type=float)
-def table_drop(config_path, out_path, eps_text, frames, seed, streams,
-               workers, distance):
+def table_drop(config, out, eps, frames, seed, streams, workers, distance):
     """Required vs achieved dropping probability (single-user protocol)."""
-    spec = ExperimentSpec(kind="table_drop", config_path=config_path,
-                          output_path=out_path,
-                          eps_list=_parse_list(eps_text, float),
+    spec = ExperimentSpec(kind="table_drop", config_path=config,
+                          output_path=out, eps_list=_parse_list(eps, float),
                           frames=frames, seed=seed, streams=streams,
                           workers=workers, distance=distance)
     for r in run_experiment(spec)["rows"]:
         note = "" if r["resolvable"] else "  [unresolvable: too few events]"
-        click.echo(f"required={r['required_eps_h']!r}  "
-                   f"achieved={r['achieved_eps_h']:.3e}  "
-                   f"events={r['drop_events']}{note}")
+        _echo(f"required={r['required_eps_h']!r}  "
+              f"achieved={r['achieved_eps_h']:.3e}  "
+              f"events={r['drop_events']}{note}")
         if not r["resolvable"]:
-            click.echo(f"warning: {r['drop_events']} drop events < "
-                       f"{MIN_DROP_EVENTS} at required "
-                       f"eps_h={r['required_eps_h']!r}", err=True)
+            _echo(f"warning: {r['drop_events']} drop events < "
+                  f"{MIN_DROP_EVENTS} at required "
+                  f"eps_h={r['required_eps_h']!r}", err=True)
 
 
-@main.command("sweep-antennas")
-@click.option("--config", "config_path", required=True)
-@click.option("--out", "out_path", required=True)
-@click.option("--k-values", "k_text", default="5,10,20", show_default=True)
-@click.option("--nt-min", default=2, show_default=True, type=int)
-@click.option("--nt-max", default=64, show_default=True, type=int)
-@click.option("--placement", default="grid", show_default=True,
-              type=click.Choice(["grid", "uniform"]))
-@click.option("--seed", default=1234, show_default=True, type=int)
-def sweep_antennas(config_path, out_path, k_text, nt_min, nt_max, placement,
-                   seed):
+def sweep_antennas(config, out, k_values, nt_min, nt_max, placement, seed):
     """Mean total power vs antenna count, per user count."""
-    spec = ExperimentSpec(kind="sweep_antennas", config_path=config_path,
-                          output_path=out_path,
-                          k_values=_parse_list(k_text, int),
+    spec = ExperimentSpec(kind="sweep_antennas", config_path=config,
+                          output_path=out, k_values=_parse_list(k_values, int),
                           nt_values=tuple(range(nt_min, nt_max + 1)),
                           placement=placement, seed=seed)
-    loci = run_experiment(spec)["loci"]
-    for k, locus in loci.items():
+    for k, locus in run_experiment(spec)["loci"].items():
         if locus is None:
-            click.echo(f"K={k}: no feasible antenna count in range")
+            _echo(f"K={k}: no feasible antenna count in range")
         else:
-            click.echo(f"K={k}: N_t*={locus[0]}  min power={locus[1]:.4f} W")
+            _echo(f"K={k}: N_t*={locus[0]}  min power={locus[1]:.4f} W")
 
 
-@main.command("sweep-users")
-@click.option("--config", "config_path", required=True)
-@click.option("--out", "out_path", required=True)
-@click.option("--k-min", default=1, show_default=True, type=int)
-@click.option("--k-max", default=30, show_default=True, type=int)
-@click.option("--fixed-nt", "fixed_nt_text", default="8,16,32,64",
-              show_default=True)
-@click.option("--placement", default="grid", show_default=True,
-              type=click.Choice(["grid", "uniform"]))
-@click.option("--seed", default=1234, show_default=True, type=int)
-def sweep_users(config_path, out_path, k_min, k_max, fixed_nt_text,
-                placement, seed):
+def sweep_users(config, out, k_min, k_max, fixed_nt, placement, seed):
     """Energy efficiency vs user count: joint-optimal and fixed antennas."""
-    spec = ExperimentSpec(kind="sweep_users", config_path=config_path,
-                          output_path=out_path,
+    def show(x):
+        return "infeasible" if x is None else f"{x:.5g}"
+    spec = ExperimentSpec(kind="sweep_users", output_path=out,
+                          config_path=config, placement=placement, seed=seed,
                           k_values=tuple(range(k_min, k_max + 1)),
-                          fixed_nts=_parse_list(fixed_nt_text, int),
-                          placement=placement, seed=seed)
+                          fixed_nts=_parse_list(fixed_nt, int))
     for k, ee_joint, fixed in run_experiment(spec)["rows"]:
-        click.echo(f"K={k}: EE_joint={_show(ee_joint)}  " + "  ".join(
-            f"EE[{nt}]={_show(fixed[nt])}" for nt in sorted(fixed)))
+        _echo(f"K={k}: EE_joint={show(ee_joint)}  " + "  ".join(
+            f"EE[{nt}]={show(fixed[nt])}" for nt in sorted(fixed)))
 
 
-def _show(x):
-    return "infeasible" if x is None else f"{x:.5g}"
+def _parser() -> argparse.ArgumentParser:
+    """One subparser per command; an option's prefix is a usage error."""
+    show_help = {"action": "help", "help": "Show this message and exit."}
+    top = argparse.ArgumentParser(prog="urllc-ee", description=main.__doc__,
+                                  add_help=False, allow_abbrev=False)
+    top.add_argument("--help", **show_help)
+    commands = top.add_subparsers(metavar="command", required=True)
+
+    def command(run, **out):
+        """The option adder of ``run``'s subparser, with --config and --out."""
+        sub = commands.add_parser(run.__name__.replace("_", "-"),
+                                  help=run.__doc__, description=run.__doc__,
+                                  add_help=False, allow_abbrev=False)
+        sub.set_defaults(run=run)
+
+        def add(flag, default=None, help=None, **kw):
+            if default is not None:  # every default is shown
+                help = f"{help or ''} [default: {default}]".lstrip()
+            sub.add_argument(flag, default=default, help=help, **kw)
+        add("--config", required=True, help="Config file.")
+        add("--out", **out)
+        sub.add_argument("--help", **show_help)
+        return add
+
+    add = command(solve, help="Write JSON here.")
+    add = command(simulate, help="Write report JSON here.")
+    add("--seed", 1, type=int)
+    add("--frames", 1_000_000, type=int)
+    add("--streams", 8, type=int)
+    add("--workers", 1, type=int)
+    add("--eps-h", type=float,
+        help="Override the dropping budget before solving.")
+    add("--trace", help="Per-frame CSV trace (debugging; single stream only).")
+    add = command(table_wth, required=True)
+    add("--eps", "1e-8,1e-7,1e-6,1e-5",
+        help="Comma list of decoding-error targets.")
+    add("--service-rate", 1.0, type=float,
+        help="Nominal service rate in packets/frame.")
+    add = command(table_drop, required=True)
+    add("--eps", "1e-4,1e-5",
+        help="Comma list of required dropping probabilities.")
+    add("--frames", 10_000_000, type=int)
+    add("--seed", 1, type=int)
+    add("--streams", 8, type=int)
+    add("--workers", 1, type=int)
+    add("--distance", 250.0, type=float)
+    add = command(sweep_antennas, required=True)
+    add("--k-values", "5,10,20")
+    add("--nt-min", 2, type=int)
+    add("--nt-max", 64, type=int)
+    add("--placement", "grid", choices=["grid", "uniform"])
+    add("--seed", 1234, type=int)
+    add = command(sweep_users, required=True)
+    add("--k-min", 1, type=int)
+    add("--k-max", 30, type=int)
+    add("--fixed-nt", "8,16,32,64")
+    add("--placement", "grid", choices=["grid", "uniform"])
+    add("--seed", 1234, type=int)
+    return top
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Energy-optimal URLLC resource allocation and validation."""
+    try:
+        try:
+            args = vars(_parser().parse_args(argv))
+        except SystemExit as exc:  # argparse's usage errors exit 2
+            sys.stdout.flush()  # --help's text, to a reader that may be gone
+            sys.exit(EXIT_CONFIG if exc.code else 0)
+        return args.pop("run")(**args)
+    except BrokenPipeError:  # the reader stopped reading, as `head` does
+        for stream in sys.stdout, sys.stderr:  # so the flush at exit succeeds
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        sys.exit(1)
+    except (ConfigError, OSError) as exc:
+        message, code = f"config error: {exc}", EXIT_CONFIG
+    except QosInfeasibleError as exc:
+        message, code = f"infeasible (bandwidth/QoS): {exc}", EXIT_INFEASIBLE
+    except PowerInfeasibleError as exc:
+        message, code = f"infeasible (transmit power): {exc}", EXIT_INFEASIBLE
+    except KeyboardInterrupt:  # the interrupted line ends first
+        message, code = "\nAborted!", 1
+    _echo(message, err=True)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -93,9 +93,9 @@ def _bisect(fn, arg, target: float, lo: float, hi: float,
     Stops once hi - lo <= rtol * hi, or after 200 halvings.  Each end is
     halved before the sum, so the midpoint of two ends near the largest
     float stays finite; where the halves are normal floats it is the float
-    half the sum gives.  ``arg`` is
-    positional rather than closed over: the per-user split makes millions
-    of these calls, and a closure's extra call layer shows in a sweep.
+    half the sum gives.  ``arg`` is positional rather than closed over, so
+    that one ``fn(x, arg)`` signature serves ``_grow``, this bisection and
+    the oracles in tests/oracles.py, which bracket and bisect with both.
     """
     for _ in range(200):
         mid = 0.5 * lo + 0.5 * hi

@@ -1,6 +1,11 @@
+import contextlib
+import io
+from types import SimpleNamespace
+
 import pytest
 
 from urllc_ee import SystemConfig, UserProfile, YFunction, path_loss_gain
+from urllc_ee.cli import main
 from urllc_ee.rate import _coeffs_at_rate
 
 # Reference cell parameters used throughout: 0.1 ms frames, 0.05 ms DL
@@ -32,3 +37,20 @@ def unit_rate_yfunction(eps_c: float, cfg: SystemConfig = DEFAULT_CFG,
 # Bandwidth minimizers of the unit-rate kernel, MHz, per decoding-error
 # target; reference values for regression checks at +/-1%.
 WTH_REFERENCE_MHZ = {1e-8: 7.35, 1e-7: 7.42, 1e-6: 7.53, 1e-5: 7.70}
+
+
+def run_cli(args: list) -> SimpleNamespace:
+    """Run the command line on ``args`` in this process.  The result has its
+    ``exit_code``, its ``stdout`` and ``stderr``, both as ``output``, and
+    the ``SystemExit`` of a run that exited non-zero as ``exception``."""
+    out, err = io.StringIO(), io.StringIO()
+    exception = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(args)
+        except SystemExit as exc:
+            exception = exc if exc.code else None
+    return SimpleNamespace(exit_code=exception.code if exception else 0,
+                           stdout=out.getvalue(), stderr=err.getvalue(),
+                           output=out.getvalue() + err.getvalue(),
+                           exception=exception)

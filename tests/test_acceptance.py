@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from scipy.integrate import quad
 
 from urllc_ee import (DEFAULT_CONFIG_TEXT, SimPolicy, UserProfile,
@@ -20,11 +19,11 @@ from urllc_ee import (DEFAULT_CONFIG_TEXT, SimPolicy, UserProfile,
                       find_bandwidth_minimizer, path_loss_gain,
                       run_simulation, solve_allocation, validate_config)
 from urllc_ee.allocator import CASE_LIMITED
-from urllc_ee.cli import main as cli_main
 from urllc_ee.experiments import (antenna_sweep_rows, drop_table_rows,
                                   place_users, user_sweep_rows)
 
-from conftest import DEFAULT_CFG, LAM, WTH_REFERENCE_MHZ, unit_rate_yfunction
+from conftest import (DEFAULT_CFG, LAM, WTH_REFERENCE_MHZ, run_cli,
+                      unit_rate_yfunction)
 from oracles import (drop_prob_B, gain_cdf, gain_pdf, sign_structure_witness,
                      y_derivatives, y_value)
 
@@ -335,7 +334,6 @@ def test_criterion_11_byte_identical_reruns(tmp_path):
                             streams=4, workers=2)
         assert ra.to_json() == rb.to_json()
 
-        runner = CliRunner()
         cfg_path = os.fspath(tmp_path / "cell.cfg")
         with open(cfg_path, "w") as fh:
             fh.write(DEFAULT_CONFIG_TEXT)
@@ -352,7 +350,7 @@ def test_criterion_11_byte_identical_reruns(tmp_path):
             for attempt in ("x", "y"):
                 out = os.fspath(tmp_path / f"{name}_{attempt}.out")
                 argv = [out if a is None else a for a in args]
-                res = runner.invoke(cli_main, argv)
+                res = run_cli(argv)
                 assert res.exit_code == 0, (name, res.output)
                 blobs.append(Path(out).read_bytes())
             assert blobs[0] == blobs[1], name

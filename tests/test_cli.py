@@ -1,7 +1,9 @@
+import ast
 import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -10,19 +12,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urllc_ee import (DEFAULT_CONFIG_TEXT, allocator, cli, config_io,
                       experiments, fading, model, rate, simulator,
                       solve_allocation, traffic)
-from urllc_ee.cli import main
 
-
-@pytest.fixture
-def runner():
-    return CliRunner()
+from conftest import run_cli
 
 
 @pytest.fixture
@@ -33,44 +30,42 @@ def config_file(tmp_path):
 
 
 class TestSolve:
-    def test_single_user_solve(self, runner, config_file, tmp_path):
+    def test_single_user_solve(self, config_file, tmp_path):
         out = os.fspath(tmp_path / "alloc.json")
-        res = runner.invoke(main, ["solve", "--config", config_file,
-                                   "--out", out])
+        res = run_cli(["solve", "--config", config_file, "--out", out])
         assert res.exit_code == 0, res.output
         data = json.loads(Path(out).read_text())
         assert data["antennas"] == 4
         assert data["bandwidths_hz"][0] == pytest.approx(3.1544646939557137e6)
         assert data["case_tag"] == "SufficientBandwidth"
 
-    def test_malformed_config_exit_3(self, runner, tmp_path):
+    def test_malformed_config_exit_3(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("frame_duration = quick\nuser_distances_m = 250\n")
-        res = runner.invoke(main, ["solve", "--config", os.fspath(path)])
+        res = run_cli(["solve", "--config", os.fspath(path)])
         assert res.exit_code == 3
         assert "line 1" in res.output
 
-    def test_both_forms_of_one_quantity_exit_3(self, runner, tmp_path):
+    def test_both_forms_of_one_quantity_exit_3(self, tmp_path):
         path = tmp_path / "both.cfg"
         path.write_text(DEFAULT_CONFIG_TEXT + "max_bs_power = 1\n")
-        res = runner.invoke(main, ["solve", "--config", os.fspath(path)])
+        res = run_cli(["solve", "--config", os.fspath(path)])
         assert res.exit_code == 3, res.output
         assert "'max_bs_power_dbm' on line 8" in res.output
 
-    def test_missing_config_exit_3(self, runner, tmp_path):
-        res = runner.invoke(main, ["solve", "--config",
-                                   os.fspath(tmp_path / "nope.cfg")])
+    def test_missing_config_exit_3(self, tmp_path):
+        res = run_cli(["solve", "--config", os.fspath(tmp_path / "nope.cfg")])
         assert res.exit_code == 3
 
-    def test_infeasible_exit_2(self, runner, tmp_path):
+    def test_infeasible_exit_2(self, tmp_path):
         path = tmp_path / "tight.cfg"
         path.write_text(DEFAULT_CONFIG_TEXT.replace(
             "total_bandwidth = 20e6", "total_bandwidth = 100"))
-        res = runner.invoke(main, ["solve", "--config", os.fspath(path)])
+        res = run_cli(["solve", "--config", os.fspath(path)])
         assert res.exit_code == 2
 
     @pytest.mark.parametrize("eff", ["1e-308", "1e-200"])
-    def test_antenna_root_past_the_cap(self, runner, tmp_path, eff):
+    def test_antenna_root_past_the_cap(self, tmp_path, eff):
         # the closed-form count is inf or ~1e100: the solve starts at the
         # 512-antenna cap, and past it the power budget is infeasible
         path = tmp_path / "amp.cfg"
@@ -78,62 +73,93 @@ class TestSolve:
                                            f"amplifier_efficiency = {eff}")
         path.write_text(text)
         out = tmp_path / "alloc.json"
-        res = runner.invoke(main, ["solve", "--config", os.fspath(path),
-                                   "--out", os.fspath(out)])
+        res = run_cli(["solve", "--config", os.fspath(path),
+                       "--out", os.fspath(out)])
         assert res.exit_code == 0, res.output
         assert json.loads(out.read_text())["antennas"] == 512
         path.write_text(text.replace("max_bs_power_dbm = 40",
                                      "max_bs_power_dbm = -10"))
-        res = runner.invoke(main, ["solve", "--config", os.fspath(path)])
+        res = run_cli(["solve", "--config", os.fspath(path)])
         assert res.exit_code == 2, res.output
         assert "512 antennas" in res.output
 
-    def test_many_users_reports_feasibility(self, runner, tmp_path):
+    def test_many_users_reports_feasibility(self, tmp_path):
         # forty cell-edge-ish users: must complete and state the outcome
         dists = ", ".join(str(50 + 5 * i) for i in range(40))
         path = tmp_path / "forty.cfg"
         path.write_text(DEFAULT_CONFIG_TEXT.replace(
             "user_distances_m = 250", f"user_distances_m = {dists}"))
-        res = runner.invoke(main, ["solve", "--config", os.fspath(path)])
+        res = run_cli(["solve", "--config", os.fspath(path)])
         assert res.exit_code in (0, 2)
         assert res.output.strip()
 
-    def test_byte_identical_reruns(self, runner, config_file, tmp_path):
+    def test_byte_identical_reruns(self, config_file, tmp_path):
         out1 = os.fspath(tmp_path / "a.json")
         out2 = os.fspath(tmp_path / "b.json")
-        assert runner.invoke(main, ["solve", "--config", config_file,
-                                    "--out", out1]).exit_code == 0
-        assert runner.invoke(main, ["solve", "--config", config_file,
-                                    "--out", out2]).exit_code == 0
+        assert run_cli(["solve", "--config", config_file,
+                        "--out", out1]).exit_code == 0
+        assert run_cli(["solve", "--config", config_file,
+                        "--out", out2]).exit_code == 0
         assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 class TestExitCodes:
     @pytest.mark.parametrize("args, message", [
-        (["solve"], "Missing option '--config'"),
-        (["simulate", "--frames", "abc"], "'abc' is not a valid integer"),
-        (["simulate", "--bogus", "1"], "No such option '--bogus'"),
-        (["sweep-users", "--placement", "ring"],
-         "'ring' is not one of 'grid', 'uniform'"),
-        (["frobnicate"], "No such command 'frobnicate'"),
-        ([], "Usage:"),
+        (["solve"], "required: --config"),
+        (["simulate", "--frames", "abc"], "invalid int value: 'abc'"),
+        # argparse names a missing required option before an unknown one
+        (["simulate", "--bogus", "1", "--config", None],
+         "unrecognized arguments: --bogus"),
+        (["sweep-users", "--placement", "ring"], "invalid choice: 'ring'"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+        ([], "usage:"),
+        # a prefix of --frames is no option: the run would exit 0
+        (["simulate", "--fr", "1000", "--config", None],
+         "unrecognized arguments: --fr"),
     ], ids=["solve-no-config", "frames-not-int", "unknown-option",
-            "placement-unknown", "unknown-command", "bare"])
-    def test_usage_errors_exit_3(self, runner, args, message):
-        # click's own code for a usage error is 2, which here means an
-        # infeasible allocation
-        res = runner.invoke(main, args)
+            "placement-unknown", "unknown-command", "bare", "option-prefix"])
+    def test_usage_errors_exit_3(self, config_file, args, message):
+        # argparse's own code for a usage error is 2, which here means an
+        # infeasible allocation; None stands for a valid config file
+        res = run_cli([config_file if a is None else a for a in args])
         assert res.exit_code == 3, res.output
         assert isinstance(res.exception, SystemExit)
         assert "Traceback" not in res.output
         assert message in res.stderr
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("closed, args, other_text", [
+        ("stdout", ["solve", "--config", None], b""),
+        ("stdout", ["--help"], b""),
+        # with 1000 frames the run warns of too few drop events
+        ("stderr", ["simulate", "--frames", "1000", "--out", "report.json",
+                    "--config", None], rb"achieved_eps_h=.* drop_events=0\n"),
+    ], ids=["solve", "help", "warning"])
+    def test_closed_pipe_exits_1(self, config_file, tmp_path, closed, args,
+                                 other_text):
+        # a reader that stops reading early, as `head` does, ends the run
+        # with exit 1 and no error on the other stream, not as a config
+        # error; the streams keep their default buffering, so what they
+        # still hold is flushed once more at exit
+        env = checkout_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        other = "stderr" if closed == "stdout" else "stdout"
+        with open(write_end, "wb") as pipe:
+            proc = subprocess.run(
+                [sys.executable, "-m", "urllc_ee.cli",
+                 *(config_file if a is None else a for a in args)],
+                **{closed: pipe, other: subprocess.PIPE}, cwd=tmp_path,
+                env=env, timeout=60)
+        assert proc.returncode == 1, proc
+        assert re.fullmatch(other_text, getattr(proc, other))
+
     @pytest.mark.parametrize("args", [["--help"], ["solve", "--help"]])
-    def test_help_exits_0(self, runner, args):
-        res = runner.invoke(main, args)
+    def test_help_exits_0(self, args):
+        res = run_cli(args)
         assert res.exit_code == 0, res.output
-        assert res.stdout.startswith("Usage:")
+        assert res.stdout.startswith("usage:")
 
 
 class TestUserForms:
@@ -145,8 +171,7 @@ class TestUserForms:
                      "user_arrival_rates_pps = 20000, 20000, 5000, 20000"}
 
     @pytest.mark.parametrize("cell", CELLS)
-    def test_distances_and_gains_give_the_same_bytes(self, runner, tmp_path,
-                                                     cell):
+    def test_distances_and_gains_give_the_same_bytes(self, tmp_path, cell):
         from urllc_ee import path_loss_gain
         text = DEFAULT_CONFIG_TEXT.replace("user_distances_m = 250",
                                            self.CELLS[cell])
@@ -161,8 +186,8 @@ class TestUserForms:
             for args in (["solve"], ["simulate", "--frames", "20000",
                                      "--streams", "2"]):
                 out = tmp_path / f"{form}-{args[0]}.json"
-                res = runner.invoke(main, args + ["--config", os.fspath(path),
-                                                  "--out", os.fspath(out)])
+                res = run_cli(args + ["--config", os.fspath(path),
+                                      "--out", os.fspath(out)])
                 assert res.exit_code == 0, res.output
                 outputs.append(out.read_bytes())
         assert "user_gains" in path.read_text()
@@ -170,10 +195,9 @@ class TestUserForms:
 
 
 class TestTableWth:
-    def test_reference_rows(self, runner, config_file, tmp_path):
+    def test_reference_rows(self, config_file, tmp_path):
         out = os.fspath(tmp_path / "wth.csv")
-        res = runner.invoke(main, ["table-wth", "--config", config_file,
-                                   "--out", out])
+        res = run_cli(["table-wth", "--config", config_file, "--out", out])
         assert res.exit_code == 0, res.output
         lines = [l for l in Path(out).read_text().splitlines()
                  if not l.startswith("#")]
@@ -185,18 +209,18 @@ class TestTableWth:
         # tighter error targets need less bandwidth
         assert wths == sorted(wths)
 
-    def test_near_half_eps_rejected_outside_domain(self, runner, config_file,
+    def test_near_half_eps_rejected_outside_domain(self, config_file,
                                                    tmp_path):
         out = os.fspath(tmp_path / "wth.csv")
-        res = runner.invoke(main, ["table-wth", "--config", config_file,
-                                   "--out", out, "--eps", "0.6"])
+        res = run_cli(["table-wth", "--config", config_file,
+                       "--out", out, "--eps", "0.6"])
         assert res.exit_code == 3
 
-    def test_near_degenerate_eps_large_minimizer(self, runner, config_file,
+    def test_near_degenerate_eps_large_minimizer(self, config_file,
                                                  tmp_path):
         out = os.fspath(tmp_path / "wth.csv")
-        res = runner.invoke(main, ["table-wth", "--config", config_file,
-                                   "--out", out, "--eps", "1e-7,0.4999"])
+        res = run_cli(["table-wth", "--config", config_file,
+                       "--out", out, "--eps", "1e-7,0.4999"])
         assert res.exit_code == 0, res.output
         lines = [l for l in Path(out).read_text().splitlines()
                  if not l.startswith("#")][1:]
@@ -204,11 +228,11 @@ class TestTableWth:
         w_loose = float(lines[1].split(",")[1])
         assert w_loose > 50 * w_tight
 
-    def test_subnormal_eps_writes_a_finite_row(self, runner, config_file,
+    def test_subnormal_eps_writes_a_finite_row(self, config_file,
                                                tmp_path):
         out = os.fspath(tmp_path / "wth.csv")
-        res = runner.invoke(main, ["table-wth", "--config", config_file,
-                                   "--out", out, "--eps", "1e-320"])
+        res = run_cli(["table-wth", "--config", config_file,
+                       "--out", out, "--eps", "1e-320"])
         assert res.exit_code == 0, res.output
         lines = [l for l in Path(out).read_text().splitlines()
                  if not l.startswith("#")]
@@ -217,53 +241,53 @@ class TestTableWth:
         assert eps == 1e-320
         assert 0.0 < w_th < math.inf
 
-    def test_byte_identical_reruns(self, runner, config_file, tmp_path):
+    def test_byte_identical_reruns(self, config_file, tmp_path):
         outs = []
         for name in ("r1.csv", "r2.csv"):
             out = os.fspath(tmp_path / name)
-            assert runner.invoke(main, ["table-wth", "--config", config_file,
-                                        "--out", out]).exit_code == 0
+            assert run_cli(["table-wth", "--config", config_file,
+                            "--out", out]).exit_code == 0
             outs.append(Path(out).read_bytes())
         assert outs[0] == outs[1]
 
 
 class TestSimulate:
-    def test_small_run_writes_report(self, runner, config_file, tmp_path):
+    def test_small_run_writes_report(self, config_file, tmp_path):
         out = os.fspath(tmp_path / "rep.json")
-        res = runner.invoke(main, ["simulate", "--config", config_file,
-                                   "--out", out, "--frames", "200000",
-                                   "--seed", "3", "--streams", "2",
-                                   "--eps-h", "1e-2"])
+        res = run_cli(["simulate", "--config", config_file,
+                       "--out", out, "--frames", "200000",
+                       "--seed", "3", "--streams", "2",
+                       "--eps-h", "1e-2"])
         assert res.exit_code == 0, res.output
         data = json.loads(Path(out).read_text())
         assert data["frames_run"] == 200000
         assert data["achieved_eps_h"] <= 1e-2
 
-    def test_unresolvable_warning(self, runner, config_file, tmp_path):
+    def test_unresolvable_warning(self, config_file, tmp_path):
         out = os.fspath(tmp_path / "rep.json")
-        res = runner.invoke(main, ["simulate", "--config", config_file,
-                                   "--out", out, "--frames", "50000",
-                                   "--seed", "3", "--streams", "1"])
+        res = run_cli(["simulate", "--config", config_file,
+                       "--out", out, "--frames", "50000",
+                       "--seed", "3", "--streams", "1"])
         assert res.exit_code == 0
         assert "unresolved" in res.output
 
-    def test_deterministic(self, runner, config_file, tmp_path):
+    def test_deterministic(self, config_file, tmp_path):
         outs = []
         for name in ("s1.json", "s2.json"):
             out = os.fspath(tmp_path / name)
-            res = runner.invoke(main, ["simulate", "--config", config_file,
-                                       "--out", out, "--frames", "100000",
-                                       "--seed", "9", "--streams", "2",
-                                       "--eps-h", "1e-2"])
+            res = run_cli(["simulate", "--config", config_file,
+                           "--out", out, "--frames", "100000",
+                           "--seed", "9", "--streams", "2",
+                           "--eps-h", "1e-2"])
             assert res.exit_code == 0
             outs.append(Path(out).read_bytes())
         assert outs[0] == outs[1]
 
-    def test_trace_flag(self, runner, config_file, tmp_path):
+    def test_trace_flag(self, config_file, tmp_path):
         trace = os.fspath(tmp_path / "trace.csv")
-        res = runner.invoke(main, ["simulate", "--config", config_file,
-                                   "--frames", "300", "--seed", "4",
-                                   "--streams", "1", "--trace", trace])
+        res = run_cli(["simulate", "--config", config_file,
+                       "--frames", "300", "--seed", "4",
+                       "--streams", "1", "--trace", trace])
         assert res.exit_code == 0, res.output
         lines = Path(trace).read_text().splitlines()
         assert len(lines) == 301
@@ -271,12 +295,12 @@ class TestSimulate:
 
 
 class TestTableDrop:
-    def test_rows_and_warning(self, runner, config_file, tmp_path):
+    def test_rows_and_warning(self, config_file, tmp_path):
         out = os.fspath(tmp_path / "drop.csv")
-        res = runner.invoke(main, ["table-drop", "--config", config_file,
-                                   "--out", out, "--eps", "1e-2,1e-7",
-                                   "--frames", "300000", "--seed", "2",
-                                   "--streams", "2"])
+        res = run_cli(["table-drop", "--config", config_file,
+                       "--out", out, "--eps", "1e-2,1e-7",
+                       "--frames", "300000", "--seed", "2",
+                       "--streams", "2"])
         assert res.exit_code == 0, res.output
         lines = [l for l in Path(out).read_text().splitlines()
                  if not l.startswith("#")]
@@ -288,11 +312,11 @@ class TestTableDrop:
 
 
 class TestSweepAntennas:
-    def test_locus_and_unimodality(self, runner, config_file, tmp_path):
+    def test_locus_and_unimodality(self, config_file, tmp_path):
         out = os.fspath(tmp_path / "ant.csv")
-        res = runner.invoke(main, ["sweep-antennas", "--config", config_file,
-                                   "--out", out, "--k-values", "5,10",
-                                   "--nt-max", "40"])
+        res = run_cli(["sweep-antennas", "--config", config_file,
+                       "--out", out, "--k-values", "5,10",
+                       "--nt-max", "40"])
         assert res.exit_code == 0, res.output
         lines = [l for l in Path(out).read_text().splitlines()
                  if not l.startswith("#")]
@@ -306,11 +330,11 @@ class TestSweepAntennas:
         locus5 = [r for r in rows if r[0] == "5" and r[4] == "1"]
         assert len(locus5) == 1
 
-    def test_locus_matches_solver(self, runner, config_file, tmp_path):
+    def test_locus_matches_solver(self, config_file, tmp_path):
         out = os.fspath(tmp_path / "ant.csv")
-        res = runner.invoke(main, ["sweep-antennas", "--config", config_file,
-                                   "--out", out, "--k-values", "1,5",
-                                   "--nt-max", "40"])
+        res = run_cli(["sweep-antennas", "--config", config_file,
+                       "--out", out, "--k-values", "1,5",
+                       "--nt-max", "40"])
         assert res.exit_code == 0
         from urllc_ee import solve_allocation
         from urllc_ee.config_io import load_config
@@ -327,11 +351,11 @@ class TestSweepAntennas:
 
 
 class TestSweepUsers:
-    def test_dominance_small_range(self, runner, config_file, tmp_path):
+    def test_dominance_small_range(self, config_file, tmp_path):
         out = os.fspath(tmp_path / "ee.csv")
-        res = runner.invoke(main, ["sweep-users", "--config", config_file,
-                                   "--out", out, "--k-min", "1",
-                                   "--k-max", "6", "--fixed-nt", "8,16"])
+        res = run_cli(["sweep-users", "--config", config_file,
+                       "--out", out, "--k-min", "1",
+                       "--k-max", "6", "--fixed-nt", "8,16"])
         assert res.exit_code == 0, res.output
         lines = [l for l in Path(out).read_text().splitlines()
                  if not l.startswith("#")]
@@ -342,10 +366,10 @@ class TestSweepUsers:
                 if fixed != "nan":
                     assert float(ee) >= float(fixed) * (1 - 1e-12)
 
-    def test_k_zero_rejected(self, runner, config_file, tmp_path):
-        res = runner.invoke(main, ["sweep-users", "--config", config_file,
-                                   "--out", os.fspath(tmp_path / "x.csv"),
-                                   "--k-min", "0", "--k-max", "3"])
+    def test_k_zero_rejected(self, config_file, tmp_path):
+        res = run_cli(["sweep-users", "--config", config_file,
+                       "--out", os.fspath(tmp_path / "x.csv"),
+                       "--k-min", "0", "--k-max", "3"])
         assert res.exit_code == 3
 
 
@@ -440,7 +464,7 @@ class TestExperimentSpec:
             "sweep-users-fixed-nt-repeated", "sweep-antennas-k-repeated",
             "table-drop-eps-repeated", "fixed-nt-past-cap",
             "nt-max-past-cap"])
-    def test_bad_inputs_exit_3(self, runner, tmp_path, args, edit):
+    def test_bad_inputs_exit_3(self, tmp_path, args, edit):
         # ``edit`` is a (line, replacement) pair for the default config
         path = tmp_path / "cell.cfg"
         path.write_text(DEFAULT_CONFIG_TEXT.replace(*edit) if edit else
@@ -449,7 +473,7 @@ class TestExperimentSpec:
                 for a in args] + ["--config", os.fspath(path)]
         if args[0].startswith(("table", "sweep")):
             args += ["--out", os.fspath(tmp_path / "t.csv")]
-        res = runner.invoke(main, args)
+        res = run_cli(args)
         assert res.exit_code == 3, res.output
         assert "config error" in res.output
         assert not (tmp_path / "t.csv").exists()
@@ -459,7 +483,7 @@ class TestExperimentSpec:
         ["sweep-antennas", "--k-values", "2"],
         ["table-drop", "--eps", "1e-2", "--frames", "1000"],
     ], ids=["sweep-users", "sweep-antennas", "table-drop"])
-    def test_nan_traffic_names_the_config_fault(self, runner, tmp_path,
+    def test_nan_traffic_names_the_config_fault(self, tmp_path,
                                                 args):
         # a NaN frame makes every user's rate NaN, and NaN differs from
         # itself; the fault named is the frame's, as ``solve`` names it,
@@ -468,8 +492,8 @@ class TestExperimentSpec:
         path.write_text(DEFAULT_CONFIG_TEXT.replace(
             "frame_duration = 1e-4", "frame_duration = nan").replace(
             "user_distances_m = 250", "user_distances_m = 250, 100"))
-        res = runner.invoke(main, [*args, "--config", os.fspath(path),
-                                   "--out", os.fspath(tmp_path / "t.csv")])
+        res = run_cli([*args, "--config", os.fspath(path),
+                       "--out", os.fspath(tmp_path / "t.csv")])
         assert res.exit_code == 3, res.output
         assert "frame_duration must be positive and finite" in res.stderr
         assert "rates differ" not in res.stderr
@@ -485,14 +509,14 @@ class TestExperimentSpec:
          ("node_packet_rate_hz = 10", "node_packet_rate_hz = 100"), 2000.0),
     ], ids=["sweep-users-node-rate", "sweep-antennas-node-count",
             "table-drop-node-rate"])
-    def test_placed_users_take_the_config_traffic(self, runner, tmp_path,
+    def test_placed_users_take_the_config_traffic(self, tmp_path,
                                                   args, edit, rate_hz):
         # the users these commands place carry the config users' rate
         path = tmp_path / "cell.cfg"
         path.write_text(DEFAULT_CONFIG_TEXT.replace(*edit))
         out = tmp_path / "t.csv"
-        res = runner.invoke(main, args + ["--config", os.fspath(path),
-                                          "--out", os.fspath(out)])
+        res = run_cli(args + ["--config", os.fspath(path),
+                              "--out", os.fspath(out)])
         assert res.exit_code == 0, res.output
         cfg = model.SystemConfig()  # the edit leaves the cell as it is
         lam = cfg.packets_per_frame(rate_hz)
@@ -605,30 +629,54 @@ SMALL_COMMANDS = [
 ]
 
 
+# The runner of a fresh interpreter: conftest's, cut down to the exit code
+# and both streams, and importing the CLI only when it first runs.
+RUN_CLI = textwrap.dedent("""\
+    import contextlib, io, sys
+
+
+    def run_cli(args):
+        from urllc_ee.cli import main
+        output = io.StringIO()
+        with contextlib.redirect_stdout(output), \\
+                contextlib.redirect_stderr(output):
+            try:
+                main(args)
+            except SystemExit as exc:
+                return exc.code, output.getvalue()
+        return 0, output.getvalue()
+
+
+""")
+
+
+def checkout_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's
+    package."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONPATH=src)
+
+
 def run_fresh(code: str, *args: str, timeout: float | None = None) -> str:
     """Stdout of ``code`` run with ``args`` in a fresh interpreter that
-    imports this checkout's package, killed after ``timeout`` seconds."""
-    import urllc_ee
-    src = os.path.dirname(os.path.dirname(urllc_ee.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          capture_output=True, text=True, check=True,
-                          timeout=timeout).stdout
+    imports this checkout's package and has ``run_cli`` defined, killed
+    after ``timeout`` seconds."""
+    return subprocess.run([sys.executable, "-c", RUN_CLI + code, *args],
+                          env=checkout_env(), capture_output=True, text=True,
+                          check=True, timeout=timeout).stdout
 
 
 def test_one_process_runs_leave_out_multiprocessing(config_file, tmp_path):
     # the process pool, and with it multiprocessing, is imported only by a
     # run with workers > 1
     code = textwrap.dedent("""\
-        import sys
-        from click.testing import CliRunner
-        from urllc_ee.cli import main
+        import urllc_ee.cli
         config, out = sys.argv[1:3]
         print("multiprocessing" in sys.modules)
-        res = CliRunner().invoke(main, ["simulate", "--frames", "20000",
-                                        "--streams", "2", "--workers", "1",
-                                        "--config", config, "--out", out])
-        assert res.exit_code == 0, res.output
+        exit_code, output = run_cli(["simulate", "--frames", "20000",
+                                     "--streams", "2", "--workers", "1",
+                                     "--config", config, "--out", out])
+        assert exit_code == 0, output
         print("multiprocessing" in sys.modules)
     """)
     out = run_fresh(code, config_file, os.fspath(tmp_path / "out"))
@@ -637,29 +685,56 @@ def test_one_process_runs_leave_out_multiprocessing(config_file, tmp_path):
 
 def test_solver_commands_leave_out_numpy(config_file, tmp_path):
     # numpy and the helper threads' executor are imported by the
-    # simulator's first run: a command that only solves never loads them
+    # simulator's first run: a command that only solves never loads them,
+    # nor any other module from outside the standard library
     code = textwrap.dedent("""\
-        import json, sys
-        from click.testing import CliRunner
-        from urllc_ee.cli import main
+        import json
+        before = set(sys.modules)  # site's own imports among them
+        import urllc_ee.cli
         config, out = sys.argv[1:3]
 
         def loaded():
-            print("numpy" in sys.modules, "concurrent.futures" in sys.modules)
+            new = {name.partition(".")[0]
+                   for name in sys.modules.keys() - before}
+            print("numpy" in sys.modules, "concurrent.futures" in sys.modules,
+                  sorted(new - set(sys.stdlib_module_names) - {"urllc_ee"}))
 
         loaded()
         for args in json.loads(sys.argv[3]):
-            res = CliRunner().invoke(main, args + ["--config", config,
-                                                   "--out", out])
-            assert res.exit_code == 0, (args, res.output)
+            exit_code, output = run_cli(args + ["--config", config,
+                                                "--out", out])
+            assert exit_code == 0, (args, output)
             loaded()
     """)
     commands = [["solve"], ["table-wth"], ["sweep-antennas", "--k-values", "2"],
                 ["sweep-users", "--k-max", "2", "--placement", "uniform"],
                 ["simulate", "--frames", "2000"]]
     out = run_fresh(code, config_file, os.fspath(tmp_path / "out"),
-                    json.dumps(commands))
-    assert out.splitlines() == ["False False"] * 5 + ["True True"]
+                    json.dumps(commands)).splitlines()
+    assert out[:5] == ["False False []"] * 5
+    assert out[5].startswith("True True ")
+
+
+def test_dependencies_are_the_imported_modules():
+    # the runtime dependencies pyproject.toml declares are the modules from
+    # outside the standard library that the package imports: none can be
+    # added, or left behind, without notice
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    import urllc_ee
+    package = Path(urllc_ee.__file__).parent
+    imported = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module)
+    imported = {name.partition(".")[0] for name in imported}
+    with open(package.parent.parent / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[\w.-]+", dep).group() for dep in declared}
+    assert (imported - set(sys.stdlib_module_names) - {"urllc_ee"}
+            == declared == {"numpy"})
 
 
 def test_minimizer_past_the_float_range_ends(tmp_path):
@@ -671,14 +746,12 @@ def test_minimizer_past_the_float_range_ends(tmp_path):
         "packet_bits = 160", "packet_bits = 1e300").replace(
         "total_bandwidth = 20e6", "total_bandwidth = 1.7e308"))
     code = textwrap.dedent("""\
-        import json, sys
-        from click.testing import CliRunner
-        from urllc_ee.cli import main
+        import json
         config, out = sys.argv[1:3]
         for args in json.loads(sys.argv[3]):
-            res = CliRunner().invoke(main, args + ["--config", config,
-                                                   "--out", out])
-            print(res.exit_code, "float range" in res.output)
+            exit_code, output = run_cli(args + ["--config", config,
+                                                "--out", out])
+            print(exit_code, "float range" in output)
     """)
     commands = [["solve"], ["simulate", "--frames", "1000"],
                 ["table-drop", "--frames", "1000"]]
@@ -691,9 +764,8 @@ def test_minimizer_past_the_float_range_ends(tmp_path):
 def test_process_pool_inherits_numpy(config_file, tmp_path):
     # a forked worker that found numpy unloaded would import it itself
     code = textwrap.dedent("""\
-        import concurrent.futures, sys
-        from click.testing import CliRunner
-        from urllc_ee.cli import main
+        import concurrent.futures
+        import urllc_ee.cli
         config, out = sys.argv[1:3]
         loaded = ["numpy" in sys.modules]
 
@@ -703,10 +775,10 @@ def test_process_pool_inherits_numpy(config_file, tmp_path):
                 super().__init__(max_workers)
 
         concurrent.futures.ProcessPoolExecutor = Recorder
-        res = CliRunner().invoke(main, ["simulate", "--frames", "2000",
-                                        "--streams", "2", "--workers", "2",
-                                        "--config", config, "--out", out])
-        assert res.exit_code == 0, res.output
+        exit_code, output = run_cli(["simulate", "--frames", "2000",
+                                     "--streams", "2", "--workers", "2",
+                                     "--config", config, "--out", out])
+        assert exit_code == 0, output
         print(*loaded)
     """)
     out = run_fresh(code, config_file, os.fspath(tmp_path / "out"))
@@ -769,15 +841,13 @@ def commands_reach(tmp_path_factory):
         if event == "call":
             called.add(frame.f_code)
 
-    runner = CliRunner()
     previous = sys.getprofile()
     # the draws run on helper threads that each simulation starts
     threading.setprofile(record)
     sys.setprofile(record)
     try:
-        results = [runner.invoke(main, args + ["--config",
-                                               os.fspath(config_file),
-                                               "--out", out])
+        results = [run_cli(args + ["--config", os.fspath(config_file),
+                                   "--out", out])
                    for args in commands]
     finally:
         sys.setprofile(previous)
@@ -811,16 +881,13 @@ def test_commands_leave_out_scipy(config_file, tmp_path):
     # scipy is a test dependency only: no command loads it, nor a loose
     # dropping budget or a large array, whose thresholds lie past n - 1
     code = textwrap.dedent("""\
-        import json, sys
-        from click.testing import CliRunner
+        import json
         from urllc_ee import load_config, solve_allocation
-        from urllc_ee.cli import main
         config, out = sys.argv[1:3]
-        runner = CliRunner()
         for args in json.loads(sys.argv[3]):
-            res = runner.invoke(main, args + ["--config", config,
-                                              "--out", out])
-            assert res.exit_code == 0, (args, res.output)
+            exit_code, output = run_cli(args + ["--config", config,
+                                                "--out", out])
+            assert exit_code == 0, (args, output)
         cfg, users = load_config(config)
         solve_allocation(cfg, users, eps_h=0.3)
         print("scipy" in sys.modules)

@@ -7,11 +7,12 @@ infeasibility errors.
 
 import json
 import math
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -20,11 +21,10 @@ from urllc_ee import (PowerInfeasibleError, QosInfeasibleError, SystemConfig,
                       find_bandwidth_minimizer, path_loss_gain,
                       solve_allocation, validate_config)
 from urllc_ee.allocator import CASE_LIMITED, CASE_SUFFICIENT, build_y_functions
-from urllc_ee.cli import main
 from urllc_ee.config_io import (_LIST_KEYS, _SCALAR_KEYS,
                                 DEFAULT_CONFIG_TEXT)
 
-from conftest import LAM
+from conftest import LAM, run_cli
 from oracles import achievable_rate_max_dispersion, required_snr
 
 
@@ -202,15 +202,15 @@ def test_any_config_text_ends_in_a_named_outcome(text, frames, streams):
     # table-wth, through the CLI: a solution (0), a named infeasibility (2)
     # or a config error (3), never a traceback, and only finite numbers in
     # what is written
-    runner = CliRunner()
-    with runner.isolated_filesystem():
-        with open("cell.cfg", "w") as fh:
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, wth = os.path.join(tmp, "cell.cfg"), os.path.join(tmp, "wth.csv")
+        with open(cfg, "w") as fh:
             fh.write(text)
         codes = []
-        for args in (["solve", "--out", "alloc.json"],
-                     ["simulate", "--out", "rep.json", "--frames",
-                      str(frames), "--streams", str(streams)]):
-            res = runner.invoke(main, args + ["--config", "cell.cfg"])
+        for args in (["solve", "--out", os.path.join(tmp, "alloc.json")],
+                     ["simulate", "--out", os.path.join(tmp, "rep.json"),
+                      "--frames", str(frames), "--streams", str(streams)]):
+            res = run_cli(args + ["--config", cfg])
             assert res.exit_code in (0, 2, 3), (text, res.output)
             assert res.exception is None or isinstance(res.exception,
                                                        SystemExit)
@@ -225,11 +225,10 @@ def test_any_config_text_ends_in_a_named_outcome(text, frames, streams):
         event(f"exit {codes[0]}")
         # table-wth makes no allocation, so it has no infeasible outcome:
         # it writes its table (0) or names a config error (3)
-        res = runner.invoke(main, ["table-wth", "--out", "wth.csv",
-                                   "--config", "cell.cfg"])
+        res = run_cli(["table-wth", "--out", wth, "--config", cfg])
         assert res.exit_code in (0, 3), (text, res.output)
         assert res.exception is None or isinstance(res.exception, SystemExit)
         if res.exit_code == 0:
-            with open("wth.csv") as fh:
+            with open(wth) as fh:
                 table = fh.read()
             assert not re.search(r"\b(nan|inf)\b", table, re.I), text
