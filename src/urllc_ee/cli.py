@@ -198,6 +198,10 @@ def main(argv: list[str] | None = None) -> None:
     except KeyboardInterrupt:  # the interrupted line ends first
         message, code = "\nAborted!", 1
     _echo(message, err=True)
+    try:  # stdout may still hold what it failed to write (a full disk)
+        sys.stdout.flush()
+    except OSError:  # those bytes go, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 
 

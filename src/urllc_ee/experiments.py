@@ -9,7 +9,6 @@ timestamp).
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 import operator
 from dataclasses import dataclass
@@ -118,6 +117,58 @@ def _uniform_draw(seed: int, i: int) -> float:
     x, rot = (state >> 64 ^ state) & _M64, state >> 122
     x = (x >> rot | x << 64 - rot) & _M64
     return (x >> 11) * 2.0 ** -53
+
+
+# FIPS 180-4's initial hash value and round constants: 32 bits of the
+# fractional parts of the first 8 primes' square roots and of the first 64
+# primes' cube roots
+_SHA_H = (0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f,
+          0x9b05688c, 0x1f83d9ab, 0x5be0cd19)
+_SHA_K = (
+    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
+    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
+    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
+    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
+    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
+    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
+    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
+    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
+    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
+    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
+    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2)
+
+
+def _rotr(x: int, n: int) -> int:
+    """The uint32 ``x`` rotated right by ``n`` bits."""
+    return (x >> n | x << 32 - n) & _M32
+
+
+def _sha256(data: bytes) -> str:
+    """The hex SHA-256 digest of ``data`` (FIPS 180-4), computed without
+    the OpenSSL binding, which a process that only solves need not load."""
+    n = len(data)
+    data = (data + b"\x80" + bytes(-(n + 9) % 64)
+            + (8 * n).to_bytes(8, "big"))
+    words = _SHA_H
+    for i in range(0, len(data), 64):
+        w = [int.from_bytes(data[j:j + 4], "big")
+             for j in range(i, i + 64, 4)]
+        for t in range(16, 64):
+            u, v = w[t - 15], w[t - 2]
+            w.append((w[t - 16] + w[t - 7]
+                      + (_rotr(u, 7) ^ _rotr(u, 18) ^ u >> 3)
+                      + (_rotr(v, 17) ^ _rotr(v, 19) ^ v >> 10)) & _M32)
+        a, b, c, d, e, f, g, h = words
+        for kt, wt in zip(_SHA_K, w):
+            t1 = (h + kt + wt + (_rotr(e, 6) ^ _rotr(e, 11) ^ _rotr(e, 25))
+                  + (e & f ^ ~e & g))
+            t2 = ((_rotr(a, 2) ^ _rotr(a, 13) ^ _rotr(a, 22))
+                  + (a & b ^ a & c ^ b & c))
+            e, f, g, h = (d + t1) & _M32, e, f, g
+            a, b, c, d = (t1 + t2) & _M32, a, b, c
+        words = [(x + y) & _M32
+                 for x, y in zip(words, (a, b, c, d, e, f, g, h))]
+    return "".join(f"{x:08x}" for x in words)
 
 
 def table_wth_rows(cfg: SystemConfig, eps_list: list[float],
@@ -362,7 +413,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
 
 def config_digest(cfg: SystemConfig) -> str:
     """Short stable hash identifying a configuration (for CSV provenance)."""
-    return hashlib.sha256(repr(cfg).encode()).hexdigest()[:16]
+    return _sha256(repr(cfg).encode())[:16]
 
 
 def csv_text(header: list[str], rows: list, provenance: dict) -> str:

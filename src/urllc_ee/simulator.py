@@ -32,15 +32,14 @@ the window's arrival lists, which carry the frames not yet due into the
 next window.  A cumulative-sum (Lindley) form of the queue would round in
 a different order and so cannot reproduce these bytes.
 
-numpy, and the helper threads' executor, are imported by the functions
-that run on them, so a process that only solves never loads them; a run
-with worker processes imports numpy before the pool forks, and the workers
-inherit it.
+numpy, the helper threads' executor and ``csv`` are imported by the
+functions that run on them, so a process that only solves never loads
+them; a run with worker processes imports numpy before the pool forks, and
+the workers inherit it.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import weakref
 from collections import deque
@@ -439,6 +438,8 @@ def run_simulation(policy: SimPolicy, cfg: SystemConfig,
         raise ValueError("frames must be at least 1")
     if streams < 1:
         raise ValueError("streams must be at least 1")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     if len(users) != len(policy.users):
         raise ValueError("policy and user list disagree on K")
 
@@ -450,6 +451,7 @@ def run_simulation(policy: SimPolicy, cfg: SystemConfig,
     jobs = [(s, base + (1 if s < extra else 0))
             for s in range(min(streams, frames))]
     if trace_path:
+        import csv  # off start-up
         with open(trace_path, "w", newline="") as fh:
             trace = csv.writer(fh)
             trace.writerow(["frame", "user", "gain", "tx_power_w", "arrivals",

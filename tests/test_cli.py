@@ -1,8 +1,10 @@
 import ast
+import hashlib
 import inspect
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -154,6 +156,23 @@ class TestExitCodes:
                 env=env, timeout=60)
         assert proc.returncode == 1, proc
         assert re.fullmatch(other_text, getattr(proc, other))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    def test_full_stdout_exits_3(self, config_file, tmp_path):
+        # a stdout that fails other than by a closed pipe is a config error,
+        # named once: the bytes it kept are not flushed again at exit, which
+        # would fail once more and exit 120
+        env = checkout_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "urllc_ee.cli", "solve",
+                 "--config", config_file], stdout=full,
+                stderr=subprocess.PIPE, cwd=tmp_path, env=env, timeout=60,
+                text=True)
+        assert proc.returncode == 3, proc
+        assert re.fullmatch(r"config error: .*\n", proc.stderr), proc
 
     @pytest.mark.parametrize("args", [["--help"], ["solve", "--help"]])
     def test_help_exits_0(self, args):
@@ -609,6 +628,15 @@ class TestUniformDraw:
             experiments._uniform_draw.__wrapped__(1.0, 0)
 
 
+def test_sha256_equals_hashlib():
+    # every length from 0 to 200 bytes: one to four blocks, with the
+    # padding edges at 55/56, 63/64 and 119/120 bytes
+    rng = random.Random(0)
+    for n in range(201):
+        data = rng.randbytes(n)
+        assert experiments._sha256(data) == hashlib.sha256(data).hexdigest()
+
+
 # The six commands on small inputs.
 SMALL_COMMANDS = [
     ["solve"],
@@ -686,7 +714,9 @@ def test_one_process_runs_leave_out_multiprocessing(config_file, tmp_path):
 def test_solver_commands_leave_out_numpy(config_file, tmp_path):
     # numpy and the helper threads' executor are imported by the
     # simulator's first run: a command that only solves never loads them,
-    # nor any other module from outside the standard library
+    # nor hashlib's OpenSSL binding (numpy.random loads it), nor csv, which
+    # only a trace writes, nor any other module from outside the standard
+    # library
     code = textwrap.dedent("""\
         import json
         before = set(sys.modules)  # site's own imports among them
@@ -697,6 +727,7 @@ def test_solver_commands_leave_out_numpy(config_file, tmp_path):
             new = {name.partition(".")[0]
                    for name in sys.modules.keys() - before}
             print("numpy" in sys.modules, "concurrent.futures" in sys.modules,
+                  "_hashlib" in sys.modules, "csv" in sys.modules,
                   sorted(new - set(sys.stdlib_module_names) - {"urllc_ee"}))
 
         loaded()
@@ -711,7 +742,7 @@ def test_solver_commands_leave_out_numpy(config_file, tmp_path):
                 ["simulate", "--frames", "2000"]]
     out = run_fresh(code, config_file, os.fspath(tmp_path / "out"),
                     json.dumps(commands)).splitlines()
-    assert out[:5] == ["False False []"] * 5
+    assert out[:5] == ["False False False False []"] * 5
     assert out[5].startswith("True True ")
 
 

@@ -437,6 +437,10 @@ class TestRunSimulation:
                            streams=0)
         with pytest.raises(ValueError):
             run_simulation(policy, cfg, [], frames=10, seed=1)
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers"):
+                run_simulation(policy, cfg, [single_user], frames=10, seed=1,
+                               workers=workers)
 
     def test_deterministic_reruns(self, cfg, single_user, solved):
         policy, _ = solved
