@@ -15,9 +15,11 @@ The hot path skips frames that provably do nothing: a frame with an empty
 queue, no arrivals and no deep fade leaves every counter unchanged, so only
 event frames (and busy spells after them) run through the Python queue
 update; channel draws and power statistics stay vectorized.  They run two
-chunks ahead on two helper threads: while the walk runs a chunk, the
-helpers draw the next two chunks of the run (numpy's samplers release the
-GIL), and hand over the arrivals as their frames and counts.  The chunk
+chunks ahead on two one-thread helpers, which take the (stream, user)
+pairs in turn: while the walk runs a chunk, the helpers draw the next two
+chunks of the run (numpy's samplers release the GIL), each pair's in
+order on its helper, and hand over the arrivals as their frames and
+counts.  The chunk
 size ``_CHUNK`` and the draw order (per (stream, user) pair, each chunk's
 gains, then its arrivals) are part of the output bytes; another chunking
 draws other numbers.  One call of one loop, ``_walk``, walks a
@@ -41,10 +43,9 @@ the workers inherit it.
 from __future__ import annotations
 
 import json
-import weakref
 from collections import deque
-from dataclasses import asdict, dataclass, field
-from itertools import islice
+from dataclasses import asdict, dataclass
+from itertools import cycle, islice
 
 from .model import Allocation, QosBudget, SystemConfig, UserProfile
 from .rate import achievable_rate
@@ -302,30 +303,19 @@ def _draw(rng: np.random.Generator, antennas: int, up: UserPolicy, n: int,
     return n, frames, a[frames], fades.tolist(), gains, power_sum
 
 
-def _draw_after(before, call: tuple) -> tuple:
-    """``_draw(*call)`` once the draw of ``before``, a weak reference to
-    the future of the call before or None, has ended.  A future that is gone
-    has been read, so its draw has ended; holding it weakly keeps no chunk
-    the walk has dropped."""
-    before = before and before()
-    if before is not None:
-        before.exception()
-    del before
-    return _draw(*call)
-
-
-def _ahead(helpers: ThreadPoolExecutor, calls):
+def _ahead(helpers: tuple, calls):
     """``_draw(*call)`` for each of ``calls`` in order, made on the two
-    ``helpers`` while the caller walks the chunks before: a call is handed
-    over once the caller asks for the chunk two before it, by then without
-    the one before that.  Calls of one (stream, user) pair come one after
-    another and share its generator, so each of them draws once the one
-    before has drawn; other pairs' draws run side by side."""
-    ahead, rng = deque(), None
+    one-thread ``helpers`` while the caller walks the chunks before: a call
+    is handed over once the caller asks for the chunk two before it, by then
+    without the one before that.  Calls of one (stream, user) pair come one
+    after another and share its generator, so they go to one helper, which
+    draws them in turn; the next pair goes to the other helper, so two
+    pairs' draws run side by side."""
+    ahead, rng, turns = deque(), None, cycle(helpers)
     for call in calls:
-        before = weakref.ref(ahead[-1]) if call[0] is rng else None
-        rng = call[0]
-        ahead.append(helpers.submit(_draw_after, before, call))
+        if call[0] is not rng:
+            rng, helper = call[0], next(turns)
+        ahead.append(helper.submit(_draw, *call))
         if len(ahead) == 3:
             yield ahead.popleft().result()
     while ahead:
@@ -359,8 +349,9 @@ def _run_streams(policy: SimPolicy, cfg: SystemConfig, jobs: list,
     """Simulate every user of each ``(stream, frames)`` job; returns, per
     job, the per-user tallies.
 
-    ``_walk`` walks each (stream, user) pair in one call while two helper
-    threads draw the next two chunks, of the same pair or the next ones.
+    ``_walk`` walks each (stream, user) pair in one call while two
+    one-thread helpers, taking the pairs in turn, draw the next two chunks,
+    of the same pair or the next ones.
     ``trace``, a ``csv.writer``, gets one row per frame as the chunks reach
     the walk.
     """
@@ -378,8 +369,8 @@ def _run_streams(policy: SimPolicy, cfg: SystemConfig, jobs: list,
                            traced)
 
     out = []
-    with ThreadPoolExecutor(max_workers=2) as helpers:
-        draws = _ahead(helpers, calls())
+    with ThreadPoolExecutor(1) as one, ThreadPoolExecutor(1) as other:
+        draws = _ahead((one, other), calls())
         for _, nf in jobs:
             out.append([])
             for u, up in enumerate(policy.users):
@@ -403,14 +394,14 @@ class SimReport:
     drop_count: float
     rng_seed: int
     stream_count: int
-    drop_events: int = 0
-    deep_fade_count: int = 0
-    busy_frames: int = 0
-    served_count: float = 0.0
-    departed_count: int = 0
-    delay_violation_count: int = 0
-    final_queue: float = 0.0
-    per_user: list = field(default_factory=list)
+    drop_events: int
+    deep_fade_count: int
+    busy_frames: int
+    served_count: float
+    departed_count: int
+    delay_violation_count: int
+    final_queue: float
+    per_user: list
 
     def to_dict(self) -> dict:
         out = asdict(self)

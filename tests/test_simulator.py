@@ -592,14 +592,40 @@ class TestRunSimulation:
                            streams=4)
         assert threading.active_count() == before
 
+    def test_a_pair_of_several_chunks_holds_one_helper(
+            self, cfg, single_user, monkeypatch):
+        # two streams of one user, two chunks per pair: one helper draws
+        # pair 0's chunks in turn while the other starts pair 1, so each of
+        # pair 0's draws sees pair 1's first draw start.  A helper that
+        # waited on pair 0's first chunk to draw its second would leave
+        # pair 1 queued, and the wait would time out
+        chunk = 4096
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
+        started = threading.Event()
+        waits = []
+        real_draw = simulator._draw
+
+        def draw(rng, *args):
+            if rng.bit_generator.seed_seq.spawn_key == (0, 0):
+                waits.append(started.wait(3))
+            else:
+                started.set()
+            return real_draw(rng, *args)
+
+        policy, _ = relaxed_policy(cfg, single_user, eps_h=1e-2)
+        monkeypatch.setattr(simulator, "_draw", draw)
+        run_simulation(policy, cfg, [single_user], frames=4 * chunk, seed=5,
+                       streams=2)
+        assert waits == [True, True]
+
     def test_scheduling_never_changes_a_result(self, cfg, single_user,
                                                monkeypatch):
         # two helpers draw two chunks at once.  A random 0-2 ms sleep before
         # each draw shuffles which of them reaches its generator first, so
         # a chunk drawn before the one ahead of it on its pair's generator,
         # or a chunk walked out of order, changes the report against the
-        # one drawn call by call in the caller.  Three chunks per pair put
-        # two draws of one pair in flight at once
+        # one drawn call by call in the caller.  Three chunks per pair queue
+        # two draws of one pair on its helper at once
         chunk, frames, seed, streams = 1 << 12, 3 * 12_000, 47, 3
         ups = (DENSE_USER, UserPolicy(
             bandwidth=3e6, gain_threshold=0.35, power_cap=1e-18,
