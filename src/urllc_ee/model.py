@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class ConfigError(ValueError):
@@ -209,9 +209,9 @@ class Allocation:
     antennas: int
     mean_total_power: float
     energy_efficiency: float
-    case_tag: str = ""
-    kkt_multiplier: float = 0.0
-    extras: dict = field(default_factory=dict)
+    case_tag: str
+    kkt_multiplier: float
+    extras: dict
 
     def to_dict(self) -> dict:
         return {

@@ -26,13 +26,15 @@ draws other numbers.  One call of one loop, ``_walk``, walks a
 pair's chunks with the queue state in local variables and visits arrival,
 backlog and deep-fade frames in order; a deep fade (about one frame in a
 million) runs ``_step``, the one-frame recursion with its drop, and every
-other frame the nominal-rate service written inline.  ``simulate --trace``
-filters the chunks on their way to the walk, writing each row from
-``_step``.  Packets of one arrival frame share their queueing delay, so the
-walk looks at the frame once, on its deadline, through a lag index into
-the window's arrival lists, which carry the frames not yet due into the
-next window.  A cumulative-sum (Lindley) form of the queue would round in
-a different order and so cannot reproduce these bytes.
+other frame the nominal-rate service written inline.  Under ``simulate
+--trace`` a chunk lists every frame where it lists the deep fades, so the
+walk runs each frame through ``_step`` and writes its row from the backlog
+that makes the tallies.  Packets of one arrival frame share their
+queueing delay, so the walk looks at the frame once, on its deadline,
+through a lag index into the window's arrival lists, which carry the
+frames not yet due into the next window.  A cumulative-sum (Lindley) form
+of the queue would round in a different order and so cannot reproduce
+these bytes.
 
 numpy, the helper threads' executor and ``csv`` are imported by the
 functions that run on them, so a process that only solves never loads
@@ -158,14 +160,17 @@ def _covered(outflow: float, end: int) -> int:
     return i if i < end else end
 
 
-def _walk(chunks, up: UserPolicy, dq: int, cfg: SystemConfig) -> dict:
-    """``_step`` over every frame of one (stream, user) pair, whose chunks
-    ``chunks`` yields in order as an untraced ``_draw`` returns them;
+def _walk(chunks, up: UserPolicy, dq: int, cfg: SystemConfig, trace=None,
+          u: int = 0) -> dict:
+    """``_step`` over every frame of user ``u``'s pair in one stream,
+    whose chunks ``chunks`` yields in order as ``_draw`` returns them;
     returns its tallies.  The walk takes a chunk ``_WINDOW`` frames at a
     time, skipping the frames that leave the state untouched: an empty
-    queue, no arrival and no deep fade.  A frame at the nominal rate runs
+    queue, no arrival and no listed fade.  A frame at the nominal rate runs
     ``_step``'s float operations without the fade's ``- d`` and ``+ d``,
-    exact no-ops there; a deep fade runs ``_step``.
+    exact no-ops there.  A frame the chunk lists with its gain runs
+    ``_step``: every deep fade, and in a traced run every frame, whose row
+    goes to ``trace``, a ``csv.writer``.
 
     Queueing delay is the waiting time until a packet's transmission
     starts (its own transmission frame is budgeted separately), so a
@@ -189,8 +194,7 @@ def _walk(chunks, up: UserPolicy, dq: int, cfg: SystemConfig) -> dict:
     for n, frames, ks, fades, gains, power_chunk in chunks:
         power_sum, power_c = _kahan(power_sum, power_c, power_chunk)
         arrivals += int(ks.sum())
-        fades = [base + t for t in (*fades, n)]  # sentinel: past the chunk
-        fi, next_fade = 0, fades[0]
+        fi, next_fade = 0, base + fades[0]
         i = 0  # the chunk's first arrival frame not yet in a window
         for w in range(0, n, _WINDOW):
             j = int(np.searchsorted(frames, w + _WINDOW))
@@ -224,10 +228,17 @@ def _walk(chunks, up: UserPolicy, dq: int, cfg: SystemConfig) -> dict:
                     k = 0
 
                 if f == next_fade:
-                    served, d, q = _step(q, gains[fi], k, up, cfg)
+                    g = gains[fi]
+                    served, d, q = _step(q, g, k, up, cfg)
                     fi += 1
-                    next_fade = fades[fi]
-                    deep_fades += 1
+                    next_fade = base + fades[fi]
+                    if g < up.gain_threshold:
+                        deep_fades += 1
+                        power = up.power_cap
+                    else:  # a traced run lists every frame
+                        power = up.inversion_coeff / g
+                    if trace is not None:
+                        trace.writerow((f, u, g, power, k, served, d, q))
                     if d > 0.0:
                         drop_events += 1
                         dropped, dropped_c = _kahan(dropped, dropped_c, d)
@@ -281,8 +292,9 @@ def _draw(rng: np.random.Generator, antennas: int, up: UserPolicy, n: int,
           trace: bool) -> tuple:
     """One chunk of a (stream, user) pair's draws: ``n`` channel gains,
     then ``n`` arrival counts.  Returns ``n``, the arrival frames and their
-    counts, the deep-fade frames, their gains (every frame's gain if
-    ``trace``) and the sum of the transmit powers.  The powers overwrite the
+    counts, the frames the walk runs through ``_step`` (the deep fades, or
+    every frame if ``trace``) followed by the sentinel ``n``, their gains,
+    and the sum of the transmit powers.  The powers overwrite the
     gains in place; they are the values ``np.where(deep, cap, coeff / g)``
     gives, in a contiguous array of the same length, so their pairwise sum
     is the same too.
@@ -290,8 +302,10 @@ def _draw(rng: np.random.Generator, antennas: int, up: UserPolicy, n: int,
     import numpy as np
     g = rng.standard_gamma(antennas, size=n)
     deep = g < up.gain_threshold
-    fades = np.flatnonzero(deep)
-    gains = g.tolist() if trace else g[fades].tolist()
+    if trace:
+        fades, gains = range(n + 1), g.tolist()
+    else:
+        fades, gains = [*np.flatnonzero(deep).tolist(), n], g[deep].tolist()
     np.divide(up.inversion_coeff, g, out=g)
     np.copyto(g, up.power_cap, where=deep)
     power_sum = float(np.sum(g))
@@ -300,7 +314,7 @@ def _draw(rng: np.random.Generator, antennas: int, up: UserPolicy, n: int,
     del g, deep
     a = rng.poisson(up.arrival_rate, size=n)
     frames = np.flatnonzero(a)
-    return n, frames, a[frames], fades.tolist(), gains, power_sum
+    return n, frames, a[frames], fades, gains, power_sum
 
 
 def _ahead(helpers: tuple, calls):
@@ -322,28 +336,6 @@ def _ahead(helpers: tuple, calls):
         yield ahead.popleft().result()
 
 
-def _traced(chunks, u: int, up: UserPolicy, cfg: SystemConfig, trace):
-    """A traced pair's ``chunks``, each passed on with only its deep-fade
-    gains once ``trace`` has its rows: one per frame, from ``_step`` over
-    the filter's own backlog, with the power ``_draw`` sums (the same IEEE
-    division)."""
-    q = 0.0
-    frame = 0
-    for n, frames, ks, fades, gains, power_sum in chunks:
-        a = [0] * n
-        for t, k in zip(frames.tolist(), ks.tolist()):
-            a[t] = k
-        for g, k in zip(gains, a):
-            served, dropped, q = _step(q, g, k, up, cfg)
-            power = (up.power_cap if g < up.gain_threshold
-                     else up.inversion_coeff / g)
-            trace.writerow((frame, u, g, power, k, served, dropped, q))
-            frame += 1
-        gains = [gains[f] for f in fades]  # frees every frame's gain
-        yield n, frames, ks, fades, gains, power_sum
-        del frames, ks  # before the next chunk is taken
-
-
 def _run_streams(policy: SimPolicy, cfg: SystemConfig, jobs: list,
                  seed: int, trace=None) -> list:
     """Simulate every user of each ``(stream, frames)`` job; returns, per
@@ -352,12 +344,11 @@ def _run_streams(policy: SimPolicy, cfg: SystemConfig, jobs: list,
     ``_walk`` walks each (stream, user) pair in one call while two
     one-thread helpers, taking the pairs in turn, draw the next two chunks,
     of the same pair or the next ones.
-    ``trace``, a ``csv.writer``, gets one row per frame as the chunks reach
-    the walk.
+    ``trace``, a ``csv.writer``, gets one row per frame as the walk makes
+    it.
     """
     from concurrent.futures import ThreadPoolExecutor
     import numpy as np
-    traced = trace is not None
 
     def calls():
         for s, nf in jobs:
@@ -366,7 +357,7 @@ def _run_streams(policy: SimPolicy, cfg: SystemConfig, jobs: list,
                     np.random.SeedSequence(entropy=seed, spawn_key=(s, u))))
                 for done in range(0, nf, _CHUNK):
                     yield (rng, policy.antennas, up, min(_CHUNK, nf - done),
-                           traced)
+                           trace is not None)
 
     out = []
     with ThreadPoolExecutor(1) as one, ThreadPoolExecutor(1) as other:
@@ -375,10 +366,8 @@ def _run_streams(policy: SimPolicy, cfg: SystemConfig, jobs: list,
             out.append([])
             for u, up in enumerate(policy.users):
                 chunks = islice(draws, -(-nf // _CHUNK))
-                if traced:
-                    chunks = _traced(chunks, u, up, cfg, trace)
                 out[-1].append(_walk(chunks, up, policy.queue_delay_frames,
-                                     cfg))
+                                     cfg, trace, u))
     return out
 
 
@@ -423,7 +412,7 @@ def run_simulation(policy: SimPolicy, cfg: SystemConfig,
     caps the worker processes, at most one per stream, and never changes
     the result.  Each process draws on two helper threads that end with
     the call.  ``trace_path`` (one stream only) gets a CSV row per frame as
-    the draws reach the walk; a run that raises leaves the rows written.
+    the walk makes it; a run that raises leaves the rows written.
     """
     if frames < 1:
         raise ValueError("frames must be at least 1")
@@ -434,14 +423,14 @@ def run_simulation(policy: SimPolicy, cfg: SystemConfig,
     if len(users) != len(policy.users):
         raise ValueError("policy and user list disagree on K")
 
-    if trace_path and (streams > 1):
+    if trace_path is not None and streams > 1:
         raise ValueError("per-frame tracing supports a single stream only")
 
     # streams past the frame count get no frame, so they make no job
     base, extra = divmod(frames, streams)
     jobs = [(s, base + (1 if s < extra else 0))
             for s in range(min(streams, frames))]
-    if trace_path:
+    if trace_path is not None:
         import csv  # off start-up
         with open(trace_path, "w", newline="") as fh:
             trace = csv.writer(fh)

@@ -409,6 +409,7 @@ class TestExperimentSpec:
         for bad in ({"kind": "simulate", "streams": 0},
                     {"kind": "simulate", "workers": 0},
                     {"kind": "simulate", "trace_path": "t.csv"},
+                    {"kind": "simulate", "trace_path": ""},
                     {"kind": "table_wth", "service_rate": 0.0},
                     {"kind": "table_wth", "service_rate": float("nan")},
                     {"kind": "table_drop", "distance": -5.0},
@@ -435,6 +436,7 @@ class TestExperimentSpec:
         (["sweep-users", "--k-max", "2", "--fixed-nt", "1"], None),
         (["sweep-antennas", "--k-values", "2", "--nt-min", "1"], None),
         (["simulate", "--trace", "trace.csv"], None),
+        (["simulate", "--trace", ""], None),
         # the sweeps and the dropping table place users that share one
         # arrival rate, so a config whose users' rates differ is refused
         (["table-drop", "--eps", "1e-2", "--frames", "1000"],
@@ -472,7 +474,7 @@ class TestExperimentSpec:
         (["sweep-antennas", "--k-values", "2", "--nt-max", "513"], None),
     ], ids=["rate-zero", "rate-nan", "streams-zero", "workers-zero",
             "distance-negative", "noise-nan", "fixed-nt-one", "nt-min-one",
-            "trace-multi-stream", "table-drop-user-rates",
+            "trace-multi-stream", "trace-empty-path", "table-drop-user-rates",
             "table-drop-eps-list", "table-wth-eps-list",
             "sweep-users-fixed-nt-list", "sweep-antennas-k-list",
             "simulate-seed-negative", "table-drop-seed-negative",

@@ -69,7 +69,8 @@ def walk(g, a, up, dq, cfg, cuts=()):
     for lo, hi in zip((0, *cuts), (*cuts, len(g))):
         fades = np.flatnonzero(g[lo:hi] < up.gain_threshold)
         frames = np.flatnonzero(a[lo:hi])
-        chunks.append((hi - lo, frames, a[lo:hi][frames], fades.tolist(),
+        chunks.append((hi - lo, frames, a[lo:hi][frames],
+                       [*fades.tolist(), hi - lo],
                        g[lo:hi][fades].tolist(), 0.0))
     tallies = _walk(chunks, up, dq, cfg)
     del tallies["power_sum"]
@@ -790,6 +791,48 @@ class TestRunSimulation:
         assert got == want
         assert sum(row[4] > 0.0 for row in want) > 5
         assert got[-1][5] == rep.final_queue
+
+    def test_two_user_trace(self, cfg, tmp_path, monkeypatch):
+        # each user's rows follow the previous user's, number the user's own
+        # frames from 0 and hold the oracle's values over that user's own
+        # Philox draws, across chunks
+        from urllc_ee import UserProfile, path_loss_gain
+        chunk, frames, seed = 4096, 10_000, 5
+        users = [UserProfile(LAM, path_loss_gain(d)) for d in (250.0, 120.0)]
+        alloc = solve_allocation(cfg, users, eps_h=5e-2)
+        policy = SimPolicy.from_allocation(alloc, cfg, users)
+        want = []
+        for u, up in enumerate(policy.users):
+            rng = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(entropy=seed, spawn_key=(0, u))))
+            state = QueueState()
+            for done in range(0, frames, chunk):
+                n = min(chunk, frames - done)
+                g = rng.standard_gamma(policy.antennas, size=n).tolist()
+                a = rng.poisson(up.arrival_rate, size=n).tolist()
+                for i in range(n):
+                    served, dropped = _advance(
+                        state, g[i], a[i], up, policy.queue_delay_frames,
+                        done + i, cfg)
+                    power = (up.power_cap if g[i] < up.gain_threshold
+                             else up.inversion_coeff / g[i])
+                    want.append((done + i, u, g[i], power, a[i], served,
+                                 dropped, state.queue))
+
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
+        path = tmp_path / "trace.csv"
+        rep = run_simulation(policy, cfg, users, frames=frames, seed=seed,
+                             streams=1, trace_path=os.fspath(path))
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        got = [(int(r[0]), int(r[1]), float(r[2]), float(r[3]), int(r[4]),
+                float(r[5]), float(r[6]), float(r[7])) for r in rows]
+        assert got == want
+        for u in (0, 1):  # both users drop in deep fades
+            assert sum(r[6] > 0.0 for r in want if r[1] == u) > 2
+        plain = run_simulation(policy, cfg, users, frames=frames, seed=seed,
+                               streams=1)
+        assert plain.to_json() == rep.to_json()
 
     def test_trace_rows_are_written_as_they_are_made(
             self, cfg, single_user, solved, tmp_path, monkeypatch):
