@@ -2,10 +2,11 @@
 
 Subcommands: ``solve``, ``simulate``, ``table-wth``, ``table-drop``,
 ``sweep-antennas``, ``sweep-users``.  Exit codes: 0 success, 2 infeasible
-allocation, 3 config/usage error.  Each command builds an ExperimentSpec
-and hands it to ``run_experiment``, so outputs are deterministic functions
-of the inputs (plus --seed) and re-running a command reproduces its output
-files byte for byte.
+allocation, 3 config/usage error.  An option's ``dest`` is the
+ExperimentSpec field it fills; each command converts the comma lists and
+ranges, builds the spec and hands it to ``run_experiment``, so outputs are
+deterministic functions of the inputs (plus --seed) and re-running a
+command reproduces its output files byte for byte.
 """
 
 from __future__ import annotations
@@ -34,24 +35,20 @@ def _parse_list(text: str, kind) -> tuple:
         raise ConfigError(f"{text!r}: {exc}") from None
 
 
-def solve(config, out):
+def solve(**spec):
     """Solve the allocation for the configured users."""
-    spec = ExperimentSpec(kind="solve", config_path=config, output_path=out)
-    alloc = run_experiment(spec)["allocation"]
+    alloc = run_experiment(ExperimentSpec(**spec))["allocation"]
     _echo(f"feasible: {alloc.case_tag}, antennas={alloc.antennas}, "
           f"mean_total_power={alloc.mean_total_power:.6g} W, "
           f"EE={alloc.energy_efficiency:.6g} bits/J")
-    if not out:
+    if not spec["output_path"]:
         _echo(alloc.to_json())
 
 
-def simulate(config, out, seed, frames, streams, workers, eps_h, trace):
+def simulate(**spec):
     """Solve, then validate the policy with the Monte-Carlo simulator."""
-    spec = ExperimentSpec(kind="simulate", config_path=config, output_path=out,
-                          seed=seed, frames=frames, streams=streams,
-                          workers=workers, eps_h=eps_h, trace_path=trace)
-    report = run_experiment(spec)["report"]
-    if not out:
+    report = run_experiment(ExperimentSpec(**spec))["report"]
+    if not spec["output_path"]:
         _echo(report.to_json())
     else:
         _echo(f"achieved_eps_h={report.achieved_eps_h:.3e}  "
@@ -63,21 +60,16 @@ def simulate(config, out, seed, frames, streams, workers, eps_h, trace):
               "this frame count", err=True)
 
 
-def table_wth(config, out, eps, service_rate):
+def table_wth(eps, **spec):
     """Bandwidth minimizer of the power kernel per error target."""
-    spec = ExperimentSpec(kind="table_wth", config_path=config,
-                          output_path=out, eps_list=_parse_list(eps, float),
-                          service_rate=service_rate)
+    spec = ExperimentSpec(**spec, eps_list=_parse_list(eps, float))
     for eps_c, wth in run_experiment(spec)["rows"]:
         _echo(f"eps_c={eps_c!r}  W_th={wth/1e6:.4f} MHz")
 
 
-def table_drop(config, out, eps, frames, seed, streams, workers, distance):
+def table_drop(eps, **spec):
     """Required vs achieved dropping probability (single-user protocol)."""
-    spec = ExperimentSpec(kind="table_drop", config_path=config,
-                          output_path=out, eps_list=_parse_list(eps, float),
-                          frames=frames, seed=seed, streams=streams,
-                          workers=workers, distance=distance)
+    spec = ExperimentSpec(**spec, eps_list=_parse_list(eps, float))
     for r in run_experiment(spec)["rows"]:
         note = "" if r["resolvable"] else "  [unresolvable: too few events]"
         _echo(f"required={r['required_eps_h']!r}  "
@@ -89,12 +81,10 @@ def table_drop(config, out, eps, frames, seed, streams, workers, distance):
                   f"eps_h={r['required_eps_h']!r}", err=True)
 
 
-def sweep_antennas(config, out, k_values, nt_min, nt_max, placement, seed):
+def sweep_antennas(k_values, nt_min, nt_max, **spec):
     """Mean total power vs antenna count, per user count."""
-    spec = ExperimentSpec(kind="sweep_antennas", config_path=config,
-                          output_path=out, k_values=_parse_list(k_values, int),
-                          nt_values=tuple(range(nt_min, nt_max + 1)),
-                          placement=placement, seed=seed)
+    spec = ExperimentSpec(**spec, k_values=_parse_list(k_values, int),
+                          nt_values=tuple(range(nt_min, nt_max + 1)))
     for k, locus in run_experiment(spec)["loci"].items():
         if locus is None:
             _echo(f"K={k}: no feasible antenna count in range")
@@ -102,13 +92,11 @@ def sweep_antennas(config, out, k_values, nt_min, nt_max, placement, seed):
             _echo(f"K={k}: N_t*={locus[0]}  min power={locus[1]:.4f} W")
 
 
-def sweep_users(config, out, k_min, k_max, fixed_nt, placement, seed):
+def sweep_users(k_min, k_max, fixed_nt, **spec):
     """Energy efficiency vs user count: joint-optimal and fixed antennas."""
     def show(x):
         return "infeasible" if x is None else f"{x:.5g}"
-    spec = ExperimentSpec(kind="sweep_users", output_path=out,
-                          config_path=config, placement=placement, seed=seed,
-                          k_values=tuple(range(k_min, k_max + 1)),
+    spec = ExperimentSpec(**spec, k_values=tuple(range(k_min, k_max + 1)),
                           fixed_nts=_parse_list(fixed_nt, int))
     for k, ee_joint, fixed in run_experiment(spec)["rows"]:
         _echo(f"K={k}: EE_joint={show(ee_joint)}  " + "  ".join(
@@ -128,14 +116,15 @@ def _parser() -> argparse.ArgumentParser:
         sub = commands.add_parser(run.__name__.replace("_", "-"),
                                   help=run.__doc__, description=run.__doc__,
                                   add_help=False, allow_abbrev=False)
-        sub.set_defaults(run=run)
+        sub.set_defaults(run=run, kind=run.__name__)
 
         def add(flag, default=None, help=None, **kw):
             if default is not None:  # every default is shown
                 help = f"{help or ''} [default: {default}]".lstrip()
             sub.add_argument(flag, default=default, help=help, **kw)
-        add("--config", required=True, help="Config file.")
-        add("--out", **out)
+        add("--config", required=True, help="Config file.",
+            dest="config_path", metavar="CONFIG")
+        add("--out", dest="output_path", metavar="OUT", **out)
         sub.add_argument("--help", **show_help)
         return add
 
@@ -147,7 +136,8 @@ def _parser() -> argparse.ArgumentParser:
     add("--workers", 1, type=int)
     add("--eps-h", type=float,
         help="Override the dropping budget before solving.")
-    add("--trace", help="Per-frame CSV trace (debugging; single stream only).")
+    add("--trace", dest="trace_path", metavar="TRACE",
+        help="Per-frame CSV trace (debugging; single stream only).")
     add = command(table_wth, required=True)
     add("--eps", "1e-8,1e-7,1e-6,1e-5",
         help="Comma list of decoding-error targets.")

@@ -49,11 +49,14 @@ from collections import deque
 from dataclasses import asdict, dataclass
 from itertools import cycle, islice
 
-from .model import Allocation, QosBudget, SystemConfig, UserProfile
+from .model import (Allocation, ConfigError, QosBudget, SystemConfig,
+                    UserProfile)
 from .rate import achievable_rate
 from .traffic import effective_bandwidth
 
 _CHUNK = 1 << 20
+# numpy's largest Poisson rate, which it computes in the same float steps
+_POISSON_MAX = (2**63 - 1) - (2**63 - 1) ** 0.5 * 10
 # The walk turns a window's arrival frames into Python lists; walking a
 # chunk window by window bounds that memory on busy queues.
 _WINDOW = 1 << 16
@@ -294,16 +297,18 @@ def _draw(rng: np.random.Generator, antennas: int, up: UserPolicy, n: int,
     then ``n`` arrival counts.  Returns ``n``, the arrival frames and their
     counts, the frames the walk runs through ``_step`` (the deep fades, or
     every frame if ``trace``) followed by the sentinel ``n``, their gains,
-    and the sum of the transmit powers.  The powers overwrite the
-    gains in place; they are the values ``np.where(deep, cap, coeff / g)``
-    gives, in a contiguous array of the same length, so their pairwise sum
-    is the same too.
+    and the sum of the transmit powers.  A traced chunk's gains are a
+    memoryview of a float64 copy, 8 bytes a frame, whose items are Python
+    floats as a list's are.  The powers overwrite the gains in place; they
+    are the values ``np.where(deep, cap, coeff / g)`` gives, in a
+    contiguous array of the same length, so their pairwise sum is the same
+    too.
     """
     import numpy as np
     g = rng.standard_gamma(antennas, size=n)
     deep = g < up.gain_threshold
     if trace:
-        fades, gains = range(n + 1), g.tolist()
+        fades, gains = range(n + 1), memoryview(g.copy())
     else:
         fades, gains = [*np.flatnonzero(deep).tolist(), n], g[deep].tolist()
     np.divide(up.inversion_coeff, g, out=g)
@@ -317,19 +322,13 @@ def _draw(rng: np.random.Generator, antennas: int, up: UserPolicy, n: int,
     return n, frames, a[frames], fades, gains, power_sum
 
 
-def _ahead(helpers: tuple, calls):
-    """``_draw(*call)`` for each of ``calls`` in order, made on the two
-    one-thread ``helpers`` while the caller walks the chunks before: a call
-    is handed over once the caller asks for the chunk two before it, by then
-    without the one before that.  Calls of one (stream, user) pair come one
-    after another and share its generator, so they go to one helper, which
-    draws them in turn; the next pair goes to the other helper, so two
-    pairs' draws run side by side."""
-    ahead, rng, turns = deque(), None, cycle(helpers)
-    for call in calls:
-        if call[0] is not rng:
-            rng, helper = call[0], next(turns)
-        ahead.append(helper.submit(_draw, *call))
+def _ahead(futures):
+    """The results of ``futures`` in order; a future is taken once the
+    caller asks for the result two before it, so a generator that submits
+    each as it is taken keeps two draws in flight while the caller walks."""
+    ahead = deque()
+    for future in futures:
+        ahead.append(future)
         if len(ahead) == 3:
             yield ahead.popleft().result()
     while ahead:
@@ -342,32 +341,34 @@ def _run_streams(policy: SimPolicy, cfg: SystemConfig, jobs: list,
     job, the per-user tallies.
 
     ``_walk`` walks each (stream, user) pair in one call while two
-    one-thread helpers, taking the pairs in turn, draw the next two chunks,
-    of the same pair or the next ones.
+    one-thread helpers draw the next two chunks, of the same pair or the
+    next ones.  A pair's chunks share its generator, so they go to one
+    helper, which draws them in turn; the next pair goes to the other
+    helper, so two pairs' draws run side by side.
     ``trace``, a ``csv.writer``, gets one row per frame as the walk makes
     it.
     """
     from concurrent.futures import ThreadPoolExecutor
     import numpy as np
+    pairs = [(s, nf, u, up) for s, nf in jobs
+             for u, up in enumerate(policy.users)]
 
-    def calls():
-        for s, nf in jobs:
-            for u, up in enumerate(policy.users):
-                rng = np.random.Generator(np.random.Philox(
-                    np.random.SeedSequence(entropy=seed, spawn_key=(s, u))))
-                for done in range(0, nf, _CHUNK):
-                    yield (rng, policy.antennas, up, min(_CHUNK, nf - done),
-                           trace is not None)
+    def draws(helpers):
+        for (s, nf, u, up), helper in zip(pairs, cycle(helpers)):
+            rng = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(entropy=seed, spawn_key=(s, u))))
+            for done in range(0, nf, _CHUNK):
+                yield helper.submit(_draw, rng, policy.antennas, up,
+                                    min(_CHUNK, nf - done), trace is not None)
 
     out = []
     with ThreadPoolExecutor(1) as one, ThreadPoolExecutor(1) as other:
-        draws = _ahead((one, other), calls())
-        for _, nf in jobs:
-            out.append([])
-            for u, up in enumerate(policy.users):
-                chunks = islice(draws, -(-nf // _CHUNK))
-                out[-1].append(_walk(chunks, up, policy.queue_delay_frames,
-                                     cfg, trace, u))
+        chunks = _ahead(draws((one, other)))
+        for _, nf, u, up in pairs:
+            if u == 0:
+                out.append([])
+            out[-1].append(_walk(islice(chunks, -(-nf // _CHUNK)), up,
+                                 policy.queue_delay_frames, cfg, trace, u))
     return out
 
 
@@ -422,6 +423,11 @@ def run_simulation(policy: SimPolicy, cfg: SystemConfig,
         raise ValueError("workers must be at least 1")
     if len(users) != len(policy.users):
         raise ValueError("policy and user list disagree on K")
+    for u, up in enumerate(policy.users):
+        if up.arrival_rate > _POISSON_MAX:
+            raise ConfigError(
+                f"user {u}: arrival rate {up.arrival_rate:.6g} packets/frame "
+                f"is past the Poisson sampler's limit of {_POISSON_MAX:.6g}")
 
     if trace_path is not None and streams > 1:
         raise ValueError("per-frame tracing supports a single stream only")

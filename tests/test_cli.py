@@ -180,6 +180,17 @@ class TestExitCodes:
         assert res.exit_code == 0, res.output
         assert res.stdout.startswith("usage:")
 
+    @pytest.mark.parametrize("command", ["solve", "simulate", "table-wth",
+                                         "table-drop", "sweep-antennas",
+                                         "sweep-users"])
+    def test_help_names_the_option_values(self, command):
+        # an option's dest is the spec field it fills, so its metavar keeps
+        # the usage line's value names
+        usage = run_cli([command, "--help"]).stdout
+        assert "--config CONFIG" in usage and "--out OUT" in usage
+        assert ("--trace TRACE" in usage) == (command == "simulate")
+        assert not re.search("CONFIG_PATH|OUTPUT_PATH|TRACE_PATH", usage)
+
 
 class TestUserForms:
     """A user given by its distance and one given by that distance's gain
@@ -472,6 +483,12 @@ class TestExperimentSpec:
         # count may pass it
         (["sweep-users", "--k-max", "2", "--fixed-nt", "600"], None),
         (["sweep-antennas", "--k-values", "2", "--nt-max", "513"], None),
+        # with bandwidth and power to spare, 2e20 packets/frame solves, but
+        # numpy draws no Poisson count past about 9.2e18
+        (["simulate", "--frames", "1000"], (
+            "total_bandwidth = 20e6\nmax_bs_power_dbm = 40",
+            "total_bandwidth = 1e40\nmax_bs_power_dbm = 400\n"
+            "user_arrival_rates_pps = 2e24")),
     ], ids=["rate-zero", "rate-nan", "streams-zero", "workers-zero",
             "distance-negative", "noise-nan", "fixed-nt-one", "nt-min-one",
             "trace-multi-stream", "trace-empty-path", "table-drop-user-rates",
@@ -484,7 +501,7 @@ class TestExperimentSpec:
             "table-drop-distance-overflow", "backhaul-six-frames",
             "sweep-users-fixed-nt-repeated", "sweep-antennas-k-repeated",
             "table-drop-eps-repeated", "fixed-nt-past-cap",
-            "nt-max-past-cap"])
+            "nt-max-past-cap", "arrival-rate-past-poisson-limit"])
     def test_bad_inputs_exit_3(self, tmp_path, args, edit):
         # ``edit`` is a (line, replacement) pair for the default config
         path = tmp_path / "cell.cfg"

@@ -834,6 +834,18 @@ class TestRunSimulation:
                                streams=1)
         assert plain.to_json() == rep.to_json()
 
+    def test_a_traced_chunk_holds_8_bytes_a_gain(self):
+        # a traced chunk lists every frame's gain, and a run holds three
+        # chunks: as a list of Python floats the gains took about 40 bytes
+        # a frame.  The walk still reads each one as a Python float
+        n = 5000
+        *_, fades, gains, _ = simulator._draw(
+            np.random.Generator(np.random.Philox(7)), 4, DENSE_USER, n, True)
+        assert fades == range(n + 1)
+        assert memoryview(gains).nbytes == 8 * n
+        g = np.random.Generator(np.random.Philox(7)).standard_gamma(4, n)
+        assert list(gains) == g.tolist() and type(gains[0]) is float
+
     def test_trace_rows_are_written_as_they_are_made(
             self, cfg, single_user, solved, tmp_path, monkeypatch):
         # past one chunk a traced run holds two chunks of draws, not a row
